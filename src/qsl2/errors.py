@@ -14,7 +14,15 @@ class MixedAlgebras(QSL2Error):
 
 
 class CompletionFailure(QSL2Error):
-    """Bounded overlap completion hit its rule or length cap."""
+    """Bounded overlap completion hit its rule or length cap.
+
+    `context` holds what the failing run knew, e.g. the completion bound,
+    the rule count, the agenda size and the last overlap processed.
+    """
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.context = context
 
 
 class NotFiniteDimensional(QSL2Error):

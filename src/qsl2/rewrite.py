@@ -8,6 +8,21 @@ for every word up to the completion bound.  Irreducible words of length n
 are exactly the dimension-n basis of the quotient whenever n is below the
 bound, and the irreducible language is closed under subwords, which makes
 an empty length conclusive for finite dimensionality.
+
+Presentation and the completer share one reduction engine, Reducer:
+
+* Redex search walks a trie of nested dicts over the left-hand sides from
+  each start position in turn and returns the leftmost position with the
+  longest lhs there.  The trie grows with each added rule and is rebuilt
+  when completion retires rules.
+* Normal forms are computed merged and largest-first, as in Buchberger's
+  and Mora's reductions: pending terms live in a coefficient map, and the
+  largest pending word under the monomial order is always expanded next.
+  Every rewrite produces strictly smaller words, so each word is rewritten
+  once, with the sum of the coefficients of all paths that reach it.
+* Normal forms of single words are cached.  During completion the cache
+  is versioned by rule additions, so that entries predating a rule
+  retirement are never trusted (see Reducer).
 """
 
 from __future__ import annotations
@@ -31,24 +46,194 @@ class RewriteRule:
     rhs: NCPoly
 
 
-class Presentation:
+def _descending_key(order: MonomialOrder):
+    """Heap key under which heapq pops the largest word under `order` first.
+
+    It orders words exactly as order.key does, reversed: weight, then
+    length, then letters compared through the precedence.  Letters go
+    through byte translation tables instead of a per-letter tuple.
+    """
+    if order.ngens > 256 or max(order.weights, default=1) > 255:
+        key = order.key
+        return lambda w: (-order.weight(w), -len(w),
+                          tuple(-x for x in key(w)[2]))
+    # equal-length byte strings compare letterwise, so mapping letter g to
+    # 255 - precedence[g] makes the ascending byte order the descending order
+    pad = bytes(256 - order.ngens)
+    inverted = bytes(255 - p for p in order.precedence) + pad
+    weights = bytes(order.weights) + pad
+    return lambda w: (-sum(bytes(w).translate(weights)), -len(w),
+                      bytes(w).translate(inverted))
+
+
+class Reducer:
+    """A rule set with its redex index and normal-form cache.
+
+    Rules map an lhs word to rhs terms that are strictly smaller under the
+    order.  find_redex walks a trie over the left-hand sides; nf_word_terms
+    reduces one word merged and largest-first, so each word it reaches is
+    rewritten once whatever the number of paths that lead to it.
+
+    The cache maps a word to (version, terms).  The version counts rule
+    additions.  An entry of the current version is final.  An entry written
+    after the last retirement (version >= retire_floor) is congruent to its
+    word modulo the current rules, so unless it is the identity it seeds the
+    reduction, all its words being strictly smaller.  Older entries may cite
+    retired rules and are discarded: seeding them back would let a retired
+    rule's equation cancel against itself and silently shrink the ideal.  A
+    fixed rule set keeps every entry final.
+    """
+
+    def __init__(self, order: MonomialOrder, ell: int, rules: dict):
+        self.order = order
+        self.ell = ell              # conductor of the scalar field
+        self.rules = rules          # lhs word -> rhs terms dict
+        self.collapsed = False
+        self.cache: dict = {}
+        self.version = 0
+        self.retire_floor = 0
+        self._one = CycRat.one(ell)
+        self._key = _descending_key(order)
+        self._reindex()
+
+    # -- redex index -----------------------------------------------------------
+
+    def _reindex(self):
+        self._trie: dict = {}
+        for lhs in self.rules:
+            self._index(lhs)
+
+    def _index(self, lhs):
+        node = self._trie
+        for g in lhs:
+            node = node.setdefault(g, {})
+        node[None] = lhs            # letters are ints, so None marks an lhs end
+
+    def find_redex(self, word):
+        """Leftmost position, longest lhs there; None when irreducible."""
+        trie = self._trie
+        n = len(word)
+        for i in range(n):
+            node = trie.get(word[i])
+            found = None
+            j = i + 1
+            while node is not None:
+                lhs = node.get(None)
+                if lhs is not None:
+                    found = lhs
+                if j == n:
+                    break
+                node = node.get(word[j])
+                j += 1
+            if found is not None:
+                return i, len(found), found
+        return None
+
+    # -- normal forms ------------------------------------------------------------
+
+    def nf_word_terms(self, word) -> dict:
+        """Normal form of a single word, as a terms dict (cached)."""
+        if self.collapsed:
+            return {}
+        cache = self.cache
+        entry = cache.get(word)
+        if entry is not None:
+            if entry[0] == self.version:
+                return entry[1]
+            if entry[0] >= self.retire_floor and not _is_identity(entry[1], word):
+                out = self._reduce(dict(entry[1]))
+                cache[word] = (self.version, out)
+                return out
+        redex = self.find_redex(word)
+        if redex is None:
+            out = {word: self._one}
+        else:
+            i, L, lhs = redex
+            prefix, suffix = word[:i], word[i + L:]
+            out = self._reduce({prefix + t + suffix: ct
+                                for t, ct in self.rules[lhs].items()})
+        cache[word] = (self.version, out)
+        return out
+
+    def _reduce(self, pending: dict) -> dict:
+        """Reduce pending terms, always expanding the largest pending word.
+
+        Rewriting and cache seeds only produce smaller words, so a word that
+        has been expanded never comes back and each is expanded once, with
+        its merged coefficient."""
+        cache, rules, version = self.cache, self.rules, self.version
+        floor, key, find = self.retire_floor, self._key, self.find_redex
+        heap = [(key(w), w) for w in pending]
+        heapq.heapify(heap)
+        out: dict = {}
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = pending.pop(w)
+            if c.is_zero():
+                continue
+            entry = cache.get(w)
+            if entry is not None and entry[0] == version:
+                for u, cu in entry[1].items():
+                    _addto(out, u, cu * c)
+                continue
+            if (entry is not None and entry[0] >= floor
+                    and not _is_identity(entry[1], w)):
+                prefix = suffix = EMPTY_WORD
+                expansion = entry[1]
+            else:
+                redex = find(w)
+                if redex is None:
+                    _addto(out, w, c)
+                    continue
+                i, L, lhs = redex
+                prefix, suffix = w[:i], w[i + L:]
+                expansion = rules[lhs]
+            for t, ct in expansion.items():
+                u = prefix + t + suffix
+                acc = pending.get(u)
+                if acc is None:
+                    pending[u] = ct * c
+                    heapq.heappush(heap, (key(u), u))
+                else:
+                    pending[u] = acc + ct * c
+        return out
+
+    def nf_terms(self, terms: dict) -> dict:
+        out: dict = {}
+        for w, c in terms.items():
+            for u, cu in self.nf_word_terms(w).items():
+                _addto(out, u, cu * c)
+        return out
+
+
+def _is_identity(terms: dict, word) -> bool:
+    return len(terms) == 1 and word in terms and terms[word].is_one()
+
+
+def _addto(terms: dict, key, c):
+    """terms[key] += c, dropping the key when the sum is zero."""
+    acc = terms.get(key)
+    v = acc + c if acc is not None else c
+    if v.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = v
+
+
+class Presentation(Reducer):
     """Generators, monomial order, and a completed oriented rule set."""
 
     def __init__(self, gens, order: MonomialOrder, ell: int, rules: dict,
                  defining, parity: str, q: CycRat | None,
                  completion_bound: int, collapsed: bool, label: str = ""):
+        super().__init__(order, ell, rules)
         self.gens = tuple(gens)
-        self.order = order
-        self.ell = ell              # conductor of the scalar field
         self.q = q                  # distinguished root of unity, if any
         self.parity = parity
-        self.rules = rules          # lhs word -> rhs terms dict
         self.defining = list(defining)
         self.completion_bound = completion_bound
         self.collapsed = collapsed
         self.label = label
-        self._maxlhs = max((len(w) for w in rules), default=0)
-        self._nf_cache: dict = {}
 
     # -- vocabulary ----------------------------------------------------------
 
@@ -76,72 +261,15 @@ class Presentation:
 
     # -- reduction ------------------------------------------------------------
 
-    def find_redex(self, word):
-        """Leftmost position, largest lhs first; None when irreducible."""
-        rules = self.rules
-        maxlen = self._maxlhs
-        n = len(word)
-        for i in range(n):
-            top = maxlen if maxlen < n - i else n - i
-            for L in range(top, 0, -1):
-                cand = word[i:i + L]
-                if cand in rules:
-                    return i, L, cand
-        return None
+    # The engine is Reducer's; binding its methods in this class body lets
+    # instrumentation wrap them for presentations alone (the reducer looks
+    # them up on the instance, so wrapped versions see every inner call).
+    find_redex = Reducer.find_redex
+    nf_word_terms = Reducer.nf_word_terms
+    nf_terms = Reducer.nf_terms
 
     def is_irreducible(self, word) -> bool:
         return not self.collapsed and self.find_redex(word) is None
-
-    def nf_word_terms(self, word) -> dict:
-        """Normal form of a single word, as a terms dict (cached)."""
-        if self.collapsed:
-            return {}
-        cache = self._nf_cache
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        one = CycRat.one(self.ell)
-        out: dict = {}
-        pending = [(word, one)]
-        while pending:
-            w, c = pending.pop()
-            hit = cache.get(w)
-            if hit is not None:
-                for u, cu in hit.items():
-                    acc = out.get(u)
-                    v = acc + cu * c if acc is not None else cu * c
-                    if v.is_zero():
-                        out.pop(u, None)
-                    else:
-                        out[u] = v
-                continue
-            redex = self.find_redex(w)
-            if redex is None:
-                acc = out.get(w)
-                v = acc + c if acc is not None else c
-                if v.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = v
-                continue
-            i, L, lhs = redex
-            prefix, suffix = w[:i], w[i + L:]
-            for t, ct in self.rules[lhs].items():
-                pending.append((prefix + t + suffix, ct * c))
-        cache[word] = out
-        return out
-
-    def nf_terms(self, terms: dict) -> dict:
-        out: dict = {}
-        for w, c in terms.items():
-            for u, cu in self.nf_word_terms(w).items():
-                acc = out.get(u)
-                v = acc + cu * c if acc is not None else cu * c
-                if v.is_zero():
-                    out.pop(u, None)
-                else:
-                    out[u] = v
-        return out
 
     # -- JSON -----------------------------------------------------------------
 
@@ -209,112 +337,26 @@ def tensor_normal_form(pres: Presentation, t: TensorPoly) -> TensorPoly:
                     ncoeffs.append(c0 * cu)
             keys, coeffs = nkeys, ncoeffs
         for k0, c0 in zip(keys, coeffs):
-            acc = out.get(k0)
-            v = acc + c0 if acc is not None else c0
-            if v.is_zero():
-                out.pop(k0, None)
-            else:
-                out[k0] = v
+            _addto(out, k0, c0)
     return TensorPoly(pres.gens, pres.ell, t.legs, out)
 
 
 # -- completion ----------------------------------------------------------------
 
 
-class _Completer:
+class _Completer(Reducer):
+    """Bounded overlap completion over an evolving, interreduced rule set."""
+
     def __init__(self, gens, order, ell, bound, max_rules):
+        super().__init__(order, ell, {})
         self.gens = gens
-        self.order = order
-        self.ell = ell
         self.bound = bound
         self.max_rules = max_rules
-        self.rules: dict = {}
-        self.maxlhs = 0
-        self.cache: dict = {}
-        self.version = 0
-        # cache entries older than this saw a rule retirement and may no
-        # longer be justified by the current rule set alone
-        self.retire_floor = 0
         self.agenda: list = []
         self.counter = 0
         self.eqs = deque()
-        self.collapsed = False
-
-    # reduction against the evolving rule set, with stale-entry revalidation
-    def find_redex(self, word):
-        rules = self.rules
-        n = len(word)
-        maxlen = self.maxlhs
-        for i in range(n):
-            top = maxlen if maxlen < n - i else n - i
-            for L in range(top, 0, -1):
-                if word[i:i + L] in rules:
-                    return i, L, word[i:i + L]
-        return None
-
-    def nf_word(self, word) -> dict:
-        entry = self.cache.get(word)
-        if entry is not None and entry[0] == self.version:
-            return entry[1]
-        # an entry written after the last retirement saw only rule additions
-        # since, so it is still congruent mod the current ideal and can seed
-        # the reduction; older entries may cite retired rules and must be
-        # discarded (seeding them back would let a retired rule's equation
-        # cancel against itself and silently shrink the ideal)
-        if entry is not None and entry[0] >= self.retire_floor:
-            pending = [(w, c) for w, c in entry[1].items()]
-        else:
-            pending = [(word, CycRat.one(self.ell))]
-        out: dict = {}
-        while pending:
-            w, c = pending.pop()
-            entry = self.cache.get(w)
-            if entry is not None:
-                ever, eterms = entry
-                if ever == self.version:
-                    for u, cu in eterms.items():
-                        acc = out.get(u)
-                        v = acc + cu * c if acc is not None else cu * c
-                        if v.is_zero():
-                            out.pop(u, None)
-                        else:
-                            out[u] = v
-                    continue
-                # older but post-retirement entries are congruent though not
-                # necessarily reduced: usable as seeds unless they are the
-                # identity on w (all their words are then strictly smaller)
-                if ever >= self.retire_floor and not (
-                        len(eterms) == 1 and w in eterms and eterms[w].is_one()):
-                    for u, cu in eterms.items():
-                        pending.append((u, cu * c))
-                    continue
-            redex = self.find_redex(w)
-            if redex is None:
-                acc = out.get(w)
-                v = acc + c if acc is not None else c
-                if v.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = v
-                continue
-            i, L, lhs = redex
-            prefix, suffix = w[:i], w[i + L:]
-            for t, ct in self.rules[lhs].items():
-                pending.append((prefix + t + suffix, ct * c))
-        self.cache[word] = (self.version, out)
-        return out
-
-    def nf_terms(self, terms: dict) -> dict:
-        out: dict = {}
-        for w, c in terms.items():
-            for u, cu in self.nf_word(w).items():
-                acc = out.get(u)
-                v = acc + cu * c if acc is not None else cu * c
-                if v.is_zero():
-                    out.pop(u, None)
-                else:
-                    out[u] = v
-        return out
+        self.retired = 0            # rules retired so far
+        self.last_overlap = None    # (word, lhs1, lhs2) processed last
 
     def run(self, relations):
         for rel in relations:
@@ -324,6 +366,7 @@ class _Completer:
             _, _, w, l1, l2, k = heapq.heappop(self.agenda)
             if l1 not in self.rules or l2 not in self.rules:
                 continue
+            self.last_overlap = (w, l1, l2)
             self._process_overlap(w, l1, l2, k)
             self._drain_eqs()
 
@@ -335,26 +378,11 @@ class _Completer:
         pos = len(l1) - k
         suffix = w[len(l1):]
         prefix = w[:pos]
-        t1: dict = {}
-        for t, c in self.rules[l1].items():
-            word = t + suffix
-            acc = t1.get(word)
-            v = acc + c if acc is not None else c
-            t1[word] = v
-        t2: dict = {}
-        for t, c in self.rules[l2].items():
-            word = prefix + t
-            acc = t2.get(word)
-            v = acc + c if acc is not None else c
-            t2[word] = v
+        t1 = {t + suffix: c for t, c in self.rules[l1].items()}
+        t2 = {prefix + t: c for t, c in self.rules[l2].items()}
         diff = self.nf_terms(t1)
         for u, cu in self.nf_terms(t2).items():
-            acc = diff.get(u)
-            v = acc - cu if acc is not None else -cu
-            if v.is_zero():
-                diff.pop(u, None)
-            else:
-                diff[u] = v
+            _addto(diff, u, -cu)
         if diff:
             self._orient(diff)
 
@@ -366,6 +394,7 @@ class _Completer:
             # the ideal contains a nonzero scalar: the quotient is zero
             self.collapsed = True
             self.rules = {}
+            self._reindex()
             return
         lead = max(terms, key=self.order.key)
         c = terms[lead]
@@ -375,32 +404,42 @@ class _Completer:
 
     def _add_rule(self, lead, rhs):
         if len(self.rules) >= self.max_rules:
-            raise CompletionFailure(f"rule cap {self.max_rules} reached")
+            raise self._cap_failure()
         # retire rules whose lhs contains the new lhs; their content re-enters
         # the equation queue and gets re-oriented against the tighter system
         doomed = [L for L in self.rules
                   if len(L) >= len(lead) and _contains(L, lead)]
         for L in doomed:
-            old = self.rules.pop(L)
-            eq = {L: CycRat.one(self.ell)}
-            for w, x in old.items():
-                acc = eq.get(w)
-                v = acc - x if acc is not None else -x
-                if v.is_zero():
-                    eq.pop(w, None)
-                else:
-                    eq[w] = v
+            eq = {L: self._one}
+            for w, x in self.rules.pop(L).items():
+                _addto(eq, w, -x)
             self.eqs.append(eq)
         self.rules[lead] = rhs
-        if len(lead) > self.maxlhs:
-            self.maxlhs = len(lead)
         self.version += 1
         if doomed:
+            self.retired += len(doomed)
             self.retire_floor = self.version
+            self._reindex()
+        else:
+            self._index(lead)
         for other in list(self.rules):
             self._schedule_overlaps(lead, other)
             if other != lead:
                 self._schedule_overlaps(other, lead)
+
+    def _cap_failure(self) -> CompletionFailure:
+        name = lambda w: _render_word_named(self.gens, w) or "1"
+        if self.last_overlap is None:
+            last = "none (still orienting the relations)"
+        else:
+            w, l1, l2 = self.last_overlap
+            last = f"{name(w)} of {name(l1)} and {name(l2)}"
+        return CompletionFailure(
+            f"rule cap {self.max_rules} reached at completion bound "
+            f"{self.bound}: {len(self.rules)} rules, {len(self.agenda)} "
+            f"overlaps on the agenda, last overlap processed {last}",
+            bound=self.bound, rules=len(self.rules), agenda=len(self.agenda),
+            last_overlap=self.last_overlap)
 
     def _schedule_overlaps(self, l1, l2):
         max_k = min(len(l1), len(l2)) - 1
@@ -483,12 +522,7 @@ def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
                 t2 = {w[:pos] + t: c for t, c in pres.rules[l2].items()}
                 diff = pres.nf_terms(t1)
                 for u, cu in pres.nf_terms(t2).items():
-                    acc = diff.get(u)
-                    v = acc - cu if acc is not None else -cu
-                    if v.is_zero():
-                        diff.pop(u, None)
-                    else:
-                        diff[u] = v
+                    _addto(diff, u, -cu)
                 if diff:
                     unresolved.append(OverlapReport(
                         w, l1, l2, NCPoly(pres.gens, pres.ell, diff)))

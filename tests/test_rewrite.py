@@ -1,10 +1,16 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
+import pytest
+from hypothesis import (HealthCheck, assume, example, find, given, settings,
+                        strategies as st)
+
+from qsl2 import rewrite
 from qsl2.cyclo import CycRat
+from qsl2.errors import CompletionFailure
 from qsl2.ncalg import MonomialOrder, NCPoly
 from qsl2.presentations import oq_sl2, o_minus1_sl2, quotient_ideal
-from qsl2.rewrite import (build_presentation, check_confluence, dimension,
+from qsl2.rewrite import (Reducer, _Completer, _descending_key,
+                          build_presentation, check_confluence, dimension,
                           enumerate_basis, normal_form, quotient_presentation)
 
 
@@ -198,3 +204,219 @@ def test_nf_idempotent_linear_multiplicative(oq5_deep, data):
     assert nf(nf(p)) == nf(p)
     assert nf(p + r * lam) == nf(p) + nf(r) * lam
     assert nf(p * r) == nf(nf(p) * nf(r))
+
+
+# -- the reduction engine ------------------------------------------------------
+
+
+def brute_redex(rules, word):
+    """Leftmost position, longest lhs there, by slicing every candidate."""
+    lengths = sorted({len(lhs) for lhs in rules}, reverse=True)
+    for i in range(len(word)):
+        for L in lengths:
+            if 0 < L <= len(word) - i and word[i:i + L] in rules:
+                return i, L, word[i:i + L]
+    return None
+
+
+def reference_nf(order, rules, word, ell):
+    """Normal form without any cache: rewrite the largest pending word at its
+    leftmost-longest redex until every word is irreducible."""
+    pending = {word: CycRat.one(ell)}
+    out = {}
+    while pending:
+        w = max(pending, key=order.key)
+        c = pending.pop(w)
+        redex = brute_redex(rules, w)
+        if redex is None:
+            out[w] = c
+            continue
+        i, L, lhs = redex
+        for t, ct in rules[lhs].items():
+            u = w[:i] + t + w[i + L:]
+            v = pending.get(u, CycRat.zero(ell)) + ct * c
+            if v.is_zero():
+                pending.pop(u, None)
+            else:
+                pending[u] = v
+    return out
+
+
+class CacheFreeCompleter(_Completer):
+    """Completion whose normal forms never consult or fill the cache."""
+
+    def nf_word_terms(self, word):
+        return reference_nf(self.order, self.rules, word, self.ell)
+
+
+def complete_both(monkeypatch, build):
+    """Run `build` once with the cached completer and once with the
+    cache-free reference; return both presentations and the cached run's
+    number of retired rules."""
+    runs = []
+
+    class Recording(_Completer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(rewrite, "_Completer", Recording)
+    cached = build()
+    monkeypatch.setattr(rewrite, "_Completer", CacheFreeCompleter)
+    reference = build()
+    monkeypatch.undo()
+    return cached, reference, sum(run.retired for run in runs)
+
+
+@pytest.mark.parametrize("kind,ell", [("widehat", 3), ("widehat", 5),
+                                      ("overline", 4), ("overline", 6),
+                                      ("overline", 8)])
+def test_completion_cache_matches_cache_free_reference(monkeypatch, kind, ell):
+    base = oq_sl2(ell).pres
+    bound = 3 * ell if kind == "widehat" else 2 * ell + 2
+    cached, reference, _ = complete_both(
+        monkeypatch, lambda: quotient_presentation(
+            base, quotient_ideal(kind, ell), complete_to=bound))
+    assert cached.rules == reference.rules
+    assert cached.collapsed == reference.collapsed
+
+
+def small_relation_sets():
+    """Two to four binomial relations in three generators over Q.
+
+    Every rule of a binomial system is binomial again, so coefficients stay
+    products of the given ones.  With three or more terms per relation,
+    bounded completion can swell its coefficients without bound (their
+    digit counts double rule after rule), and no completion budget exists
+    yet to stop it."""
+    words = st.lists(st.integers(min_value=0, max_value=2),
+                     min_size=0, max_size=3).map(tuple)
+    coeffs = st.sampled_from([1, -1, 2, -2])
+    relation = st.lists(st.tuples(words, coeffs), min_size=1, max_size=2)
+    return st.lists(relation, min_size=2, max_size=4)
+
+
+def build_small(relations):
+    gens = ("x", "y", "z")
+    polys = [NCPoly.from_terms(gens, 1, [(w, CycRat.from_rational(1, c))
+                                         for w, c in rel])
+             for rel in relations]
+    polys = [p for p in polys if not p.is_zero()]
+    return build_presentation(gens, MonomialOrder(3), polys, 1, complete_to=6,
+                              max_rules=60)
+
+
+def differential(monkeypatch, relations):
+    try:
+        cached, reference, retired = complete_both(
+            monkeypatch, lambda: build_small(relations))
+    except CompletionFailure:
+        monkeypatch.undo()
+        assume(False)
+    assert cached.rules == reference.rules
+    assert cached.collapsed == reference.collapsed
+    return retired
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(relations=small_relation_sets())
+# xx = -1 and xx = -x collapse the algebra, but only if the retired rule
+# xx -> -1 keeps its equation: seeding cache entries from before the
+# retirement leaves the rule x -> 1 instead
+@example(relations=[[((), 1), ((0, 0), 1)], [((0,), 1), ((0, 0), 1)]])
+def test_completion_cache_differential_random(monkeypatch, relations):
+    differential(monkeypatch, relations)
+
+
+def test_completion_cache_differential_with_retirement(monkeypatch):
+    # a relation set whose cached completion retires at least one rule, so
+    # the retire_floor path of the cache is exercised, not only additions
+    def retires(relations):
+        try:
+            return complete_both(monkeypatch, lambda: build_small(relations))[2] > 0
+        except CompletionFailure:
+            monkeypatch.undo()
+            return False
+
+    relations = find(small_relation_sets(), retires,
+                     settings=settings(max_examples=300, database=None,
+                                       derandomize=True))
+    assert differential(monkeypatch, relations) > 0
+
+
+def test_find_redex_matches_brute_force_on_shipped_presentation():
+    rng = random.Random(5)
+    for pres in (oq_sl2(5).pres, quotient_presentation(
+            oq_sl2(3).pres, quotient_ideal("widehat", 3), complete_to=9)):
+        for _ in range(400):
+            word = tuple(rng.randrange(4) for _ in range(rng.randrange(12)))
+            assert pres.find_redex(word) == brute_redex(pres.rules, word)
+
+
+def test_find_redex_tracks_rule_additions_and_retirements():
+    one = CycRat.one(1)
+    comp = _Completer(("x", "y", "z"), MonomialOrder(3), 1, 6, 100)
+    words = st.lists(st.integers(min_value=0, max_value=2), max_size=10).map(tuple)
+
+    @settings(max_examples=150, deadline=None)
+    @given(word=words)
+    def agrees(word):
+        assert comp.find_redex(word) == brute_redex(comp.rules, word)
+
+    for lhs in [(1, 0), (2, 1, 0), (2, 2, 2), (0, 2, 0, 1)]:
+        comp._add_rule(lhs, {(0,): one})
+    agrees()
+    comp._add_rule((2, 1), {(1,): one})        # (2, 1, 0) contains (2, 1)
+    assert comp.retired == 1 and (2, 1, 0) not in comp.rules
+    agrees()
+
+
+def test_find_redex_prefers_longest_lhs_at_leftmost_position():
+    # not interreduced: (0, 1) is a prefix of (0, 1, 2), (1,) a suffix
+    rules = {(0, 1): {}, (0, 1, 2): {}, (1,): {}, (2, 2): {}}
+    red = Reducer(MonomialOrder(3), 1, rules)
+    for word in [(0, 1, 2), (0, 1, 0), (2, 0, 1, 2), (2, 2, 1), (0, 0), ()]:
+        assert red.find_redex(word) == brute_redex(rules, word)
+    assert red.find_redex((2, 0, 1, 2)) == (1, 3, (0, 1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nf_matches_cache_free_reference(oq5_deep, data):
+    pres = oq5_deep.pres
+    word = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                              max_size=8).map(tuple))
+    assert pres.nf_word_terms(word) == reference_nf(pres.order, pres.rules,
+                                                    word, pres.ell)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_descending_key_reverses_order_key(data):
+    ngens = data.draw(st.integers(min_value=1, max_value=4))
+    precedence = data.draw(st.permutations(range(ngens)))
+    # plain deglex, weighted, and weights above 255 (a fallback path)
+    weights = data.draw(st.one_of(
+        st.just([1] * ngens),
+        st.lists(st.sampled_from([1, 2, 3, 300]),
+                 min_size=ngens, max_size=ngens)))
+    order = MonomialOrder(ngens, precedence=precedence, weights=weights)
+    words = data.draw(st.lists(st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), max_size=5).map(tuple),
+        min_size=2, max_size=12, unique=True))
+    key = _descending_key(order)
+    assert sorted(words, key=key) == sorted(words, key=order.key, reverse=True)
+
+
+def test_rule_cap_failure_names_its_context():
+    alg = oq_sl2(5)
+    with pytest.raises(CompletionFailure) as info:
+        build_presentation(alg.gens, alg.pres.order, alg.pres.defining, 5,
+                           complete_to=8, max_rules=3)
+    text = str(info.value)
+    assert text.startswith("rule cap 3 reached at completion bound 8: 3 rules,")
+    assert "overlaps on the agenda" in text and "last overlap processed" in text
+    context = info.value.context
+    assert context["bound"] == 8 and context["rules"] == 3
+    assert context["agenda"] >= 0
