@@ -2,7 +2,7 @@
 
 JSON is the single source of truth; the text format is rendered from the
 JSON document.  Exit codes: 0 all green, 1 internal error, 2 datum or
-check failure, 64 usage error.
+check failure (a completion that hits its cap included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import os
 import sys
 
 from .catalog import entry_names, verify_entry, verify_grid
-from .errors import (InconsistentDatum, ParamOutOfRange, QSL2Error,
-                     UnknownEntry)
+from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
+                     QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
                    is_hopf_ideal, named_algebra)
@@ -406,6 +406,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ParamOutOfRange, UnknownEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except CompletionFailure as exc:
+        context = ", ".join(f"{k}={v!r}" for k, v in sorted(exc.context.items()))
+        print(f"error: completion failed: {exc}"
+              + (f" [{context}]" if context else ""), file=sys.stderr)
         return EXIT_CHECK_FAILED
     except QSL2Error as exc:
         print(f"internal error: {exc}", file=sys.stderr)

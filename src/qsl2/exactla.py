@@ -1,12 +1,37 @@
 """Exact sparse linear algebra over Q(q).
 
-Vectors are dicts keyed by any orderable hashable (words, index pairs).
-Echelon keeps pivot-normalized rows; everything is exact CycRat arithmetic.
+Vectors are dicts keyed by any orderable hashable (words, index pairs),
+with no stored zero entries; everything is exact CycRat arithmetic.  This
+module is the one home of that arithmetic:
+
+* ``addto(terms, key, c)`` adds c to one entry and drops the entry when
+  the sum is zero; polynomials, tensors and rewriting accumulate through it.
+* ``Echelon`` keeps pivot-normalized rows; ``kernel_of_columns`` runs its
+  reduction on vectors augmented with their column combination.
+* ``span_closure`` grows an ``Echelon`` breadth-first from a start element
+  under a successor function (subalgebra spans, surjectivity certificates).
 """
 
 from __future__ import annotations
 
 from .cyclo import CycRat
+
+
+def addto(terms: dict, key, c):
+    """terms[key] += c, dropping the key when the sum is zero."""
+    acc = terms.get(key)
+    v = acc + c if acc is not None else c
+    if v.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = v
+
+
+def _normalized(vec: dict):
+    """(pivot, vec scaled so that its entry at the largest key is 1)."""
+    pivot = max(vec)
+    inv = vec[pivot].inverse()
+    return pivot, {k: v * inv for k, v in vec.items()}
 
 
 class Echelon:
@@ -22,14 +47,9 @@ class Echelon:
             row = self.rows.get(pivot)
             if row is None:
                 return vec
-            c = vec[pivot]
+            m = -vec[pivot]
             for k, v in row.items():
-                acc = vec.get(k)
-                nv = acc - c * v if acc is not None else -c * v
-                if nv.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+                addto(vec, k, m * v)
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -37,9 +57,8 @@ class Echelon:
         res = self.reduce(vec)
         if not res:
             return False
-        pivot = max(res)
-        inv = res[pivot].inverse()
-        self.rows[pivot] = {k: v * inv for k, v in res.items()}
+        pivot, row = _normalized(res)
+        self.rows[pivot] = row
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -54,44 +73,22 @@ def kernel_of_columns(cols: list[dict], ell: int) -> list[dict]:
     """Kernel of the linear map e_i -> cols[i], as sparse coefficient dicts.
 
     Deterministic: columns are consumed in order and each kernel vector is
-    normalized so its highest-index entry is 1.
+    normalized so its highest-index entry is 1.  Column i is reduced as the
+    augmented vector with entries (1, k) from the column and (0, i) = 1, so
+    pivots always come from the column part; a remainder without column
+    part is a kernel vector.
     """
     ech = Echelon()
-    combos: dict = {}  # pivot key -> combo dict over column indices
     kernel = []
     one = CycRat.one(ell)
     for i, col in enumerate(cols):
-        vec = dict(col)
-        combo = {i: one}
-        while vec:
-            pivot = max(vec)
-            row = ech.rows.get(pivot)
-            if row is None:
-                break
-            c = vec[pivot]
-            for k, v in row.items():
-                acc = vec.get(k)
-                nv = acc - c * v if acc is not None else -c * v
-                if nv.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
-            for k, v in combos[pivot].items():
-                acc = combo.get(k)
-                nv = acc - c * v if acc is not None else -c * v
-                if nv.is_zero():
-                    combo.pop(k, None)
-                else:
-                    combo[k] = nv
-        if not vec:
-            top = max(combo)
-            inv = combo[top].inverse()
-            kernel.append({k: v * inv for k, v in combo.items()})
+        vec = {(1, k): v for k, v in col.items()}
+        vec[(0, i)] = one
+        pivot, res = _normalized(ech.reduce(vec))
+        if pivot[0]:
+            ech.rows[pivot] = res
         else:
-            pivot = max(vec)
-            inv = vec[pivot].inverse()
-            ech.rows[pivot] = {k: v * inv for k, v in vec.items()}
-            combos[pivot] = {k: v * inv for k, v in combo.items()}
+            kernel.append({k: v for (_, k), v in res.items()})
     return kernel
 
 
@@ -100,3 +97,24 @@ def span_dim(vecs) -> int:
     for v in vecs:
         ech.add(v)
     return ech.dim
+
+
+def span_closure(start, successors, vector) -> Echelon:
+    """The span of start and of everything reachable from it, breadth-first.
+
+    successors(x) yields the elements one step from x, in visit order, and
+    vector(x) is the sparse vector of x.  An element is kept, and expanded in
+    the next generation, only when it enlarges the span; the closure ends
+    with the first generation that keeps nothing.
+    """
+    ech = Echelon()
+    ech.add(vector(start))
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in successors(x):
+                if ech.add(vector(y)):
+                    nxt.append(y)
+        frontier = nxt
+    return ech

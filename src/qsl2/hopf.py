@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycRat, embed_scalar
 from .errors import NotFiniteDimensional, QSL2Error
-from .exactla import Echelon, kernel_of_columns
+from .exactla import Echelon, addto, kernel_of_columns, span_closure
 from .ncalg import EMPTY_WORD, NCPoly, TensorPoly, render_poly
 from .rewrite import (Presentation, basis_words, dimension, enumerate_basis,
                       normal_form, quotient_presentation, tensor_normal_form)
@@ -413,24 +413,17 @@ def check_central(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult
 def subalgebra_span(alg: NamedAlgebra, elements: list[NCPoly],
                     max_degree: int) -> Echelon:
     """Exact span of products of the listed elements up to total degree."""
-    ech = Echelon()
-    ech.add({EMPTY_WORD: CycRat.one(alg.ell)})
     elems = [(normal_form(alg.pres, e),
               max((len(w) for w in e.terms), default=0)) for e in elements]
-    frontier = [(alg.pres.one(), 0)]
-    while frontier:
-        nxt = []
-        for p, d in frontier:
-            for e, de in elems:
-                if d + de > max_degree:
-                    continue
-                prod = normal_form(alg.pres, p * e)
-                if prod.is_zero():
-                    continue
-                if ech.add(dict(prod.terms)):
-                    nxt.append((prod, d + de))
-        frontier = nxt
-    return ech
+
+    def successors(item):
+        p, d = item
+        for e, de in elems:
+            if d + de <= max_degree:
+                yield normal_form(alg.pres, p * e), d + de
+
+    return span_closure((alg.pres.one(), 0), successors,
+                        lambda item: item[0].terms)
 
 
 def check_normal(alg: NamedAlgebra, elements: list[NCPoly],
@@ -451,8 +444,8 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly],
                 vmono = NCPoly.monomial(alg.gens, alg.ell, v)
                 left = left + (umono * x * alg.antipode_word(v)) * c
                 right = right + (alg.antipode_word(u) * x * vmono) * c
-            ok = (span.contains(dict(alg.nf(left).terms))
-                  and span.contains(dict(alg.nf(right).terms)))
+            ok = (span.contains(alg.nf(left).terms)
+                  and span.contains(alg.nf(right).terms))
             results.append(CheckResult("normal", alg.label, ok,
                                        f"ad_{alg.gens[g]}({xt})"))
     return results
@@ -513,17 +506,11 @@ def verify_hopf_morphism(source: NamedAlgebra, target: NamedAlgebra,
         results.append(CheckResult("morphism-antipode", label,
                                    (s_lhs - s_rhs).is_zero(), gname))
     if surjective_dim is not None:
-        ech = Echelon()
-        ech.add({EMPTY_WORD: CycRat.one(target.ell)})
-        frontier = [target.pres.one()]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in range(len(source.gens)):
-                    prod = normal_form(target.pres, p * images[g])
-                    if not prod.is_zero() and ech.add(dict(prod.terms)):
-                        nxt.append(prod)
-            frontier = nxt
+        factors = [images[g] for g in range(len(source.gens))]
+        ech = span_closure(
+            target.pres.one(),
+            lambda p: (normal_form(target.pres, p * f) for f in factors),
+            lambda p: p.terms)
         results.append(CheckResult("morphism-surjective", label,
                                    ech.dim == surjective_dim,
                                    f"span {ech.dim} of {surjective_dim}"))
@@ -539,26 +526,14 @@ def coinvariants(model: FiniteModel, h_pres: Presentation) -> list[dict]:
     h_pres must be a quotient presentation of the model's algebra, so that
     normal forms in h_pres realize pi.
     """
-    one = CycRat.one(model.alg.ell)
+    minus_one = -CycRat.one(model.alg.ell)
     cols = []
     for i in range(model.dim):
         col: dict = {}
         for (j, k), c in model.delta(i).items():
             pi_j = h_pres.nf_word_terms(model.basis[j])
             for hw, hc in pi_j.items():
-                key = (hw, model.basis[k])
-                acc = col.get(key)
-                v = acc + c * hc if acc is not None else c * hc
-                if v.is_zero():
-                    col.pop(key, None)
-                else:
-                    col[key] = v
-        key = (EMPTY_WORD, model.basis[i])
-        acc = col.get(key)
-        v = acc - one if acc is not None else -one
-        if v.is_zero():
-            col.pop(key, None)
-        else:
-            col[key] = v
+                addto(col, (hw, model.basis[k]), c * hc)
+        addto(col, (EMPTY_WORD, model.basis[i]), minus_one)
         cols.append(col)
     return kernel_of_columns(cols, model.alg.ell)

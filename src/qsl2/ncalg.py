@@ -7,10 +7,12 @@ zero coefficients; all operations are pure and return fresh objects.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .cyclo import CycRat, parse_scalar
 from .errors import MixedAlgebras
+from .exactla import addto
 
 Word = tuple  # tuple[int, ...]
 
@@ -52,7 +54,63 @@ class MonomialOrder:
                 "weights": list(self.weights)}
 
 
-class NCPoly:
+class _SparsePoly:
+    """Arithmetic shared by NCPoly and TensorPoly.
+
+    An element is a finitely supported map key -> CycRat over one algebra;
+    a subclass names that algebra by `_space()`, the constructor arguments
+    that precede the terms, and combines keys in its own `__mul__`.
+    """
+
+    __slots__ = ()
+
+    def _new(self, terms: dict):
+        return type(self)(*self._space(), terms)
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise MixedAlgebras(
+                f"{type(self).__name__} operands over different algebras")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            addto(terms, k, c)
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _product(self, other, join):
+        """self * other, with keys combined by join(u, v)."""
+        if isinstance(other, CycRat):
+            return self.scale(other)
+        self._check(other)
+        terms = {}
+        for u, cu in self.terms.items():
+            for v, cv in other.terms.items():
+                addto(terms, join(u, v), cu * cv)
+        return self._new(terms)
+
+    def __rmul__(self, other):
+        if isinstance(other, CycRat):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c: CycRat):
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: x * c for k, x in self.terms.items()})
+
+
+class NCPoly(_SparsePoly):
     """Noncommutative polynomial: finitely supported map word -> CycRat."""
 
     __slots__ = ("gens", "ell", "terms")
@@ -61,6 +119,9 @@ class NCPoly:
         self.gens = gens
         self.ell = ell
         self.terms = terms
+
+    def _space(self):
+        return self.gens, self.ell
 
     # -- constructors ------------------------------------------------------
 
@@ -87,26 +148,10 @@ class NCPoly:
     def from_terms(gens, ell, items):
         terms = {}
         for word, coeff in items:
-            word = tuple(word)
-            acc = terms.get(word)
-            coeff = acc + coeff if acc is not None else coeff
-            if coeff.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = coeff
+            addto(terms, tuple(word), coeff)
         return NCPoly(gens, ell, terms)
 
     # -- helpers -----------------------------------------------------------
-
-    def _check(self, other: "NCPoly"):
-        if self.gens != other.gens or self.ell != other.ell:
-            raise MixedAlgebras("operands over different generator tables")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self):
-        return self.terms.keys()
 
     def coefficient(self, word: Word) -> CycRat:
         return self.terms.get(tuple(word), CycRat.zero(self.ell))
@@ -118,50 +163,8 @@ class NCPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            c = acc + c if acc is not None else c
-            if c.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = c
-        return NCPoly(self.gens, self.ell, terms)
-
-    def __neg__(self):
-        return NCPoly(self.gens, self.ell, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, CycRat):
-            return self.scale(other)
-        self._check(other)
-        terms = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u + v
-                c = cu * cv
-                acc = terms.get(w)
-                c = acc + c if acc is not None else c
-                if c.is_zero():
-                    terms.pop(w, None)
-                else:
-                    terms[w] = c
-        return NCPoly(self.gens, self.ell, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, CycRat):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: CycRat):
-        if c.is_zero():
-            return NCPoly.zero(self.gens, self.ell)
-        return NCPoly(self.gens, self.ell, {w: x * c for w, x in self.terms.items()})
+        return self._product(other, operator.add)  # words concatenate
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -175,7 +178,11 @@ class NCPoly:
         return f"NCPoly({render_poly(self)!r})"
 
 
-class TensorPoly:
+def _join_legs(ku, kv):
+    return tuple(map(operator.add, ku, kv))
+
+
+class TensorPoly(_SparsePoly):
     """Element of the legs-fold tensor power of the free algebra.
 
     Keys are tuples of words, one per tensor leg; multiplication is
@@ -189,6 +196,9 @@ class TensorPoly:
         self.ell = ell
         self.legs = legs
         self.terms = terms
+
+    def _space(self):
+        return self.gens, self.ell, self.legs
 
     @staticmethod
     def zero(gens, ell, legs=2):
@@ -205,73 +215,8 @@ class TensorPoly:
             return TensorPoly.zero(gens, ell, len(words))
         return TensorPoly(gens, ell, len(words), {tuple(tuple(w) for w in words): c})
 
-    @staticmethod
-    def from_terms(gens, ell, legs, items):
-        terms = {}
-        for key, coeff in items:
-            key = tuple(tuple(w) for w in key)
-            acc = terms.get(key)
-            coeff = acc + coeff if acc is not None else coeff
-            if coeff.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = coeff
-        return TensorPoly(gens, ell, legs, terms)
-
-    def _check(self, other):
-        if (self.gens != other.gens or self.ell != other.ell
-                or self.legs != other.legs):
-            raise MixedAlgebras("tensor operands incompatible")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = terms.get(k)
-            c = acc + c if acc is not None else c
-            if c.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = c
-        return TensorPoly(self.gens, self.ell, self.legs, terms)
-
-    def __neg__(self):
-        return TensorPoly(self.gens, self.ell, self.legs,
-                          {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, CycRat):
-            return self.scale(other)
-        self._check(other)
-        terms = {}
-        for ku, cu in self.terms.items():
-            for kv, cv in other.terms.items():
-                k = tuple(u + v for u, v in zip(ku, kv))
-                c = cu * cv
-                acc = terms.get(k)
-                c = acc + c if acc is not None else c
-                if c.is_zero():
-                    terms.pop(k, None)
-                else:
-                    terms[k] = c
-        return TensorPoly(self.gens, self.ell, self.legs, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, CycRat):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: CycRat):
-        if c.is_zero():
-            return TensorPoly.zero(self.gens, self.ell, self.legs)
-        return TensorPoly(self.gens, self.ell, self.legs,
-                          {k: x * c for k, x in self.terms.items()})
+        return self._product(other, _join_legs)
 
     def __eq__(self, other):
         if not isinstance(other, TensorPoly):
@@ -299,14 +244,7 @@ class TensorPoly:
             if out_legs is None:
                 out_legs = self.legs + img.legs - 1
             for ikey, icoeff in img.terms.items():
-                k = key[:leg] + ikey + key[leg + 1:]
-                c = coeff * icoeff
-                acc = out_terms.get(k)
-                c = acc + c if acc is not None else c
-                if c.is_zero():
-                    out_terms.pop(k, None)
-                else:
-                    out_terms[k] = c
+                addto(out_terms, key[:leg] + ikey + key[leg + 1:], coeff * icoeff)
         if out_legs is None:
             out_legs = self.legs + 1  # zero tensor; leg count of Delta-expansion
         return TensorPoly(self.gens, self.ell, out_legs, out_terms)

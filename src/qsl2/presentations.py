@@ -187,7 +187,7 @@ class PSL2Model:
     def dependencies(self, count: int):
         """Exact linear dependencies among degree-`count` generator products."""
         prods = self.products(count)
-        cols = [dict(p.terms) for _, p in prods]
+        cols = [p.terms for _, p in prods]
         kernel = kernel_of_columns(cols, self.alg.ell)
         return [(combo_vec, prods) for combo_vec in kernel]
 
@@ -302,9 +302,9 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
             f"degree {2 * count}: {len(deps)} dependencies"))
         # equal ranks of sources and images certify degreewise injectivity
         prods = model.products(count)
-        src_rank = span_dim(dict(p.terms) for _, p in prods)
+        src_rank = span_dim(p.terms for _, p in prods)
         img_rank = span_dim(
-            dict(img_product(combo, CycRat.one(model.alg.ell)).terms)
+            img_product(combo, CycRat.one(model.alg.ell)).terms
             for combo, _ in prods)
         results.append(CheckResult(
             "psl2-map-degreewise-injective", label, src_rank == img_rank,

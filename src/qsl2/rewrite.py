@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .cyclo import CycRat
 from .errors import CompletionFailure
+from .exactla import addto
 from .ncalg import (EMPTY_WORD, MonomialOrder, NCPoly, TensorPoly, parse_poly,
                     render_poly, _render_word_named)
 
@@ -174,7 +175,7 @@ class Reducer:
             entry = cache.get(w)
             if entry is not None and entry[0] == version:
                 for u, cu in entry[1].items():
-                    _addto(out, u, cu * c)
+                    addto(out, u, cu * c)
                 continue
             if (entry is not None and entry[0] >= floor
                     and not _is_identity(entry[1], w)):
@@ -183,7 +184,7 @@ class Reducer:
             else:
                 redex = find(w)
                 if redex is None:
-                    _addto(out, w, c)
+                    addto(out, w, c)
                     continue
                 i, L, lhs = redex
                 prefix, suffix = w[:i], w[i + L:]
@@ -202,22 +203,12 @@ class Reducer:
         out: dict = {}
         for w, c in terms.items():
             for u, cu in self.nf_word_terms(w).items():
-                _addto(out, u, cu * c)
+                addto(out, u, cu * c)
         return out
 
 
 def _is_identity(terms: dict, word) -> bool:
     return len(terms) == 1 and word in terms and terms[word].is_one()
-
-
-def _addto(terms: dict, key, c):
-    """terms[key] += c, dropping the key when the sum is zero."""
-    acc = terms.get(key)
-    v = acc + c if acc is not None else c
-    if v.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = v
 
 
 class Presentation(Reducer):
@@ -337,7 +328,7 @@ def tensor_normal_form(pres: Presentation, t: TensorPoly) -> TensorPoly:
                     ncoeffs.append(c0 * cu)
             keys, coeffs = nkeys, ncoeffs
         for k0, c0 in zip(keys, coeffs):
-            _addto(out, k0, c0)
+            addto(out, k0, c0)
     return TensorPoly(pres.gens, pres.ell, t.legs, out)
 
 
@@ -382,7 +373,7 @@ class _Completer(Reducer):
         t2 = {prefix + t: c for t, c in self.rules[l2].items()}
         diff = self.nf_terms(t1)
         for u, cu in self.nf_terms(t2).items():
-            _addto(diff, u, -cu)
+            addto(diff, u, -cu)
         if diff:
             self._orient(diff)
 
@@ -412,7 +403,7 @@ class _Completer(Reducer):
         for L in doomed:
             eq = {L: self._one}
             for w, x in self.rules.pop(L).items():
-                _addto(eq, w, -x)
+                addto(eq, w, -x)
             self.eqs.append(eq)
         self.rules[lead] = rhs
         self.version += 1
@@ -522,7 +513,7 @@ def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
                 t2 = {w[:pos] + t: c for t, c in pres.rules[l2].items()}
                 diff = pres.nf_terms(t1)
                 for u, cu in pres.nf_terms(t2).items():
-                    _addto(diff, u, -cu)
+                    addto(diff, u, -cu)
                 if diff:
                     unresolved.append(OverlapReport(
                         w, l1, l2, NCPoly(pres.gens, pres.ell, diff)))

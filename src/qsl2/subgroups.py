@@ -16,10 +16,10 @@ from math import gcd, lcm
 
 from .cyclo import CycRat, multiplicative_order
 from .errors import CertificateFailed, InconsistentDatum, QSL2Error
-from .exactla import Echelon, kernel_of_columns
+from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants, named_algebra)
-from .ncalg import EMPTY_WORD, NCPoly, render_poly
+from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, XGENS, classical_sl2, phi_even_images,
                             phi_minus1_images, quotient_ideal, sl2_algebra,
                             _sl2_hopf)
@@ -496,20 +496,12 @@ def construct_quotient(d: SubgroupDatum, probe_bound: int | None = None,
 
     gamma_image_dim = None
     if gamma.finite and dim_res.finite:
-        ech = Echelon()
-        ech.add({EMPTY_WORD: CycRat.one(conductor)})
         gens = [normal_form(pres3, g)
                 for g in _gamma_subalgebra_gens(parity, base)]
-        frontier = [algebra.pres.one()]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    prod = normal_form(pres3, v * g)
-                    if not prod.is_zero() and ech.add(dict(prod.terms)):
-                        nxt.append(prod)
-            frontier = nxt
-        gamma_image_dim = ech.dim
+        gamma_image_dim = span_closure(
+            algebra.pres.one(),
+            lambda v: (normal_form(pres3, v * g) for g in gens),
+            lambda v: v.terms).dim
         certificates.append(CheckResult(
             "gamma-image-dimension", algebra.label, gamma_image_dim == order,
             f"image dim {gamma_image_dim}, |group| {order}"))
@@ -701,18 +693,11 @@ def verify_dihedral_quotient(m: int) -> list[CheckResult]:
         results.append(CheckResult("morphism-antipode", label, ok, gname))
 
     # surjectivity: products of the four image functions span everything
-    ech = Echelon()
-    ech.add({0: CycRat.one(cond)})
-    frontier = [[CycRat.one(cond)] * n_el]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in range(4):
-                prod = [a * b for a, b in zip(v, model.images[g])]
-                vec = {i: x for i, x in enumerate(prod) if not x.is_zero()}
-                if vec and ech.add(vec):
-                    nxt.append(prod)
-        frontier = nxt
+    ech = span_closure(
+        [CycRat.one(cond)] * n_el,
+        lambda v: ([a * b for a, b in zip(v, model.images[g])]
+                   for g in range(4)),
+        lambda v: {i: x for i, x in enumerate(v) if not x.is_zero()})
     results.append(CheckResult("morphism-surjective", label, ech.dim == n_el,
                                f"span {ech.dim} of {n_el}"))
 

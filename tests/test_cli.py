@@ -1,6 +1,8 @@
 import json
 
+import qsl2.cli
 from qsl2.cli import main
+from qsl2.errors import CompletionFailure
 
 TAFT_L5 = json.dumps({
     "parity": "odd", "ell": 5, "I_plus": [1], "I_minus": [],
@@ -142,6 +144,24 @@ def test_env_max_degree(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["max_degree"] == 11
+
+
+def test_completion_failure_exit_2_with_context(capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise CompletionFailure(
+            "rule cap 3 reached at completion bound 8", bound=8, rules=3,
+            agenda=5, last_overlap=((0, 0, 1), (0, 0), (0, 1)))
+
+    monkeypatch.setattr(qsl2.cli, "construct_quotient", capped)
+    code = main(["construct", "--datum-json", TAFT_L5])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "internal error" not in captured.err
+    assert "rule cap 3 reached at completion bound 8" in captured.err
+    for item in ("bound=8", "rules=3", "agenda=5",
+                 "last_overlap=((0, 0, 1), (0, 0), (0, 1))"):
+        assert item in captured.err
 
 
 def test_usage_error_exit_64():

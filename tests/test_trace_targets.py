@@ -1,0 +1,47 @@
+"""The attributes perfbench/tracing.py patches must exist where it looks.
+
+The tracer finds a method in its class's own ``__dict__`` and a function
+as a module attribute; a refactor that moves either breaks ``--trace 1``.
+This checks the targets without running a traced pass.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolves(module, attr) -> bool:
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        cls = getattr(module, cls_name, None)
+        return cls is not None and meth in vars(cls)
+    return callable(getattr(module, attr, None))
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    tracing = load("tracing", monkeypatch)
+    modules = {"workloads": load("workloads", monkeypatch)}
+    targets = {target for targets in tracing.SPANS.values()
+               for target in targets}
+    targets.add(("qsl2.rewrite", "Presentation.find_redex"))
+    targets.update(("qsl2.cyclo", f"CycRat.{name}")
+                   for names in tracing.CYCLO_OPS.values() for name in names)
+    missing = []
+    for modname, attr in sorted(targets):
+        module = modules.get(modname) or importlib.import_module(modname)
+        if not resolves(module, attr):
+            missing.append(f"{modname}:{attr}")
+    assert missing == []
