@@ -4,6 +4,18 @@ Elements are residues mod the ell-th cyclotomic polynomial, stored as an
 integer coefficient vector with a common positive denominator, always in
 reduced form so equality and hashing are structural.  The class of x is the
 distinguished root of unity q with q^ell = 1 and no smaller power trivial.
+
+Most scalars the workbench multiplies are units +-q^k (the coefficients of
+the O_q(SL2) relations), so each field keeps two tables, O(ell * phi) in
+size and built once per conductor: ``pows[m]``, the power-basis vector of
+q^m for 0 <= m < ell, and ``units``, mapping the coefficient tuple of each
++-q^m (denominator 1) to its sign and exponent.  A product of two units is
+a table entry; a unit times x is x rotated through ``pows``, keeping the
+denominator of x with no gcd, because multiplication by a unit is an
+automorphism of Z[q] (a Z-basis 1, q, ..., q^(phi-1)) and so keeps the
+content of the numerator.  Inverting a unit reads ``pows[-k % ell]``.
+Reduction of x^k for any k >= phi also reads ``pows[k % ell]``.  The
+stored form is the same for every path.
 """
 
 from __future__ import annotations
@@ -64,37 +76,46 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Cached reduction data for one conductor."""
+    """Reduction and unit tables for one conductor, O(ell * phi) in size."""
 
-    __slots__ = ("ell", "phi", "modulus", "red")
+    __slots__ = ("ell", "phi", "modulus", "pows", "negs", "rows", "units")
 
     def __init__(self, ell: int):
         self.ell = ell
         self.modulus = cyclotomic_polynomial(ell)
-        self.phi = len(self.modulus) - 1
-        # red[k - phi] = x^k mod Phi as an integer vector, for
-        # phi <= k <= max(2*phi - 2, ell - 1): covers both products and q_power.
-        phi = self.phi
-        top_k = max(2 * phi - 2, ell - 1)
-        red = []
-        cur = [-c for c in self.modulus[:phi]]  # x^phi
-        red.append(tuple(cur))
-        for _ in range(top_k - phi):
-            top = cur[phi - 1] if phi > 1 else cur[0]
-            if phi > 1:
-                cur = [0] + cur[: phi - 1]
-            else:
-                cur = [0]
-            if top:
-                base = red[0]
-                cur = [cur[i] + top * base[i] for i in range(phi)]
-            red.append(tuple(cur))
-        self.red = red
+        phi = self.phi = len(self.modulus) - 1
+        # pows[m] = q^m in the power basis, for 0 <= m < ell; since q^ell = 1
+        # this reduces x^k for every k >= 0 as pows[k % ell].
+        top = [-c for c in self.modulus[:phi]]  # x^phi
+        pows = []
+        cur = [1] + [0] * (phi - 1)
+        for _ in range(ell):
+            pows.append(tuple(cur))
+            carry = cur[-1]
+            cur = [0] + cur[:-1]
+            if carry:
+                cur = [c + carry * t for c, t in zip(cur, top)]
+        self.pows = pows
+        self.negs = [tuple(-c for c in p) for p in pows]
+        # rows[m]: the nonzero (index, coefficient) pairs of pows[m]
+        self.rows = [tuple((j, c) for j, c in enumerate(p) if c) for p in pows]
+        # units: coefficient tuple of +-q^m -> (sign, m); for even ell,
+        # -q^m = q^(m + ell/2) keeps its positive entry
+        units = {}
+        for sign, table in ((1, pows), (-1, self.negs)):
+            for m, p in enumerate(table):
+                units.setdefault(p, (sign, m))
+        self.units = units
 
 
-@lru_cache(maxsize=None)
+_CONTEXTS: dict[int, _Context] = {}
+
+
 def _context(ell: int) -> _Context:
-    return _Context(ell)
+    ctx = _CONTEXTS.get(ell)
+    if ctx is None:
+        ctx = _CONTEXTS[ell] = _Context(ell)
+    return ctx
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -159,13 +180,7 @@ class CycRat:
 
     @staticmethod
     def q_power(ell: int, k: int) -> "CycRat":
-        ctx = _context(ell)
-        k %= ell
-        vec = [0] * (k + 1)
-        vec[k] = 1
-        vec = _reduce_vector(ctx, vec)
-        num, den = _normalize(vec, 1)
-        return CycRat(ell, num, den)
+        return CycRat(ell, _context(ell).pows[k % ell], 1)
 
     # -- predicates --------------------------------------------------------
 
@@ -199,10 +214,14 @@ class CycRat:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycRat or other.ell != self.ell:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         da, db = self.den, other.den
+        if da == 1 and db == 1:
+            return CycRat(self.ell,
+                          tuple([a + b for a, b in zip(self.num, other.num)]), 1)
         g = gcd(da, db)
         ma, mb = db // g, da // g
         num = [a * ma + b * mb for a, b in zip(self.num, other.num)]
@@ -224,10 +243,31 @@ class CycRat:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ctx = _context(self.ell)
+        if type(other) is not CycRat or other.ell != self.ell:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        ell = self.ell
+        ctx = _CONTEXTS.get(ell) or _context(ell)
+        units = ctx.units
+        ua = units.get(self.num) if self.den == 1 else None
+        ub = units.get(other.num) if other.den == 1 else None
+        if ua and ub:
+            m = (ua[1] + ub[1]) % ell
+            return CycRat(ell, ctx.pows[m] if ua[0] == ub[0] else ctx.negs[m], 1)
+        if ua or ub:
+            # +-q^k times x: rotate x through the power table; a unit keeps
+            # the content of x, so den needs no gcd
+            (sign, k), x = (ua, other) if ua else (ub, self)
+            rows = ctx.rows
+            out = [0] * ctx.phi
+            for i, c in enumerate(x.num):
+                if c:
+                    if sign < 0:
+                        c = -c
+                    for j, r in rows[(i + k) % ell]:
+                        out[j] += c * r
+            return CycRat(ell, tuple(out), x.den)
         phi = ctx.phi
         a, b = self.num, other.num
         conv = [0] * (2 * phi - 1)
@@ -237,18 +277,25 @@ class CycRat:
                     if bj:
                         conv[i + j] += ai * bj
         vec = _reduce_vector(ctx, conv)
-        n, d = _normalize(vec, self.den * other.den)
-        return CycRat(self.ell, n, d)
+        den = self.den * other.den
+        if den == 1:
+            return CycRat(ell, tuple(vec), 1)
+        n, d = _normalize(vec, den)
+        return CycRat(ell, n, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycRat":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero in Q(q)")
+        ctx = _context(self.ell)
+        unit = ctx.units.get(self.num) if self.den == 1 else None
+        if unit:
+            m = -unit[1] % self.ell
+            return CycRat(self.ell, ctx.pows[m] if unit[0] > 0 else ctx.negs[m], 1)
         if self.is_rational():
             f = 1 / self.rational_value()
             return CycRat.from_rational(self.ell, f)
-        ctx = _context(self.ell)
         # extended Euclid in Q[x] for gcd(self, Phi) = 1
         f = [Fraction(c, self.den) for c in self.num]
         g = [Fraction(c) for c in ctx.modulus]
@@ -326,20 +373,18 @@ class CycRat:
 
 
 def _reduce_vector(ctx: _Context, vec: list[int]) -> list[int]:
-    """Reduce an integer coefficient vector mod Phi_ell; result has length phi."""
-    phi = ctx.phi
-    if len(vec) <= phi:
-        return list(vec) + [0] * (phi - len(vec))
-    vec = list(vec)
-    for k in range(len(vec) - 1, phi - 1, -1):
+    """Reduce an integer coefficient vector of any length mod Phi_ell.
+
+    The result has length phi; x^k for k >= phi is read from pows[k % ell].
+    """
+    phi, ell, rows = ctx.phi, ctx.ell, ctx.rows
+    out = list(vec[:phi]) + [0] * (phi - len(vec))
+    for k in range(phi, len(vec)):
         c = vec[k]
         if c:
-            vec[k] = 0
-            base = ctx.red[k - phi]
-            for j in range(phi):
-                if base[j]:
-                    vec[j] += c * base[j]
-    return vec[:phi]
+            for j, r in rows[k % ell]:
+                out[j] += c * r
+    return out
 
 
 def _poly_divmod(f, g):

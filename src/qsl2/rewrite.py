@@ -419,7 +419,7 @@ class _Completer(Reducer):
                 self._schedule_overlaps(other, lead)
 
     def _cap_failure(self) -> CompletionFailure:
-        name = lambda w: _render_word_named(self.gens, w) or "1"
+        name = lambda w: _word_name(self.gens, w)
         if self.last_overlap is None:
             last = "none (still orienting the relations)"
         else:
@@ -440,6 +440,10 @@ class _Completer(Reducer):
                 if len(w) <= self.bound:
                     self.counter += 1
                     heapq.heappush(self.agenda, (len(w), self.counter, w, l1, l2, k))
+
+
+def _word_name(gens, word) -> str:
+    return _render_word_named(gens, word) or "1"
 
 
 def _contains(haystack, needle) -> bool:
@@ -467,7 +471,13 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
         for lhs in rules:
             for other in rules:
                 if lhs != other and _contains(other, lhs):
-                    raise CompletionFailure("interreduction invariant broken")
+                    raise CompletionFailure(
+                        f"interreduction invariant broken at completion bound "
+                        f"{complete_to}: left-hand side {_word_name(gens, lhs)} "
+                        f"occurs in left-hand side {_word_name(gens, other)}, "
+                        f"{len(rules)} rules",
+                        bound=complete_to, rules=len(rules), lhs=lhs,
+                        occurs_in=other)
     return Presentation(gens, order, ell, rules, relations, parity, q,
                         complete_to, comp.collapsed, label)
 

@@ -1,6 +1,7 @@
 import json
 
 import qsl2.cli
+import qsl2.rewrite
 from qsl2.cli import main
 from qsl2.errors import CompletionFailure
 
@@ -161,6 +162,35 @@ def test_completion_failure_exit_2_with_context(capsys, monkeypatch):
     assert "rule cap 3 reached at completion bound 8" in captured.err
     for item in ("bound=8", "rules=3", "agenda=5",
                  "last_overlap=((0, 0, 1), (0, 0), (0, 1))"):
+        assert item in captured.err
+
+
+class NotInterreduced(qsl2.rewrite._Completer):
+    """Completes as usual, then adds a rule whose lhs contains another lhs."""
+
+    def run(self, relations):
+        super().run(relations)
+        self.doubled = min(self.rules, key=len) * 2
+        self.rules[self.doubled] = {}
+
+
+def test_interreduction_failure_exit_2_with_context(capsys, monkeypatch):
+    made = []
+
+    def completer(*args):
+        made.append(NotInterreduced(*args))
+        return made[-1]
+
+    monkeypatch.setattr(qsl2.rewrite, "_Completer", completer)
+    code = main(["dim", "widehat", "--ell", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "internal error" not in captured.err
+    assert "interreduction invariant broken at completion bound" in captured.err
+    comp = made[-1]
+    for item in (f"bound={comp.bound}", f"rules={len(comp.rules)}",
+                 f"occurs_in={comp.doubled!r}", "lhs=("):
         assert item in captured.err
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,3 +112,114 @@ def test_field_axioms(triple):
 @given(st.sampled_from([4, 5, 6]).flatmap(lambda ell: elements(ell)))
 def test_render_roundtrip(a):
     assert parse_scalar(a.ell, a.render()) == a
+
+
+# -- the unit tables against a schoolbook oracle ------------------------------
+# The oracle works on Fraction coefficient lists of length phi: products are
+# convolved in full and reduced mod Phi_ell by long division, with no table.
+
+FIELDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
+
+
+def oracle_reduce(ell, vec):
+    modulus = cyclotomic_polynomial(ell)
+    phi = len(modulus) - 1
+    vec = [Fraction(c) for c in vec] + [Fraction(0)] * phi
+    for k in range(len(vec) - 1, phi - 1, -1):
+        c = vec[k]
+        if c:
+            for j, m in enumerate(modulus):
+                vec[k - phi + j] -= c * m
+    return vec[:phi]
+
+
+def oracle_mul(ell, a, b):
+    return oracle_reduce(ell, poly_mul(a, b))
+
+
+def oracle_pow(ell, a, k):
+    out = oracle_reduce(ell, [1])
+    for _ in range(k):
+        out = oracle_mul(ell, out, a)
+    return out
+
+
+def oracle_unit(ell, sign, k):
+    return oracle_reduce(ell, [0] * (k % ell) + [sign])
+
+
+def assert_matches(got, ell, coeffs):
+    # the canonical form of a Fraction vector: den is the lcm of the
+    # denominators, which leaves the content reduced
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    expect = CycRat(ell, tuple(int(c * den) for c in coeffs), den)
+    assert got.ell == ell
+    assert type(got.num) is tuple
+    assert (got.num, got.den) == (expect.num, expect.den)
+    assert hash(got) == hash(expect)
+
+
+@st.composite
+def field_element(draw, ell):
+    """A +-q^k with k in -ell..2*ell, or an integral or rational element."""
+    phi = euler_phi(ell)
+    kind = draw(st.sampled_from(["unit", "unit", "integral", "rational"]))
+    if kind == "unit":
+        coeffs = oracle_unit(ell, draw(st.sampled_from([1, -1])),
+                             draw(st.integers(-ell, 2 * ell)))
+    else:
+        rats = st.fractions(min_value=-12, max_value=12,
+                            max_denominator=1 if kind == "integral" else 6)
+        coeffs = [Fraction(c) for c in draw(
+            st.lists(rats, min_size=phi, max_size=phi))]
+    return CycRat.from_coeffs(ell, coeffs), coeffs
+
+
+scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-5, 5),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda ell: st.tuples(
+    st.just(ell), field_element(ell), field_element(ell), scalars,
+    st.integers(-3, 4))))
+def test_fast_paths_match_oracle(case):
+    ell, (a, ca), (b, cb), n, k = case
+    one = oracle_reduce(ell, [1])
+    assert_matches(a * b, ell, oracle_mul(ell, ca, cb))
+    assert_matches(a + b, ell, [x + y for x, y in zip(ca, cb)])
+    cn = oracle_reduce(ell, [n])
+    assert_matches(a * n, ell, oracle_mul(ell, ca, cn))
+    assert_matches(n * a, ell, oracle_mul(ell, ca, cn))
+    assert_matches(a + n, ell, [x + y for x, y in zip(ca, cn)])
+    other = CycRat.q_power(ell + 1, 1)
+    for op in (lambda x, y: x * y, lambda x, y: y * x, lambda x, y: x + y):
+        with pytest.raises(MixedOrders):
+            op(a, other)
+    if a.is_zero():
+        return
+    inv = a.inverse()
+    assert_matches(inv, ell, list(inv.coeffs))
+    assert oracle_mul(ell, ca, list(inv.coeffs)) == one
+    power = a ** k
+    if k >= 0:
+        assert_matches(power, ell, oracle_pow(ell, ca, k))
+    else:
+        assert_matches(power, ell, list(power.coeffs))
+        assert oracle_mul(ell, list(power.coeffs), oracle_pow(ell, ca, -k)) == one
+
+
+@pytest.mark.parametrize("ell", FIELDS + [10, 15])
+def test_from_coeffs_any_length_and_q_power(ell):
+    for k in range(-ell, 3 * ell + 1):
+        assert_matches(CycRat.q_power(ell, k), ell, oracle_unit(ell, 1, k))
+    for length in range(3 * ell + 1):
+        coeffs = [Fraction((-1) ** k * (k + 1), k % 3 + 1) for k in range(length)]
+        expect = CycRat.zero(ell)
+        for k, c in enumerate(coeffs):
+            expect = expect + c * CycRat.q_power(ell, k)
+        assert CycRat.from_coeffs(ell, coeffs) == expect
+        assert CycRat.from_coeffs(ell, [1] * length) == sum(
+            (CycRat.q_power(ell, k) for k in range(length)), CycRat.zero(ell))
