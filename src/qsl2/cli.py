@@ -1,7 +1,10 @@
 """Batch command-line front end: construct, verify, inspect, report.
 
 JSON is the single source of truth; the text format is rendered from the
-JSON document.  Exit codes: 0 all green, 1 internal error, 2 datum or
+JSON document.  --format and --output go before or after the subcommand;
+--probe-bound (default 10) belongs to construct, verify and dim, the
+commands that read it.  Each report's config lists exactly the settings
+that produced it.  Exit codes: 0 all green, 1 internal error, 2 datum or
 check failure (a completion that hits its cap included), 64 usage error.
 """
 
@@ -40,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_max_degree() -> int:
-    return int(os.environ.get("QSL2_MAX_DEGREE", 8))
-
-
 def _add_common(parser, *, suppress=False):
     # the same options are accepted before and after the subcommand; the
     # subparser copies use SUPPRESS so they never clobber values already
@@ -53,10 +52,6 @@ def _add_common(parser, *, suppress=False):
                         **(kw or {"default": "text"}))
     parser.add_argument("--output", help="write the JSON report here",
                         **(kw or {"default": None}))
-    parser.add_argument("--max-degree", type=int,
-                        **(kw or {"default": _default_max_degree()}))
-    parser.add_argument("--probe-bound", type=int,
-                        **(kw or {"default": 10}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,17 +60,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_sub(name, **kwargs):
+    def add_sub(name, run, *, probe_bound=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         _add_common(p, suppress=True)
+        if probe_bound:
+            p.add_argument("--probe-bound", type=int, default=10,
+                           help="least completion bound and basis probe "
+                                "length (default 10)")
         return p
 
-    p = add_sub("construct", help="run the quotient pipeline on a datum")
+    p = add_sub("construct", _cmd_construct, probe_bound=True,
+                help="run the quotient pipeline on a datum")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--datum", help="path to a datum JSON file")
     g.add_argument("--datum-json", help="inline datum JSON")
 
-    p = add_sub("verify", help="run a named verification")
+    p = add_sub("verify", _cmd_verify, probe_bound=True,
+                help="run a named verification")
     p.add_argument("target", choices=("axioms", "central", "normal",
                                       "hopf-ideal", "sequence", "morphism"))
     p.add_argument("subject", help="e.g. oq-sl2, L, B, N, widehat, cz2mn, dihedral")
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
 
-    p = add_sub("catalog", help="list or verify catalog entries")
+    p = add_sub("catalog", _cmd_catalog, help="list or verify catalog entries")
     p.add_argument("action", choices=("list", "verify"))
     p.add_argument("entry", nargs="?", help="entry name (omit with --grid)")
     p.add_argument("--grid", choices=("default",))
@@ -94,18 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--parity", choices=("odd", "even", "minus_one"))
 
-    p = add_sub("dim", help="dimension of a named presentation")
+    p = add_sub("dim", _cmd_dim, probe_bound=True,
+                help="dimension of a named presentation")
     p.add_argument("name", choices=("oq-sl2", "o-minus1-sl2", "classical-sl2",
                                     "widehat", "overline"))
     p.add_argument("--ell", type=int)
 
-    p = add_sub("grouplikes", help="grouplikes of a finite catalog algebra")
+    p = add_sub("grouplikes", _cmd_grouplikes,
+                help="grouplikes of a finite catalog algebra")
     p.add_argument("name", choices=("taft", "cz2n", "case-I-full"))
     p.add_argument("--ell", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--parity", choices=("odd", "even", "minus_one"))
 
-    p = add_sub("equiv", help="decide equivalence of two data")
+    p = add_sub("equiv", _cmd_equiv, help="decide equivalence of two data")
     p.add_argument("--datum1", required=True, help="path or inline JSON")
     p.add_argument("--datum2", required=True, help="path or inline JSON")
     return parser
@@ -128,7 +132,7 @@ class _UsageError(Exception):
 
 
 def _report(command: str, config: dict, results: list, status: str,
-            extra: dict | None = None) -> dict:
+            **extra) -> dict:
     doc = {
         "schema": SCHEMA,
         "command": command,
@@ -136,9 +140,12 @@ def _report(command: str, config: dict, results: list, status: str,
         "status": status,
         "results": [r.to_json() for r in results],
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     return doc
+
+
+def _status(results: list) -> str:
+    return "pass" if all_ok(results) else "fail"
 
 
 def _render_text(doc: dict) -> str:
@@ -156,7 +163,7 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict, args) -> int:
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -165,31 +172,24 @@ def _emit(doc: dict, args) -> None:
         print(payload)
     else:
         print(_render_text(doc))
+    return EXIT_OK if doc["status"] == "pass" else EXIT_CHECK_FAILED
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
     datum = _load_datum(args.datum or args.datum_json)
-    config = {"max_degree": args.max_degree, "probe_bound": args.probe_bound,
-              "datum": datum.to_json()}
+    config = {"probe_bound": args.probe_bound, "datum": datum.to_json()}
     try:
         cons = construct_quotient(datum, probe_bound=args.probe_bound)
     except InconsistentDatum as exc:
-        doc = _report("construct", config, [], "inconsistent-datum",
-                      {"detail": str(exc)})
-        _emit(doc, args)
-        return EXIT_CHECK_FAILED
+        return _report("construct", config, [], "inconsistent-datum",
+                       detail=str(exc))
     results = list(cons.certificates)
     if cons.dim.finite:
         results.extend(exact_sequence_shadow(cons))
-    status = "pass" if all_ok(results) else "fail"
-    doc = _report("construct", config, results, status, {
-        "dimension": repr(cons.dim),
-        "h_dimension": repr(cons.h_dim),
-        "transcript": cons.transcript,
-        "presentation": cons.algebra.pres.to_json(),
-    })
-    _emit(doc, args)
-    return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
+    return _report("construct", config, results, _status(results),
+                   dimension=repr(cons.dim), h_dimension=repr(cons.h_dim),
+                   transcript=cons.transcript,
+                   presentation=cons.algebra.pres.to_json())
 
 
 def _verify_dispatch(args) -> list:
@@ -250,62 +250,44 @@ def _verify_dispatch(args) -> list:
     raise _UsageError(f"unknown verify target {target}")
 
 
-def _cmd_verify(args) -> int:
-    config = {"max_degree": args.max_degree, "probe_bound": args.probe_bound,
-              "target": args.target, "subject": args.subject}
+def _cmd_verify(args) -> dict:
+    config = {"probe_bound": args.probe_bound, "target": args.target,
+              "subject": args.subject}
     for key in ("ell", "n", "m"):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
     try:
         results = _verify_dispatch(args)
     except InconsistentDatum as exc:
-        doc = _report("verify", config, [], "inconsistent-datum",
-                      {"detail": str(exc)})
-        _emit(doc, args)
-        return EXIT_CHECK_FAILED
-    status = "pass" if all_ok(results) else "fail"
-    _emit(_report("verify", config, results, status), args)
-    return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
+        return _report("verify", config, [], "inconsistent-datum",
+                       detail=str(exc))
+    return _report("verify", config, results, _status(results))
 
 
-def _cmd_catalog(args) -> int:
-    config = {"max_degree": args.max_degree, "probe_bound": args.probe_bound}
+def _cmd_catalog(args) -> dict:
     if args.action == "list":
-        doc = {"schema": SCHEMA, "command": "catalog list", "config": config,
-               "status": "pass", "results": [],
-               "entries": entry_names()}
-        _emit(doc, args)
-        return EXIT_OK
+        return _report("catalog list", {}, [], "pass", entries=entry_names())
     if args.grid:
         entries = verify_grid()
         ok = all(e.ok for e in entries)
-        doc = {"schema": SCHEMA, "command": "catalog verify --grid default",
-               "config": config, "status": "pass" if ok else "fail",
-               "results": [],
-               "entries": [e.to_json() for e in entries]}
-        _emit(doc, args)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return _report("catalog verify --grid default", {}, [],
+                       "pass" if ok else "fail",
+                       entries=[e.to_json() for e in entries])
     if not args.entry:
         raise _UsageError("catalog verify needs an entry name or --grid")
     params = {k: getattr(args, k) for k in ("ell", "n", "m", "p", "r", "parity")
               if getattr(args, k) is not None}
     entry = verify_entry(args.entry, **params)
-    config.update(params)
-    doc = {"schema": SCHEMA, "command": f"catalog verify {args.entry}",
-           "config": config, "status": "pass" if entry.ok else "fail",
-           "results": [r.to_json() for r in entry.results],
-           "expected": entry.expected}
-    _emit(doc, args)
-    return EXIT_OK if entry.ok else EXIT_CHECK_FAILED
+    return _report(f"catalog verify {args.entry}", params, entry.results,
+                   "pass" if entry.ok else "fail", expected=entry.expected)
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> dict:
     name = args.name
     defaults = {"oq-sl2": 3, "widehat": 3, "overline": 4,
                 "o-minus1-sl2": 2, "classical-sl2": 1}
     ell = args.ell or defaults[name]
-    config = {"name": name, "ell": ell, "probe_bound": args.probe_bound,
-              "max_degree": args.max_degree}
+    config = {"name": name, "ell": ell, "probe_bound": args.probe_bound}
     base_bound = max(args.probe_bound, 8)
     if name == "classical-sl2":
         pres = classical_sl2(complete_to=base_bound).pres
@@ -319,20 +301,15 @@ def _cmd_dim(args) -> int:
         pres = quotient_presentation(alg.pres, quotient_ideal(name, ell),
                                      complete_to=bound, label=f"{name}-{ell}")
     res = dimension(pres, max(args.probe_bound, pres.completion_bound))
-    doc = {"schema": SCHEMA, "command": "dim", "config": config,
-           "status": "pass", "results": [],
-           "dimension": repr(res), "counts": res.counts,
-           "provisional": res.provisional}
-    _emit(doc, args)
-    return EXIT_OK
+    return _report("dim", config, [], "pass", dimension=repr(res),
+                   counts=res.counts, provisional=res.provisional)
 
 
-def _cmd_grouplikes(args) -> int:
+def _cmd_grouplikes(args) -> dict:
     from .ncalg import render_poly
 
     name = args.name
-    config = {"name": name, "max_degree": args.max_degree,
-              "probe_bound": args.probe_bound}
+    config = {"name": name}
     if name == "taft":
         ell = args.ell or 3
         config["ell"] = ell
@@ -358,27 +335,18 @@ def _cmd_grouplikes(args) -> int:
     delta, counit, antipode = _sl2_hopf(pres.ell, pres.q)
     alg = named_algebra(pres, delta, counit, antipode, label=name)
     rep = grouplikes(FiniteModel(alg))
-    doc = {"schema": SCHEMA, "command": "grouplikes", "config": config,
-           "status": "pass", "results": [],
-           "count": rep.count(), "complete": rep.complete,
-           "method": rep.method,
-           "elements": sorted(render_poly(g) for g in rep.elements)}
-    _emit(doc, args)
-    return EXIT_OK
+    return _report("grouplikes", config, [], "pass", count=rep.count(),
+                   complete=rep.complete, method=rep.method,
+                   elements=sorted(render_poly(g) for g in rep.elements))
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> dict:
     d1 = _load_datum(args.datum1)
     d2 = _load_datum(args.datum2)
     res = datum_equiv(d1, d2)
-    config = {"datum1": d1.to_json(), "datum2": d2.to_json(),
-              "max_degree": args.max_degree, "probe_bound": args.probe_bound}
-    doc = {"schema": SCHEMA, "command": "equiv", "config": config,
-           "status": "pass", "results": [],
-           "equivalent": res.equivalent, "witness": res.witness,
-           "reason": res.reason}
-    _emit(doc, args)
-    return EXIT_OK
+    return _report("equiv", {"datum1": d1.to_json(), "datum2": d2.to_json()},
+                   [], "pass", equivalent=res.equivalent, witness=res.witness,
+                   reason=res.reason)
 
 
 def main(argv=None) -> int:
@@ -388,19 +356,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "dim":
-            return _cmd_dim(args)
-        if args.command == "grouplikes":
-            return _cmd_grouplikes(args)
-        if args.command == "equiv":
-            return _cmd_equiv(args)
-        return EXIT_USAGE
+        return _emit(args.run(args), args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

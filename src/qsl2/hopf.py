@@ -14,7 +14,8 @@ from .errors import NotFiniteDimensional, QSL2Error
 from .exactla import Echelon, addto, kernel_of_columns, span_closure
 from .ncalg import EMPTY_WORD, NCPoly, TensorPoly, render_poly
 from .rewrite import (Presentation, basis_words, dimension, enumerate_basis,
-                      normal_form, quotient_presentation, tensor_normal_form)
+                      normal_form, quotient_presentation, tensor_normal_form,
+                      _word_name)
 
 
 @dataclass
@@ -167,60 +168,48 @@ def check_axioms(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
 
     Checked on all irreducible words up to sample_deg (generators included).
     """
-    results = []
     words = [w for level in enumerate_basis(alg.pres, sample_deg) for w in level]
     for g in range(len(alg.gens)):
         w = (g,)
         if alg.pres.is_irreducible(w) and w not in words:
             words.append(w)
 
-    def word_name(w):
-        from .ncalg import _render_word_named
-        return _render_word_named(alg.gens, w) or "1"
-
-    for w in words:
+    def coassociative(w):
         dw = alg.delta_word(w)
-        left = tensor_normal_form(
-            alg.pres, dw.expand_leg(0, lambda u: alg.delta_word(u)))
-        right = tensor_normal_form(
-            alg.pres, dw.expand_leg(1, lambda u: alg.delta_word(u)))
-        if not (left - right).is_zero():
-            results.append(CheckResult("coassociativity", alg.label, False, word_name(w)))
-            break
-    else:
-        results.append(CheckResult("coassociativity", alg.label, True))
+        left = tensor_normal_form(alg.pres, dw.expand_leg(0, alg.delta_word))
+        right = tensor_normal_form(alg.pres, dw.expand_leg(1, alg.delta_word))
+        return (left - right).is_zero()
 
-    for w in words:
-        dw = alg.delta_word(w)
+    def counit_law(w):
         lhs = alg.pres.zero()
         rhs = alg.pres.zero()
-        for (u, v), c in dw.terms.items():
+        for (u, v), c in alg.delta_word(w).terms.items():
             lhs = lhs + NCPoly.monomial(alg.gens, alg.ell, v, c * alg.counit_word(u))
             rhs = rhs + NCPoly.monomial(alg.gens, alg.ell, u, c * alg.counit_word(v))
         target = NCPoly.monomial(alg.gens, alg.ell, w)
-        if alg.nf(lhs - target).is_zero() and alg.nf(rhs - target).is_zero():
-            continue
-        results.append(CheckResult("counit-law", alg.label, False, word_name(w)))
-        break
-    else:
-        results.append(CheckResult("counit-law", alg.label, True))
+        return alg.nf(lhs - target).is_zero() and alg.nf(rhs - target).is_zero()
 
-    for w in words:
-        dw = alg.delta_word(w)
+    def antipode_law(w):
         left = alg.pres.zero()
         right = alg.pres.zero()
-        for (u, v), c in dw.terms.items():
+        for (u, v), c in alg.delta_word(w).terms.items():
             left = left + (alg.antipode_word(u) * NCPoly.monomial(alg.gens, alg.ell, v)) * c
             right = right + (NCPoly.monomial(alg.gens, alg.ell, u) * alg.antipode_word(v)) * c
         target = alg.pres.one() * alg.counit_word(w)
-        if alg.nf(left - target).is_zero() and alg.nf(right - target).is_zero():
-            continue
-        results.append(CheckResult("antipode-law", alg.label, False, word_name(w)))
-        break
-    else:
-        results.append(CheckResult("antipode-law", alg.label, True))
+        return alg.nf(left - target).is_zero() and alg.nf(right - target).is_zero()
 
-    return results
+    return [_first_failure("coassociativity", alg, words, coassociative),
+            _first_failure("counit-law", alg, words, counit_law),
+            _first_failure("antipode-law", alg, words, antipode_law)]
+
+
+def _first_failure(check: str, alg: NamedAlgebra, words, holds) -> CheckResult:
+    """One row for a law checked word by word: the first failing word is
+    the witness."""
+    for w in words:
+        if not holds(w):
+            return CheckResult(check, alg.label, False, _word_name(alg.gens, w))
+    return CheckResult(check, alg.label, True)
 
 
 def run_battery(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
@@ -411,7 +400,7 @@ def check_central(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult
 
 
 def subalgebra_span(alg: NamedAlgebra, elements: list[NCPoly],
-                    max_degree: int) -> Echelon:
+                    max_deg: int) -> Echelon:
     """Exact span of products of the listed elements up to total degree."""
     elems = [(normal_form(alg.pres, e),
               max((len(w) for w in e.terms), default=0)) for e in elements]
@@ -419,20 +408,20 @@ def subalgebra_span(alg: NamedAlgebra, elements: list[NCPoly],
     def successors(item):
         p, d = item
         for e, de in elems:
-            if d + de <= max_degree:
+            if d + de <= max_deg:
                 yield normal_form(alg.pres, p * e), d + de
 
     return span_closure((alg.pres.one(), 0), successors,
                         lambda item: item[0].terms)
 
 
-def check_normal(alg: NamedAlgebra, elements: list[NCPoly],
-                 degree_margin: int = 2) -> list[CheckResult]:
+def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]:
     """Both adjoint actions of every generator keep each element in the span."""
     results = []
     max_elem_deg = max(max((len(w) for w in e.terms), default=0)
                        for e in elements)
-    span = subalgebra_span(alg, elements, max_elem_deg + degree_margin)
+    # ad_g(x) = sum u x S(v) has degree at most deg x + 2 for a generator g
+    span = subalgebra_span(alg, elements, max_elem_deg + 2)
     for x in elements:
         xt = render_poly(x, alg.pres.order)
         for g in range(len(alg.gens)):
@@ -454,13 +443,20 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly],
 # -- morphisms ---------------------------------------------------------------------
 
 
+def substitute(pres: Presentation, coeff: CycRat, factors) -> NCPoly:
+    """coeff times the product of factors in pres, reduced after every
+    factor so that intermediate products stay small; coeff may come from a
+    subfield of pres's scalars."""
+    term = pres.one() * embed_scalar(coeff, pres.ell)
+    for f in factors:
+        term = normal_form(pres, term * f)
+    return term
+
+
 def _map_poly(p: NCPoly, images: dict, target: NamedAlgebra) -> NCPoly:
     out = target.pres.zero()
     for w, c in p.terms.items():
-        acc = target.pres.one()
-        for g in w:
-            acc = normal_form(target.pres, acc * images[g])
-        out = out + acc * embed_scalar(c, target.ell)
+        out = out + substitute(target.pres, c, (images[g] for g in w))
     return normal_form(target.pres, out)
 
 

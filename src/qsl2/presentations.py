@@ -272,18 +272,15 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
     antipode match on the generators (the source values are computed from
     the matrix coalgebra: Delta(X_ij X_kl) = sum_st X_is X_kt (x) X_sj X_tl).
     """
-    from .cyclo import embed_scalar
-    from .hopf import CheckResult
+    from .hopf import CheckResult, substitute
     from .rewrite import tensor_normal_form
 
     results = []
     label = f"psl2-model -> {target.label}"
 
     def img_product(pairs, coeff) -> NCPoly:
-        term = target.pres.one() * embed_scalar(coeff, target.ell)
-        for pair in pairs:
-            term = normal_form(target.pres, term * images[tuple(sorted(pair))])
-        return term
+        return substitute(target.pres, coeff,
+                          (images[tuple(sorted(pair))] for pair in pairs))
 
     from .exactla import span_dim
 

@@ -206,6 +206,17 @@ class Reducer:
                 addto(out, u, cu * c)
         return out
 
+    def overlap_difference(self, l1, l2, k) -> dict:
+        """Critical pair nf(rhs(l1) * suffix) - nf(prefix * rhs(l2)) of the
+        overlap prefix + l2 = l1 + suffix, where the last k letters of l1
+        are the first k of l2; empty when the ambiguity resolves."""
+        prefix, suffix = l1[:-k], l2[k:]
+        diff = self.nf_terms({t + suffix: c for t, c in self.rules[l1].items()})
+        for u, cu in self.nf_terms({prefix + t: c
+                                    for t, c in self.rules[l2].items()}).items():
+            addto(diff, u, -cu)
+        return diff
+
 
 def _is_identity(terms: dict, word) -> bool:
     return len(terms) == 1 and word in terms and terms[word].is_one()
@@ -358,24 +369,14 @@ class _Completer(Reducer):
             if l1 not in self.rules or l2 not in self.rules:
                 continue
             self.last_overlap = (w, l1, l2)
-            self._process_overlap(w, l1, l2, k)
+            diff = self.overlap_difference(l1, l2, k)
+            if diff:
+                self._orient(diff)
             self._drain_eqs()
 
     def _drain_eqs(self):
         while self.eqs and not self.collapsed:
             self._orient(self.eqs.popleft())
-
-    def _process_overlap(self, w, l1, l2, k):
-        pos = len(l1) - k
-        suffix = w[len(l1):]
-        prefix = w[:pos]
-        t1 = {t + suffix: c for t, c in self.rules[l1].items()}
-        t2 = {prefix + t: c for t, c in self.rules[l2].items()}
-        diff = self.nf_terms(t1)
-        for u, cu in self.nf_terms(t2).items():
-            addto(diff, u, -cu)
-        if diff:
-            self._orient(diff)
 
     def _orient(self, terms: dict):
         terms = self.nf_terms(terms)
@@ -433,13 +434,17 @@ class _Completer(Reducer):
             last_overlap=self.last_overlap)
 
     def _schedule_overlaps(self, l1, l2):
-        max_k = min(len(l1), len(l2)) - 1
-        for k in range(1, max_k + 1):
-            if l1[-k:] == l2[:k]:
-                w = l1 + l2[k:]
-                if len(w) <= self.bound:
-                    self.counter += 1
-                    heapq.heappush(self.agenda, (len(w), self.counter, w, l1, l2, k))
+        for k, w in _overlaps(l1, l2, self.bound):
+            self.counter += 1
+            heapq.heappush(self.agenda, (len(w), self.counter, w, l1, l2, k))
+
+
+def _overlaps(l1, l2, max_len):
+    """(k, word) for each k, ascending, where the last k letters of l1 are
+    the first k of l2 and the overlap word l1 + l2[k:] has length <= max_len."""
+    for k in range(1, min(len(l1), len(l2))):
+        if l1[-k:] == l2[:k] and len(l1) + len(l2) - k <= max_len:
+            yield k, l1 + l2[k:]
 
 
 def _word_name(gens, word) -> str:
@@ -508,22 +513,10 @@ def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
     if pres.collapsed:
         return []
     unresolved = []
-    lhss = list(pres.rules)
-    for l1 in lhss:
-        for l2 in lhss:
-            max_k = min(len(l1), len(l2)) - 1
-            for k in range(1, max_k + 1):
-                if l1[-k:] != l2[:k]:
-                    continue
-                w = l1 + l2[k:]
-                if len(w) > max_len:
-                    continue
-                pos = len(l1) - k
-                t1 = {t + w[len(l1):]: c for t, c in pres.rules[l1].items()}
-                t2 = {w[:pos] + t: c for t, c in pres.rules[l2].items()}
-                diff = pres.nf_terms(t1)
-                for u, cu in pres.nf_terms(t2).items():
-                    addto(diff, u, -cu)
+    for l1 in pres.rules:
+        for l2 in pres.rules:
+            for k, w in _overlaps(l1, l2, max_len):
+                diff = pres.overlap_difference(l1, l2, k)
                 if diff:
                     unresolved.append(OverlapReport(
                         w, l1, l2, NCPoly(pres.gens, pres.ell, diff)))

@@ -18,7 +18,7 @@ from .cyclo import CycRat, multiplicative_order
 from .errors import CertificateFailed, InconsistentDatum, QSL2Error
 from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
-                   coinvariants, named_algebra)
+                   coinvariants, named_algebra, substitute)
 from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, XGENS, classical_sl2, phi_even_images,
                             phi_minus1_images, quotient_ideal, sl2_algebra,
@@ -223,8 +223,8 @@ def _eval_word(word, mat, conductor) -> CycRat:
     return out
 
 
-def kernel_sigma_t(gamma: GroupSpec, parity: str, exponent: int = 1,
-                   max_deg: int | None = None) -> KernelResult:
+def kernel_sigma_t(gamma: GroupSpec, parity: str,
+                   exponent: int = 1) -> KernelResult:
     """Vanishing ideal of the embedded finite group in the coordinate ring.
 
     Works degreewise: evaluates the quotient-irreducible monomials on every
@@ -248,8 +248,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str, exponent: int = 1,
         step = 2
     conductor = max(w_order, 1)
     mats = _group_matrices(gamma, parity, exponent, conductor)
-    if max_deg is None:
-        max_deg = step * (order + 2)
+    max_deg = step * (order + 2)
     classical = classical_sl2(conductor, complete_to=max_deg + 2)
     ambient = classical.pres
     ideal: list[NCPoly] = []
@@ -318,17 +317,19 @@ def lift_classical_poly(p: NCPoly, parity: str, alg: NamedAlgebra) -> NCPoly:
             word = tuple(g for g in w for _ in range(power))
             out = out + NCPoly.monomial(ABCD, ell, word, embed_scalar(c, ell))
         return out
-    images = (phi_minus1_images(alg) if parity == "minus_one"
-              else phi_even_images(alg))
+    images = _phi_images(parity, alg)
     for w, c in p.terms.items():
         if len(w) % 2:
             raise QSL2Error("PSL2-side lift needs even words")
-        term = alg.pres.one() * embed_scalar(c, ell)
-        for i in range(0, len(w), 2):
-            pair = tuple(sorted((w[i], w[i + 1])))
-            term = normal_form(alg.pres, term * images[pair])
-        out = out + term
+        out = out + substitute(alg.pres, c, (images[tuple(sorted(w[i:i + 2]))]
+                                             for i in range(0, len(w), 2)))
     return out
+
+
+def _phi_images(parity: str, alg: NamedAlgebra) -> dict:
+    """The PSL2-side subalgebra embedding for the parity (even or q = -1)."""
+    return (phi_minus1_images(alg) if parity == "minus_one"
+            else phi_even_images(alg))
 
 
 # catalog groups: kernel generators transcribed in the quantum letters,
@@ -345,8 +346,7 @@ def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
         if name == "G_a":
             return [apow(A, p.scalar(1)), apow(D, p.scalar(1))]
         return []  # borel_plus, borel_minus, full: identity embedding
-    images = (phi_minus1_images(alg) if parity == "minus_one"
-              else phi_even_images(alg))
+    images = _phi_images(parity, alg)
     if name in ("torus", "G_m"):
         offdiag = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
         return [images[pair] for pair in offdiag]
@@ -396,8 +396,7 @@ def _gamma_subalgebra_gens(parity: str, alg: NamedAlgebra) -> list[NCPoly]:
     if parity == "odd":
         k = multiplicative_order(alg.pres.q)
         return [NCPoly.monomial(ABCD, alg.ell, (g,) * k) for g in range(4)]
-    images = (phi_minus1_images(alg) if parity == "minus_one"
-              else phi_even_images(alg))
+    images = _phi_images(parity, alg)
     return [images[pair] for pair in images]
 
 
@@ -475,7 +474,7 @@ def construct_quotient(d: SubgroupDatum, probe_bound: int | None = None,
     algebra = named_algebra(pres3, delta_imgs, counit_imgs, antipode_imgs,
                             label=f"A_D({parity}, ell={d.ell}, "
                                   f"gamma={gamma.to_json()})")
-    dim_res = dimension(pres3, bound)
+    dim_res = dimension(pres3, bound) if step3 else dim2
 
     h_ideal = step1 + _parity_augmentation_ideal(parity, d.ell, base)
     if d.N_generator is not None:
@@ -739,10 +738,10 @@ def verify_dihedral_quotient(m: int) -> list[CheckResult]:
     return results
 
 
-def minus_one_classify(gamma: GroupSpec, probe_bound: int | None = None):
+def minus_one_classify(gamma: GroupSpec):
     """Route a q = -1 subgroup: kernel quotient or dihedral function algebra."""
     if gamma.kind == "dihedral":
         return ("II", verify_dihedral_quotient(gamma.m))
     datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,), I_minus=(1,),
                           gamma=gamma)
-    return ("I", construct_quotient(datum, probe_bound))
+    return ("I", construct_quotient(datum))

@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 import qsl2.cli
 import qsl2.rewrite
 from qsl2.cli import main
-from qsl2.errors import CompletionFailure
+from qsl2.errors import CompletionFailure, InconsistentDatum
 
 TAFT_L5 = json.dumps({
     "parity": "odd", "ell": 5, "I_plus": [1], "I_minus": [],
@@ -127,6 +129,7 @@ def test_catalog_grid_all_green(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "pass"
+    assert doc["config"] == {}
     assert all(e["status"] == "pass" for e in doc["entries"])
     assert len(doc["entries"]) >= 25
 
@@ -139,12 +142,65 @@ def test_reports_byte_stable(capsys):
     assert out1 == out2
 
 
-def test_env_max_degree(capsys, monkeypatch):
+TRIVIAL_ODD = json.dumps({"parity": "odd", "ell": 3,
+                          "gamma": {"kind": "trivial"}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-degree", "8", "catalog", "list"],
+    ["catalog", "list", "--max-degree", "8"],
+    ["--probe-bound", "40", "catalog", "verify", "--grid", "default"],
+    ["catalog", "verify", "--grid", "default", "--probe-bound", "40"],
+    ["grouplikes", "taft", "--probe-bound", "40"],
+    ["equiv", "--datum1", TRIVIAL_ODD, "--datum2", TRIVIAL_ODD,
+     "--probe-bound", "40"],
+])
+def test_options_nothing_reads_are_usage_errors(capsys, argv):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qsl2")
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["catalog", "list"], set()),
+    (["catalog", "verify", "cz2n", "--n", "2"], {"n"}),
+    (["dim", "widehat", "--ell", "3"], {"name", "ell", "probe_bound"}),
+    (["verify", "axioms", "oq-sl2"], {"target", "subject", "probe_bound"}),
+    (["verify", "central", "L", "--ell", "3"],
+     {"target", "subject", "ell", "probe_bound"}),
+    (["grouplikes", "taft", "--ell", "3"], {"name", "ell"}),
+    (["construct", "--datum-json", TRIVIAL_ODD], {"datum", "probe_bound"}),
+    (["equiv", "--datum1", TRIVIAL_ODD, "--datum2", TRIVIAL_ODD],
+     {"datum1", "datum2"}),
+])
+def test_config_lists_only_settings_read(capsys, monkeypatch, argv, keys):
     monkeypatch.setenv("QSL2_MAX_DEGREE", "11")
-    code, out = run(capsys, "--format", "json", "catalog", "list")
+    code, out = run(capsys, "--format", "json", *argv)
     assert code == 0
+    assert set(json.loads(out)["config"]) == keys
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--datum-json", TAFT_L5],
+    ["verify", "sequence", "cz2n"],
+])
+@pytest.mark.parametrize("flag, bound", [([], 10), (["--probe-bound", "12"], 12)])
+def test_probe_bound_reaches_construct_quotient(capsys, monkeypatch, argv,
+                                                flag, bound):
+    seen = []
+
+    def recording(datum, probe_bound=None):
+        seen.append(probe_bound)
+        raise InconsistentDatum("recorded")
+
+    monkeypatch.setattr(qsl2.cli, "construct_quotient", recording)
+    code, out = run(capsys, "--format", "json", *argv, *flag)
+    assert code == 2
+    assert seen == [bound]
     doc = json.loads(out)
-    assert doc["config"]["max_degree"] == 11
+    assert doc["status"] == "inconsistent-datum"
+    assert doc["config"]["probe_bound"] == bound
 
 
 def test_completion_failure_exit_2_with_context(capsys, monkeypatch):
