@@ -4,8 +4,10 @@ JSON is the single source of truth; the text format is rendered from the
 JSON document.  --format and --output go before or after the subcommand;
 --probe-bound (default 10) belongs to construct, verify and dim, the
 commands that read it.  Each report's config lists exactly the settings
-that produced it.  Exit codes: 0 all green, 1 internal error, 2 datum or
-check failure (a completion that hits its cap included), 64 usage error.
+that produced it.  An option left out takes its default; an explicit value,
+0 included, is range-checked.  Exit codes: 0 all green, 1 internal error,
+2 datum, parameter or check failure (a completion that hits its cap
+included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 from .catalog import entry_names, verify_entry, verify_grid
 from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
-                     QSL2Error, UnknownEntry)
+                     ParityMismatch, QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
                    is_hopf_ideal, named_algebra)
@@ -192,10 +194,15 @@ def _cmd_construct(args) -> dict:
                    presentation=cons.algebra.pres.to_json())
 
 
+def _given(value, default):
+    # an explicit 0 is a value, to be range-checked where it is used
+    return default if value is None else value
+
+
 def _verify_dispatch(args) -> list:
     target, subject = args.target, args.subject
     if target == "axioms":
-        ell = args.ell or 3
+        ell = _given(args.ell, 3)
         alg = (sl2_algebra("minus_one", 2) if subject == "o-minus1-sl2"
                else oq_sl2(ell))
         return (check_structure_well_defined(alg)
@@ -203,7 +210,7 @@ def _verify_dispatch(args) -> list:
     if target == "central":
         if subject != "L":
             raise _UsageError("central checks the subalgebra L (odd ell)")
-        ell = args.ell or 3
+        ell = _given(args.ell, 3)
         alg = oq_sl2(ell, complete_to=2 * ell + 2)
         return check_central(alg, distinguished_subalgebra("L_odd", ell))
     if target == "normal":
@@ -211,30 +218,31 @@ def _verify_dispatch(args) -> list:
             alg = sl2_algebra("minus_one", 2)
             return check_normal(alg, distinguished_subalgebra("B_minus1", 2))
         if subject == "N":
-            ell = args.ell or 4
+            ell = _given(args.ell, 4)
             alg = oq_sl2(ell)
             return check_normal(alg, distinguished_subalgebra("N_even", ell))
         raise _UsageError("normal checks the subalgebras B or N")
     if target == "hopf-ideal":
-        ell = args.ell or (3 if subject == "widehat" else 4)
+        ell = _given(args.ell, 3 if subject == "widehat" else 4)
         alg = oq_sl2(ell)
         ideal = quotient_ideal(subject, ell)
         return is_hopf_ideal(alg, ideal, completion_bound=3 * ell)
     if target == "sequence":
         if subject == "cz2n":
+            n = _given(args.n, 2)
             datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
-                                  I_minus=(1,),
-                                  gamma=GroupSpec("cyclic", n=args.n or 2))
+                                  I_minus=(1,), gamma=GroupSpec("cyclic", n=n))
         elif subject == "cz2mn":
-            datum = SubgroupDatum(parity="even", ell=args.ell or 4,
-                                  gamma=GroupSpec("cyclic", n=args.n or 2))
+            datum = SubgroupDatum(parity="even", ell=_given(args.ell, 4),
+                                  gamma=GroupSpec("cyclic",
+                                                  n=_given(args.n, 2)))
         else:
             raise _UsageError("sequence subjects: cz2n, cz2mn")
         cons = construct_quotient(datum, probe_bound=args.probe_bound)
         return list(cons.certificates) + exact_sequence_shadow(cons)
     if target == "morphism":
         if subject == "dihedral":
-            return verify_dihedral_quotient(args.m or 3)
+            return verify_dihedral_quotient(_given(args.m, 3))
         if subject in ("B", "N"):
             from .presentations import (phi_even_images, phi_minus1_images,
                                         psl2_model, verify_psl2_embedding)
@@ -243,7 +251,7 @@ def _verify_dispatch(args) -> list:
                 alg = sl2_algebra("minus_one", 2)
                 images = phi_minus1_images(alg)
             else:
-                alg = oq_sl2(args.ell or 4)
+                alg = oq_sl2(_given(args.ell, 4))
                 images = phi_even_images(alg)
             return verify_psl2_embedding(model, alg, images, 2)
         raise _UsageError("morphism subjects: dihedral, B, N")
@@ -286,7 +294,7 @@ def _cmd_dim(args) -> dict:
     name = args.name
     defaults = {"oq-sl2": 3, "widehat": 3, "overline": 4,
                 "o-minus1-sl2": 2, "classical-sl2": 1}
-    ell = args.ell or defaults[name]
+    ell = _given(args.ell, defaults[name])
     config = {"name": name, "ell": ell, "probe_bound": args.probe_bound}
     base_bound = max(args.probe_bound, 8)
     if name == "classical-sl2":
@@ -311,14 +319,14 @@ def _cmd_grouplikes(args) -> dict:
     name = args.name
     config = {"name": name}
     if name == "taft":
-        ell = args.ell or 3
+        ell = _given(args.ell, 3)
         config["ell"] = ell
         datum = SubgroupDatum(parity="odd", ell=ell, I_plus=(1,), I_minus=(),
                               gamma=GroupSpec("catalog", name="G_a"))
         cons = construct_quotient(datum)
         pres = cons.h_pres
     elif name == "cz2n":
-        n = args.n or 2
+        n = _given(args.n, 2)
         config["n"] = n
         datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
                               I_minus=(1,), gamma=GroupSpec("cyclic", n=n))
@@ -326,7 +334,7 @@ def _cmd_grouplikes(args) -> dict:
         pres = cons.algebra.pres
     else:
         parity = args.parity or "odd"
-        ell = args.ell or (3 if parity == "odd" else 4 if parity == "even" else 2)
+        ell = _given(args.ell, {"odd": 3, "even": 4, "minus_one": 2}[parity])
         config.update({"parity": parity, "ell": ell})
         datum = SubgroupDatum(parity=parity, ell=ell,
                               gamma=GroupSpec("catalog", name="torus"))
@@ -360,7 +368,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParamOutOfRange, UnknownEntry) as exc:
+    except (ParamOutOfRange, ParityMismatch, InconsistentDatum,
+            UnknownEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except CompletionFailure as exc:

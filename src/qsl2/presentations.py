@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .cyclo import CycRat, multiplicative_order
-from .errors import ParityMismatch, QSL2Error
+from .errors import ParamOutOfRange, ParityMismatch, QSL2Error
 from .exactla import Echelon, kernel_of_columns
 from .hopf import NamedAlgebra, named_algebra
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
@@ -68,11 +68,12 @@ def oq_sl2(ell: int, conductor: int | None = None,
            complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
     """The q-deformed coordinate algebra at a primitive ell-th root, ell >= 3."""
     if ell <= 2:
-        raise QSL2Error("the generic presentation needs ell >= 3; "
-                        "use o_minus1_sl2 for q = -1")
+        raise ParamOutOfRange("the generic presentation needs ell >= 3; "
+                              "use o_minus1_sl2 for q = -1")
     cond = conductor or ell
     if cond % ell:
-        raise QSL2Error(f"conductor {cond} does not contain an order-{ell} root")
+        raise ParamOutOfRange(f"conductor {cond} does not contain an "
+                              f"order-{ell} root")
     q = CycRat.q_power(cond, cond // ell)
     parity = "odd" if ell % 2 else "even"
     pres = build_presentation(ABCD, _sl2_order(), _sl2_relations(cond, q),

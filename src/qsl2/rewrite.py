@@ -11,10 +11,15 @@ an empty length conclusive for finite dimensionality.
 
 Presentation and the completer share one reduction engine, Reducer:
 
-* Redex search walks a trie of nested dicts over the left-hand sides from
-  each start position in turn and returns the leftmost position with the
-  longest lhs there.  The trie grows with each added rule and is rebuilt
-  when completion retires rules.
+* Redex search runs an Aho-Corasick automaton over the left-hand sides
+  (Aho & Corasick 1975), compiled to a full transition table, one row per
+  state and one entry per generator: one table step per letter, never a
+  restart.  It returns the leftmost position with the longest lhs there.
+  The rule sets of completion and of every completed presentation are
+  factor-free (no lhs is a factor of another), and then the first lhs to
+  end in the scan is already that answer.  Any change to the rules drops
+  the automaton; the next search rebuilds it.  Basis enumeration walks the
+  same table.
 * Normal forms are computed merged and largest-first, as in Buchberger's
   and Mora's reductions: pending terms live in a coefficient map, and the
   largest pending word under the monomial order is always expanded next.
@@ -71,9 +76,16 @@ class Reducer:
     """A rule set with its redex index and normal-form cache.
 
     Rules map an lhs word to rhs terms that are strictly smaller under the
-    order.  find_redex walks a trie over the left-hand sides; nf_word_terms
+    order.  find_redex scans a word through an Aho-Corasick automaton over
+    the left-hand sides, built lazily after each rule change; nf_word_terms
     reduces one word merged and largest-first, so each word it reaches is
     rewritten once whatever the number of paths that lead to it.
+
+    Completion keeps its rule set factor-free: _add_rule retires every lhs
+    that contains the new one, and a new lhs is irreducible, so it contains
+    no old one.  In a factor-free set the first lhs the scan sees end is
+    the leftmost, longest redex (see find_redex).  A hand-made set that is
+    not factor-free costs the scan at most maxlhs - 1 more letters.
 
     The cache maps a word to (version, terms).  The version counts rule
     additions.  An entry of the current version is final.  An entry written
@@ -95,39 +107,83 @@ class Reducer:
         self.retire_floor = 0
         self._one = CycRat.one(ell)
         self._key = _descending_key(order)
-        self._reindex()
+        self._automaton = None      # built by the next find_redex
 
-    # -- redex index -----------------------------------------------------------
+    # -- redex automaton --------------------------------------------------------
 
-    def _reindex(self):
-        self._trie: dict = {}
+    def _build_automaton(self):
+        """(delta, out, slack) over the current left-hand sides, built on
+        first use after a rule change.
+
+        delta[s][g] is the state after reading letter g in state s, state 0
+        being the empty string; out[s] is the longest lhs that is a suffix
+        of the string of s, or None.  slack is 0 when no lhs is a factor of
+        another, and otherwise the maxlhs - 1 letters find_redex reads past
+        the first redex end, since a redex that starts further left may end
+        there."""
+        kids = [{}]                 # the trie: letter -> child, per state
+        own = [None]                # the lhs each trie state spells, if any
         for lhs in self.rules:
-            self._index(lhs)
-
-    def _index(self, lhs):
-        node = self._trie
-        for g in lhs:
-            node = node.setdefault(g, {})
-        node[None] = lhs            # letters are ints, so None marks an lhs end
+            if not lhs:
+                continue
+            s = 0
+            for g in lhs:
+                t = kids[s].get(g)
+                if t is None:
+                    t = kids[s][g] = len(kids)
+                    kids.append({})
+                    own.append(None)
+                s = t
+            own[s] = lhs
+        # breadth first, so the row of each failure state (the state of the
+        # longest proper suffix in the trie) is complete before it is copied
+        delta = [None] * len(kids)
+        fail = [0] * len(kids)
+        out = own[:]
+        factor_free = True
+        delta[0] = [0] * self.order.ngens
+        queue = [0]
+        for s in queue:
+            back = delta[fail[s]]       # the root's own all-zero row at first
+            row = delta[s] = back[:]
+            if own[s] is not None and kids[s]:
+                factor_free = False         # the lhs of s is a proper prefix
+            for g, t in kids[s].items():
+                row[g] = t
+                queue.append(t)
+                f = fail[t] = back[g]
+                if out[f] is not None:
+                    # an lhs ends strictly inside t's prefix of another lhs
+                    factor_free = False
+                    if out[t] is None:
+                        out[t] = out[f]
+        slack = 0 if factor_free else max(map(len, self.rules)) - 1
+        self._automaton = delta, out, slack
+        return self._automaton
 
     def find_redex(self, word):
-        """Leftmost position, longest lhs there; None when irreducible."""
-        trie = self._trie
-        n = len(word)
-        for i in range(n):
-            node = trie.get(word[i])
-            found = None
-            j = i + 1
-            while node is not None:
-                lhs = node.get(None)
-                if lhs is not None:
-                    found = lhs
-                if j == n:
-                    break
-                node = node.get(word[j])
-                j += 1
-            if found is not None:
-                return i, len(found), found
+        """Leftmost position, longest lhs there; None when irreducible.
+
+        One automaton transition per letter.  When no lhs is a factor of
+        another, the first lhs to end is the answer: an lhs starting further
+        left would end later and contain it, and no other lhs ends or starts
+        where it does.  Otherwise up to slack more letters are read, keeping
+        the smallest start and then the longest lhs."""
+        delta, out, slack = self._automaton or self._build_automaton()
+        s = 0
+        for j, g in enumerate(word):
+            s = delta[s][g]
+            lhs = out[s]
+            if lhs is not None:
+                start, best = j + 1 - len(lhs), lhs
+                for e in range(j + 1, min(len(word), j + 1 + slack)):
+                    s = delta[s][word[e]]
+                    lhs = out[s]
+                    if lhs is not None:
+                        i = e + 1 - len(lhs)
+                        if i < start or (i == start and len(lhs) > len(best)):
+                            start, best = i, lhs
+                return start, len(best), best
         return None
 
     # -- normal forms ------------------------------------------------------------
@@ -386,7 +442,7 @@ class _Completer(Reducer):
             # the ideal contains a nonzero scalar: the quotient is zero
             self.collapsed = True
             self.rules = {}
-            self._reindex()
+            self._automaton = None
             return
         lead = max(terms, key=self.order.key)
         c = terms[lead]
@@ -408,12 +464,10 @@ class _Completer(Reducer):
             self.eqs.append(eq)
         self.rules[lead] = rhs
         self.version += 1
+        self._automaton = None
         if doomed:
             self.retired += len(doomed)
             self.retire_floor = self.version
-            self._reindex()
-        else:
-            self._index(lead)
         for other in list(self.rules):
             self._schedule_overlaps(lead, other)
             if other != lead:
@@ -530,26 +584,20 @@ def enumerate_basis(pres: Presentation, max_len: int) -> list[list[tuple]]:
     """Irreducible words grouped by length, lengths 0..max_len."""
     if pres.collapsed:
         return [[] for _ in range(max_len + 1)]
-    lhs_lengths = sorted({len(w) for w in pres.rules})
+    delta, out, _ = pres._automaton or pres._build_automaton()
+    # each irreducible word with its automaton state: w + g is reducible iff
+    # an lhs is a suffix of it, i.e. iff the state after g has an output
     levels = [[EMPTY_WORD] if EMPTY_WORD not in pres.rules else []]
-    ngens = len(pres.gens)
+    states = [0] * len(levels[0])
     for _ in range(max_len):
-        nxt = []
-        for w in levels[-1]:
-            for g in range(ngens):
-                w2 = w + (g,)
-                n = len(w2)
-                # w irreducible, so only suffixes ending at the last letter matter
-                reducible = False
-                for L in lhs_lengths:
-                    if L > n:
-                        break
-                    if w2[n - L:] in pres.rules:
-                        reducible = True
-                        break
-                if not reducible:
-                    nxt.append(w2)
+        nxt, nxt_states = [], []
+        for w, s in zip(levels[-1], states):
+            for g, t in enumerate(delta[s]):
+                if out[t] is None:
+                    nxt.append(w + (g,))
+                    nxt_states.append(t)
         levels.append(nxt)
+        states = nxt_states
     return levels
 
 

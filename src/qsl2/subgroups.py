@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .cyclo import CycRat, multiplicative_order
-from .errors import CertificateFailed, InconsistentDatum, QSL2Error
+from .errors import (CertificateFailed, InconsistentDatum, ParamOutOfRange,
+                     QSL2Error)
 from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants, named_algebra, substitute)
@@ -616,6 +617,9 @@ class DihedralModel:
 
 
 def dihedral_model(m: int) -> DihedralModel:
+    if m < 1:
+        raise ParamOutOfRange(f"the dihedral group of order 2m needs m >= 1, "
+                              f"got {m}")
     conductor = 2 * m
     qp = lambda k: CycRat.q_power(conductor, k % conductor)
     zero = CycRat.zero(conductor)

@@ -250,6 +250,26 @@ def test_interreduction_failure_exit_2_with_context(capsys, monkeypatch):
         assert item in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "widehat", "--ell", "0"], "needs ell >= 3"),
+    (["dim", "widehat", "--ell", "4"], "widehat needs odd ell"),
+    (["dim", "oq-sl2", "--ell", "0"], "needs ell >= 3"),
+    (["verify", "axioms", "oq-sl2", "--ell", "0"], "needs ell >= 3"),
+    (["verify", "normal", "N", "--ell", "3"], "N needs even ell"),
+    (["verify", "morphism", "dihedral", "--m", "0"], "needs m >= 1, got 0"),
+    (["grouplikes", "taft", "--ell", "0"], "needs odd ell >= 3, got 0"),
+    (["grouplikes", "cz2n", "--n", "0"], "needs n >= 1"),
+])
+def test_parameter_out_of_range_exit_2(capsys, argv, message):
+    # an explicit 0 is range-checked, not replaced by the default
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_usage_error_exit_64():
     assert main(["frobnicate"]) == 64
     assert main([]) == 64

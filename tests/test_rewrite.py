@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,8 +9,9 @@ from qsl2 import rewrite
 from qsl2.cyclo import CycRat
 from qsl2.errors import CompletionFailure
 from qsl2.ncalg import MonomialOrder, NCPoly
-from qsl2.presentations import oq_sl2, o_minus1_sl2, quotient_ideal
-from qsl2.rewrite import (Reducer, _Completer, _descending_key,
+from qsl2.presentations import (classical_sl2, oq_sl2, o_minus1_sl2,
+                                quotient_ideal)
+from qsl2.rewrite import (Presentation, Reducer, _Completer, _descending_key,
                           build_presentation, check_confluence, dimension,
                           enumerate_basis, normal_form, quotient_presentation)
 
@@ -379,6 +381,152 @@ def test_find_redex_prefers_longest_lhs_at_leftmost_position():
     for word in [(0, 1, 2), (0, 1, 0), (2, 0, 1, 2), (2, 2, 1), (0, 0), ()]:
         assert red.find_redex(word) == brute_redex(rules, word)
     assert red.find_redex((2, 0, 1, 2)) == (1, 3, (0, 1, 2))
+
+
+def is_factor_free(lhss):
+    return not any(u != v and rewrite._contains(v, u)
+                   for u in lhss for v in lhss)
+
+
+def rule_sets(ngens, factor_free):
+    """Sets of one to six left-hand sides of length 1-5 over ngens letters,
+    pruned to a factor-free set when asked (no lhs a factor of another)."""
+    lhs = st.lists(st.integers(min_value=0, max_value=ngens - 1),
+                   min_size=1, max_size=5).map(tuple)
+
+    def prune(lhss):
+        kept = []
+        for u in sorted(lhss, key=len):
+            if not any(rewrite._contains(u, v) for v in kept):
+                kept.append(u)
+        return kept
+
+    sets = st.lists(lhs, min_size=1, max_size=6, unique=True)
+    return sets.map(prune) if factor_free else sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_find_redex_matches_brute_force_on_random_rule_sets(data):
+    ngens = data.draw(st.integers(min_value=1, max_value=4))
+    factor_free = data.draw(st.booleans())
+    lhss = data.draw(rule_sets(ngens, factor_free))
+    rules = {lhs: {} for lhs in lhss}
+    red = Reducer(MonomialOrder(ngens), 1, rules)
+    # slack 0 exactly when the set is factor-free
+    assert (red._build_automaton()[2] == 0) == is_factor_free(lhss)
+    letters = st.integers(min_value=0, max_value=ngens - 1)
+    for word in data.draw(st.lists(st.lists(letters, max_size=14).map(tuple),
+                                   min_size=1, max_size=20)):
+        assert red.find_redex(word) == brute_redex(rules, word)
+
+
+# a factor in the middle of an lhs (b in abc) shows only as an output
+# inherited along a failure link, at a state that spells no lhs itself
+@pytest.mark.parametrize("lhss, word, expected", [
+    ([(0, 1), (1,)], (0, 1), (0, 2, (0, 1))),           # suffix
+    ([(0, 1, 2), (1,)], (0, 1, 0), (1, 1, (1,))),       # middle factor
+    ([(0, 1, 2), (1,)], (0, 1, 2), (0, 3, (0, 1, 2))),
+    ([(0,), (0, 1, 1)], (2, 0, 1, 1), (1, 3, (0, 1, 1))),  # prefix
+    ([(1, 1), (0, 1, 1, 1)], (0, 1, 1, 1), (0, 4, (0, 1, 1, 1))),
+])
+def test_find_redex_on_rule_sets_that_are_not_factor_free(lhss, word,
+                                                          expected):
+    rules = {lhs: {} for lhs in lhss}
+    red = Reducer(MonomialOrder(3), 1, rules)
+    assert red._build_automaton()[2] == max(map(len, lhss)) - 1
+    assert red.find_redex(word) == brute_redex(rules, word) == expected
+
+
+def test_find_redex_through_completer_additions_retirements_and_collapse():
+    one = CycRat.one(1)
+    letters = st.integers(min_value=0, max_value=2)
+    words = st.lists(letters, max_size=12).map(tuple)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lhss=st.lists(st.lists(letters, min_size=1, max_size=4).map(tuple),
+                         min_size=1, max_size=8),
+           probes=st.lists(words, min_size=1, max_size=5))
+    def agrees(lhss, probes):
+        comp = _Completer(("x", "y", "z"), MonomialOrder(3), 1, 6, 100)
+        for lhs in lhss:
+            if lhs in comp.rules:
+                continue
+            comp._add_rule(lhs, {(): one})
+            # the automaton is rebuilt after every change, retirements too
+            for word in probes:
+                assert comp.find_redex(word) == brute_redex(comp.rules, word)
+        comp._orient({(): one})
+        assert comp.collapsed and comp.rules == {}
+        for word in probes:
+            assert comp.find_redex(word) is None
+
+    agrees()
+
+
+def test_find_redex_over_300_letters():
+    rng = random.Random(7)
+    lhss = [(299, 0), (150, 150, 150), (7,), (256, 255, 257), (3, 299, 3, 299)]
+    rules = {lhs: {} for lhs in lhss}
+    red = Reducer(MonomialOrder(300), 1, rules)
+    assert red._build_automaton()[2] == 0
+    for _ in range(300):
+        word = [rng.choice((0, 3, 150, 255, 256, 257, 299, rng.randrange(300)))
+                for _ in range(rng.randrange(16))]
+        if word and rng.random() < 0.5:
+            k = rng.randrange(len(word) + 1)
+            word[k:k] = rng.choice(lhss)
+        word = tuple(word)
+        assert red.find_redex(word) == brute_redex(rules, word)
+
+
+def test_shipped_presentations_are_factor_free(oq5):
+    quot = quotient_presentation(oq_sl2(3).pres, quotient_ideal("widehat", 3),
+                                 complete_to=9)
+    for pres in (oq5.pres, quot, o_minus1_sl2().pres, classical_sl2().pres):
+        assert pres._build_automaton()[2] == 0
+
+
+def brute_basis(pres, max_len):
+    """Irreducible words by length, filtered from all words in order."""
+    if pres.collapsed:
+        return [[] for _ in range(max_len + 1)]
+    ngens = pres.order.ngens
+    lhss = [lhs for lhs in pres.rules if lhs]
+    return [[w for w in itertools.product(range(ngens), repeat=n)
+             if () not in pres.rules
+             and not any(rewrite._contains(w, lhs) for lhs in lhss)]
+            for n in range(max_len + 1)]
+
+
+def not_factor_free_presentation():
+    gens = ("x", "y", "z")
+    rules = {(0, 1): {}, (0, 1, 2): {}, (1, 1): {}, (2, 0, 2): {}, (0, 2): {}}
+    return Presentation(gens, MonomialOrder(3), 1, rules, [], "generic", None,
+                        8, False)
+
+
+def collapsed_presentation():
+    gens = ("x", "y")
+    x, one = NCPoly.generator(gens, 1, 0), NCPoly.one(gens, 1)
+    pres = build_presentation(gens, MonomialOrder(2),
+                              [x - one, x - one - one], 1)
+    assert pres.collapsed
+    return pres
+
+
+@pytest.mark.parametrize("make, max_len", [
+    (lambda: oq_sl2(5).pres, 5),
+    (lambda: quotient_presentation(oq_sl2(3).pres,
+                                   quotient_ideal("widehat", 3),
+                                   complete_to=9), 6),
+    (lambda: classical_sl2().pres, 5),
+    (collapsed_presentation, 4),
+    (not_factor_free_presentation, 6),
+])
+def test_enumerate_basis_matches_brute_force_filter(make, max_len):
+    pres = make()
+    assert enumerate_basis(pres, max_len) == brute_basis(pres, max_len)
 
 
 @settings(max_examples=60, deadline=None)
