@@ -8,6 +8,7 @@ report schema is uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .cyclo import CycRat
 from .errors import ParamOutOfRange, UnknownEntry
@@ -51,42 +52,25 @@ def _require(cond: bool, message: str):
         raise ParamOutOfRange(message)
 
 
-def _verify_widehat(ell: int) -> CatalogEntry:
-    _require(ell % 2 == 1 and ell >= 3, "widehat-dual needs odd ell >= 3")
-    entry = CatalogEntry("widehat-dual", {"ell": ell},
-                         {"dimension": ell ** 3,
-                          "claim": "quotient dimension is ell^3"})
+def _verify_dual(kind: str, ell: int) -> CatalogEntry:
+    if kind == "widehat":
+        _require(ell % 2 == 1 and ell >= 3, "widehat-dual needs odd ell >= 3")
+        dim, claim = ell ** 3, "quotient dimension is ell^3"
+    else:
+        _require(ell % 2 == 0 and ell >= 4, "overline-dual needs even ell >= 4")
+        dim, claim = 2 * (ell // 2) ** 3, "quotient dimension is 2 m^3"
+    entry = CatalogEntry(f"{kind}-dual", {"ell": ell},
+                         {"dimension": dim, "claim": claim})
     alg = oq_sl2(ell)
-    ideal = quotient_ideal("widehat", ell)
-    quot = quotient_presentation(alg.pres, ideal, complete_to=3 * ell,
-                                 label=f"widehat-{ell}")
-    res = dimension(quot, 3 * ell)
+    ideal = quotient_ideal(kind, ell)
+    quot = quotient_presentation(alg.pres, ideal, label=f"{kind}-{ell}")
+    res = dimension(quot)
     entry.results.append(CheckResult(
-        "dimension", quot.label, res.finite and res.value == ell ** 3,
-        f"{res!r}, expected {ell ** 3}"))
+        "dimension", quot.label, res.finite and res.value == dim,
+        f"{res!r}, expected {dim}"))
     entry.results.append(CheckResult(
         "confluence", quot.label, check_confluence(quot, 8) == []))
-    entry.results.extend(is_hopf_ideal(alg, ideal, completion_bound=3 * ell))
-    return entry
-
-
-def _verify_overline(ell: int) -> CatalogEntry:
-    _require(ell % 2 == 0 and ell >= 4, "overline-dual needs even ell >= 4")
-    m = ell // 2
-    entry = CatalogEntry("overline-dual", {"ell": ell},
-                         {"dimension": 2 * m ** 3,
-                          "claim": "quotient dimension is 2 m^3"})
-    alg = oq_sl2(ell)
-    ideal = quotient_ideal("overline", ell)
-    quot = quotient_presentation(alg.pres, ideal, complete_to=2 * ell + 2,
-                                 label=f"overline-{ell}")
-    res = dimension(quot, 2 * ell + 2)
-    entry.results.append(CheckResult(
-        "dimension", quot.label, res.finite and res.value == 2 * m ** 3,
-        f"{res!r}, expected {2 * m ** 3}"))
-    entry.results.append(CheckResult(
-        "confluence", quot.label, check_confluence(quot, 8) == []))
-    entry.results.extend(is_hopf_ideal(alg, ideal, completion_bound=2 * ell + 2))
+    entry.results.extend(is_hopf_ideal(alg, ideal))
     return entry
 
 
@@ -316,8 +300,8 @@ def _verify_battery(ell: int) -> CatalogEntry:
 
 
 _BUILDERS = {
-    "widehat-dual": (_verify_widehat, ("ell",)),
-    "overline-dual": (_verify_overline, ("ell",)),
+    "widehat-dual": (partial(_verify_dual, "widehat"), ("ell",)),
+    "overline-dual": (partial(_verify_dual, "overline"), ("ell",)),
     "taft": (_verify_taft, ("ell",)),
     "cz2n": (_verify_cz2n, ("n",)),
     "cz2mn": (_verify_cz2mn, ("ell", "n")),

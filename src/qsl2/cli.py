@@ -3,7 +3,8 @@
 JSON is the single source of truth; the text format is rendered from the
 JSON document.  --format and --output go before or after the subcommand;
 --probe-bound (default 10) belongs to construct, verify and dim, the
-commands that read it.  Each report's config lists exactly the settings
+commands that read it, and bounds counting and completion only where
+completion cannot finish.  Each report's config lists exactly the settings
 that produced it.  An option left out takes its default; an explicit value,
 0 included, is range-checked.  Exit codes: 0 all green, 1 internal error,
 2 datum, parameter or check failure (a completion that hits its cap
@@ -23,9 +24,10 @@ from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
                    is_hopf_ideal, named_algebra)
-from .presentations import (classical_sl2, distinguished_subalgebra, oq_sl2,
-                            quotient_ideal, sl2_algebra, _sl2_hopf)
-from .rewrite import dimension, quotient_presentation
+from .presentations import (classical_sl2, distinguished_subalgebra,
+                            o_minus1_sl2, oq_sl2, quotient_ideal, sl2_algebra,
+                            _sl2_hopf)
+from .rewrite import DEFAULT_PROBE_BOUND, dimension, quotient_presentation
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                         datum_equiv, exact_sequence_shadow,
                         verify_dihedral_quotient)
@@ -67,9 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         _add_common(p, suppress=True)
         if probe_bound:
-            p.add_argument("--probe-bound", type=int, default=10,
-                           help="least completion bound and basis probe "
-                                "length (default 10)")
+            p.add_argument("--probe-bound", type=int,
+                           default=DEFAULT_PROBE_BOUND,
+                           help="basis probe length and completion bound "
+                                "where completion cannot finish (default 10)")
         return p
 
     p = add_sub("construct", _cmd_construct, probe_bound=True,
@@ -226,7 +229,7 @@ def _verify_dispatch(args) -> list:
         ell = _given(args.ell, 3 if subject == "widehat" else 4)
         alg = oq_sl2(ell)
         ideal = quotient_ideal(subject, ell)
-        return is_hopf_ideal(alg, ideal, completion_bound=3 * ell)
+        return is_hopf_ideal(alg, ideal)
     if target == "sequence":
         if subject == "cz2n":
             n = _given(args.n, 2)
@@ -292,25 +295,23 @@ def _cmd_catalog(args) -> dict:
 
 def _cmd_dim(args) -> dict:
     name = args.name
-    defaults = {"oq-sl2": 3, "widehat": 3, "overline": 4,
-                "o-minus1-sl2": 2, "classical-sl2": 1}
-    ell = _given(args.ell, defaults[name])
-    config = {"name": name, "ell": ell, "probe_bound": args.probe_bound}
-    base_bound = max(args.probe_bound, 8)
-    if name == "classical-sl2":
-        pres = classical_sl2(complete_to=base_bound).pres
-    elif name == "o-minus1-sl2":
-        pres = sl2_algebra("minus_one", 2, complete_to=base_bound).pres
-    elif name == "oq-sl2":
-        pres = oq_sl2(ell, complete_to=base_bound).pres
+    config = {"name": name, "probe_bound": args.probe_bound}
+    if name in ("classical-sl2", "o-minus1-sl2"):
+        if args.ell is not None:
+            raise _UsageError(f"--ell does not apply to {name}")
+        pres = (classical_sl2() if name == "classical-sl2" else
+                o_minus1_sl2(complete_to=args.probe_bound)).pres
     else:
-        alg = oq_sl2(ell)
-        bound = max(args.probe_bound, 3 * ell)
-        pres = quotient_presentation(alg.pres, quotient_ideal(name, ell),
-                                     complete_to=bound, label=f"{name}-{ell}")
-    res = dimension(pres, max(args.probe_bound, pres.completion_bound))
+        ell = config["ell"] = _given(args.ell, 4 if name == "overline" else 3)
+        if name == "oq-sl2":
+            pres = oq_sl2(ell, complete_to=args.probe_bound).pres
+        else:
+            pres = quotient_presentation(oq_sl2(ell).pres,
+                                         quotient_ideal(name, ell),
+                                         label=f"{name}-{ell}")
+    res = dimension(pres, args.probe_bound)
     return _report("dim", config, [], "pass", dimension=repr(res),
-                   counts=res.counts, provisional=res.provisional)
+                   counts=res.counts, confluence=pres.confluence)
 
 
 def _cmd_grouplikes(args) -> dict:
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        if getattr(args, "probe_bound", 0) < 0:
+            raise ParamOutOfRange(
+                f"--probe-bound needs a length >= 0, got {args.probe_bound}")
         return _emit(args.run(args), args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

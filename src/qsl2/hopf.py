@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycRat, embed_scalar
-from .errors import NotFiniteDimensional, QSL2Error
+from .errors import QSL2Error
 from .exactla import Echelon, addto, kernel_of_columns, span_closure
 from .ncalg import EMPTY_WORD, NCPoly, TensorPoly, render_poly
-from .rewrite import (Presentation, basis_words, dimension, enumerate_basis,
-                      normal_form, quotient_presentation, tensor_normal_form,
-                      _word_name)
+from .rewrite import (Presentation, basis_words, complete_further,
+                      enumerate_basis, normal_form, quotient_presentation,
+                      tensor_normal_form, _word_name)
 
 
 @dataclass
@@ -227,15 +227,9 @@ class FiniteModel:
     the test suite anyway.
     """
 
-    def __init__(self, alg: NamedAlgebra, probe_bound: int | None = None):
+    def __init__(self, alg: NamedAlgebra):
         self.alg = alg
-        pres = alg.pres
-        bound = probe_bound or max(pres.completion_bound, 10)
-        dim_res = dimension(pres, bound)
-        if not dim_res.finite:
-            raise NotFiniteDimensional(
-                f"{alg.label}: not finite at probe bound {bound}")
-        self.basis = basis_words(pres, bound)
+        self.basis = basis_words(alg.pres)
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._mult: dict = {}
@@ -361,12 +355,10 @@ def grouplikes(model: FiniteModel) -> GrouplikeReport:
 # -- Hopf ideals ------------------------------------------------------------------
 
 
-def is_hopf_ideal(alg: NamedAlgebra, gens: list[NCPoly],
-                  completion_bound: int | None = None) -> list[CheckResult]:
+def is_hopf_ideal(alg: NamedAlgebra, gens: list[NCPoly]) -> list[CheckResult]:
     """Counit kills each generator; Delta and S land in the induced ideal."""
     results = []
-    quot = quotient_presentation(alg.pres, gens, completion_bound,
-                                 label=f"{alg.label}/J")
+    quot = quotient_presentation(alg.pres, gens, label=f"{alg.label}/J")
     for j in gens:
         text = render_poly(j, alg.pres.order)
         e = alg.counit(j)
@@ -420,10 +412,17 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
     results = []
     max_elem_deg = max(max((len(w) for w in e.terms), default=0)
                        for e in elements)
-    # ad_g(x) = sum u x S(v) has degree at most deg x + 2 for a generator g
-    span = subalgebra_span(alg, elements, max_elem_deg + 2)
+    # ad_g(x) = sum u x S(v) has degree at most deg x + 2 for a generator g;
+    # normal forms of words that long must be unique
+    degree = max_elem_deg + 2
+    bound = alg.pres.completion_bound
+    if bound is not None and bound < degree:
+        alg = NamedAlgebra(complete_further(alg.pres, degree), alg.hopf,
+                           alg.label)
+    span = subalgebra_span(alg, elements, degree)
     for x in elements:
         xt = render_poly(x, alg.pres.order)
+        x = alg.nf(x)           # reduced once, not in every adjoint term
         for g in range(len(alg.gens)):
             dg = alg.hopf.delta[g]
             left = alg.pres.zero()

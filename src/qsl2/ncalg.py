@@ -8,7 +8,6 @@ zero coefficients; all operations are pure and return fresh objects.
 from __future__ import annotations
 
 import operator
-import re
 
 from .cyclo import CycRat, parse_scalar
 from .errors import MixedAlgebras
@@ -293,9 +292,6 @@ def render_poly(p: NCPoly, order: MonomialOrder | None = None) -> str:
     for t in parts[1:]:
         out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
     return out
-
-
-_TOKEN = re.compile(r"\s*(\(|\)|\^|\*|\+|-|/|[0-9]+|[A-Za-z_][A-Za-z_0-9]*)")
 
 
 def parse_poly(text: str, gens, ell: int) -> NCPoly:

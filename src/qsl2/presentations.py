@@ -96,23 +96,23 @@ def o_minus1_sl2(conductor: int = 2,
     return named_algebra(pres, delta, counit, antipode, pres.label)
 
 
-def sl2_algebra(parity: str, ell: int, conductor: int | None = None,
-                complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
+def sl2_algebra(parity: str, ell: int,
+                conductor: int | None = None) -> NamedAlgebra:
     if parity == "minus_one":
-        return o_minus1_sl2(conductor or 2, complete_to)
-    return oq_sl2(ell, conductor, complete_to)
+        return o_minus1_sl2(conductor or 2)
+    return oq_sl2(ell, conductor)
 
 
-def classical_sl2(conductor: int = 1,
-                  complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
-    """Commutative coordinate ring of SL2 with its standard Hopf maps."""
+def classical_sl2(conductor: int = 1) -> NamedAlgebra:
+    """Commutative coordinate ring of SL2 with its standard Hopf maps; its
+    completion is finite (seven rules) and runs to the end."""
     ell = conductor
     mono = lambda w, c=None: NCPoly.monomial(XGENS, ell, w, c)
     rels = [mono((j, i)) - mono((i, j))
             for i in range(4) for j in range(i + 1, 4)]
     rels.append(mono((0, 3)) - mono((1, 2)) - NCPoly.one(XGENS, ell))
     pres = build_presentation(XGENS, MonomialOrder(4), rels, ell, None,
-                              "classical", complete_to, label="classical-sl2")
+                              "classical", None, label="classical-sl2")
 
     def entry(i, j):
         return 2 * (i - 1) + (j - 1)
@@ -149,7 +149,7 @@ class PSL2Model:
     """
 
     def __init__(self, max_deg: int = 8, conductor: int = 1):
-        self.alg = classical_sl2(conductor, complete_to=max(8, max_deg + 2))
+        self.alg = classical_sl2(conductor)
         self.max_deg = max_deg
         self.levels = enumerate_basis(self.alg.pres, max_deg)
 

@@ -1,13 +1,13 @@
 """Confluent rewriting modulo oriented relations in the free algebra.
 
-A Presentation owns an interreduced, bounded-completed rule set.  Rules
-always rewrite a word to a polynomial that is strictly smaller under the
+A Presentation owns an interreduced, completed rule set.  Rules always
+rewrite a word to a polynomial that is strictly smaller under the
 presentation's monomial order, so rewriting terminates unconditionally;
-bounded overlap completion (diamond lemma) then makes normal forms unique
-for every word up to the completion bound.  Irreducible words of length n
-are exactly the dimension-n basis of the quotient whenever n is below the
-bound, and the irreducible language is closed under subwords, which makes
-an empty length conclusive for finite dimensionality.
+overlap completion (diamond lemma) then makes normal forms unique for every
+word, or up to the bound where completion was cut.  Irreducible words of
+length n are the dimension-n basis of the quotient wherever normal forms
+are unique, and the irreducible language is closed under subwords, which
+makes an empty length conclusive for finite dimensionality.
 
 Presentation and the completer share one reduction engine, Reducer:
 
@@ -36,13 +36,15 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cyclo import CycRat
-from .errors import CompletionFailure
+from .cyclo import CycRat, parse_scalar
+from .errors import CompletionFailure, NotFiniteDimensional
 from .exactla import addto
 from .ncalg import (EMPTY_WORD, MonomialOrder, NCPoly, TensorPoly, parse_poly,
                     render_poly, _render_word_named)
 
+# the PBW base algebras have an infinite Groebner basis: bound their completion
 DEFAULT_COMPLETION_BOUND = 8
+DEFAULT_PROBE_BOUND = 10
 DEFAULT_MAX_RULES = 30000
 
 
@@ -283,15 +285,21 @@ class Presentation(Reducer):
 
     def __init__(self, gens, order: MonomialOrder, ell: int, rules: dict,
                  defining, parity: str, q: CycRat | None,
-                 completion_bound: int, collapsed: bool, label: str = ""):
+                 completion_bound: int | None, collapsed: bool, label=""):
         super().__init__(order, ell, rules)
         self.gens = tuple(gens)
         self.q = q                  # distinguished root of unity, if any
         self.parity = parity
         self.defining = list(defining)
-        self.completion_bound = completion_bound
+        self.completion_bound = completion_bound    # None when complete
         self.collapsed = collapsed
         self.label = label
+
+    @property
+    def confluence(self) -> str:
+        """"complete", or "bounded(N)": overlaps resolve up to length N."""
+        bound = self.completion_bound
+        return "complete" if bound is None else f"bounded({bound})"
 
     # -- vocabulary ----------------------------------------------------------
 
@@ -339,7 +347,7 @@ class Presentation(Reducer):
             "q": self.q.render() if self.q is not None else None,
             "parity": self.parity,
             "label": self.label,
-            "completion_bound": self.completion_bound,
+            "confluence": self.confluence,
             "collapsed": self.collapsed,
             "rules": [
                 {"lhs": _render_word_named(self.gens, r.lhs) or "1",
@@ -352,9 +360,7 @@ class Presentation(Reducer):
 
 def presentation_from_json(doc: dict) -> Presentation:
     """Rebuild a presentation from its to_json document (relations are
-    re-oriented and re-completed to the recorded bound)."""
-    from .cyclo import parse_scalar
-
+    re-oriented and re-completed as its confluence field records)."""
     gens = tuple(doc["generators"])
     order_doc = doc.get("order", {})
     order = MonomialOrder(len(gens),
@@ -363,10 +369,11 @@ def presentation_from_json(doc: dict) -> Presentation:
     ell = doc["ell"]
     q = parse_scalar(ell, doc["q"]) if doc.get("q") else None
     relations = [parse_poly(text, gens, ell) for text in doc["defining"]]
+    confluence = doc.get("confluence", f"bounded({DEFAULT_COMPLETION_BOUND})")
+    bound = (None if confluence == "complete" else
+             int(confluence.removeprefix("bounded(").removesuffix(")")))
     return build_presentation(gens, order, relations, ell, q,
-                              doc.get("parity", "generic"),
-                              doc.get("completion_bound",
-                                      DEFAULT_COMPLETION_BOUND),
+                              doc.get("parity", "generic"), bound,
                               label=doc.get("label", ""))
 
 
@@ -403,7 +410,10 @@ def tensor_normal_form(pres: Presentation, t: TensorPoly) -> TensorPoly:
 
 
 class _Completer(Reducer):
-    """Bounded overlap completion over an evolving, interreduced rule set."""
+    """Overlap completion over an evolving, interreduced rule set; overlaps
+    longer than the bound (if any) are cut and their lhs pairs kept in cut.
+    Processed overlaps stay resolved, so the result is complete when no cut
+    pair survives: no confluence pass is needed."""
 
     def __init__(self, gens, order, ell, bound, max_rules):
         super().__init__(order, ell, {})
@@ -415,6 +425,7 @@ class _Completer(Reducer):
         self.eqs = deque()
         self.retired = 0            # rules retired so far
         self.last_overlap = None    # (word, lhs1, lhs2) processed last
+        self.cut: set = set()       # (lhs1, lhs2) with an overlap past bound
 
     def run(self, relations):
         for rel in relations:
@@ -487,17 +498,23 @@ class _Completer(Reducer):
             bound=self.bound, rules=len(self.rules), agenda=len(self.agenda),
             last_overlap=self.last_overlap)
 
-    def _schedule_overlaps(self, l1, l2):
-        for k, w in _overlaps(l1, l2, self.bound):
+    def _schedule_overlaps(self, l1, l2, resolved=0):
+        # overlaps up to length resolved are known to resolve
+        for k, w in _overlaps(l1, l2):
+            if len(w) <= resolved:
+                continue
+            if self.bound is not None and len(w) > self.bound:
+                self.cut.add((l1, l2))
+                continue
             self.counter += 1
             heapq.heappush(self.agenda, (len(w), self.counter, w, l1, l2, k))
 
 
-def _overlaps(l1, l2, max_len):
+def _overlaps(l1, l2):
     """(k, word) for each k, ascending, where the last k letters of l1 are
-    the first k of l2 and the overlap word l1 + l2[k:] has length <= max_len."""
+    the first k of l2; the overlap word is l1 + l2[k:]."""
     for k in range(1, min(len(l1), len(l2))):
-        if l1[-k:] == l2[:k] and len(l1) + len(l2) - k <= max_len:
+        if l1[-k:] == l2[:k]:
             yield k, l1 + l2[k:]
 
 
@@ -519,12 +536,30 @@ def _contains(haystack, needle) -> bool:
 def build_presentation(gens, order, relations, ell, q=None, parity="generic",
                        complete_to=DEFAULT_COMPLETION_BOUND,
                        max_rules=DEFAULT_MAX_RULES, label="") -> Presentation:
-    """Orient relations, interreduce, and complete overlaps up to the bound."""
+    """Orient relations, interreduce, and complete overlaps up to the bound
+    complete_to, or until none is left when it is None."""
     comp = _Completer(tuple(gens), order, ell, complete_to, max_rules)
     comp.run([dict(r.terms) for r in relations])
+    return _presentation(comp, relations, parity, q, label)
+
+
+def complete_further(pres: Presentation, bound: int) -> Presentation:
+    """A bounded presentation completed to a larger bound; its overlaps up
+    to its own bound resolve already, so only longer ones are processed."""
+    comp = _Completer(pres.gens, pres.order, pres.ell, bound, DEFAULT_MAX_RULES)
+    comp.rules = dict(pres.rules)
+    for l1 in pres.rules:
+        for l2 in pres.rules:
+            comp._schedule_overlaps(l1, l2, pres.completion_bound)
+    comp.run([])
+    return _presentation(comp, pres.defining, pres.parity, pres.q, pres.label)
+
+
+def _presentation(comp: _Completer, relations, parity, q, label):
+    """A finished completion's presentation, right-hand sides canonical."""
+    gens, order, bound = comp.gens, comp.order, comp.bound
     rules = {}
     if not comp.collapsed:
-        # canonicalize right-hand sides against the final rule set
         for lhs in sorted(comp.rules, key=order.key):
             rules[lhs] = comp.nf_terms(comp.rules[lhs])
         for lhs in rules:
@@ -532,23 +567,24 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
                 if lhs != other and _contains(other, lhs):
                     raise CompletionFailure(
                         f"interreduction invariant broken at completion bound "
-                        f"{complete_to}: left-hand side {_word_name(gens, lhs)} "
+                        f"{bound}: left-hand side {_word_name(gens, lhs)} "
                         f"occurs in left-hand side {_word_name(gens, other)}, "
                         f"{len(rules)} rules",
-                        bound=complete_to, rules=len(rules), lhs=lhs,
+                        bound=bound, rules=len(rules), lhs=lhs,
                         occurs_in=other)
-    return Presentation(gens, order, ell, rules, relations, parity, q,
-                        complete_to, comp.collapsed, label)
+    cut = any(l1 in rules and l2 in rules for l1, l2 in comp.cut)
+    return Presentation(gens, order, comp.ell, rules, relations, parity, q,
+                        bound if cut else None, comp.collapsed, label)
 
 
 def quotient_presentation(pres: Presentation, extra_relations, complete_to=None,
                           label="") -> Presentation:
     """Quotient by appending generators of a two-sided ideal, then recomplete."""
-    bound = complete_to if complete_to is not None else pres.completion_bound
     rels = pres.defining + [normal_form(pres, r) for r in extra_relations]
     rels = [r for r in rels if not r.is_zero()]
     return build_presentation(pres.gens, pres.order, rels, pres.ell, pres.q,
-                              pres.parity, bound, label=label or pres.label)
+                              pres.parity, complete_to,
+                              label=label or pres.label)
 
 
 # -- confluence --------------------------------------------------------------
@@ -564,12 +600,12 @@ class OverlapReport:
 
 def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
     """All unresolved overlap ambiguities with overlap word length <= max_len."""
-    if pres.collapsed:
-        return []
     unresolved = []
     for l1 in pres.rules:
         for l2 in pres.rules:
-            for k, w in _overlaps(l1, l2, max_len):
+            for k, w in _overlaps(l1, l2):
+                if len(w) > max_len:
+                    continue
                 diff = pres.overlap_difference(l1, l2, k)
                 if diff:
                     unresolved.append(OverlapReport(
@@ -580,16 +616,18 @@ def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
 # -- basis enumeration and dimension ------------------------------------------
 
 
-def enumerate_basis(pres: Presentation, max_len: int) -> list[list[tuple]]:
-    """Irreducible words grouped by length, lengths 0..max_len."""
+def enumerate_basis(pres: Presentation,
+                    max_len: int | None) -> list[list[tuple]]:
+    """Irreducible words grouped by length, lengths 0..max_len; with max_len
+    None, through the first empty length."""
     if pres.collapsed:
-        return [[] for _ in range(max_len + 1)]
+        return [[] for _ in range((max_len or 0) + 1)]
     delta, out, _ = pres._automaton or pres._build_automaton()
     # each irreducible word with its automaton state: w + g is reducible iff
     # an lhs is a suffix of it, i.e. iff the state after g has an output
     levels = [[EMPTY_WORD] if EMPTY_WORD not in pres.rules else []]
     states = [0] * len(levels[0])
-    for _ in range(max_len):
+    while levels[-1] if max_len is None else len(levels) <= max_len:
         nxt, nxt_states = [], []
         for w, s in zip(levels[-1], states):
             for g, t in enumerate(delta[s]):
@@ -601,46 +639,52 @@ def enumerate_basis(pres: Presentation, max_len: int) -> list[list[tuple]]:
     return levels
 
 
+def _basis_levels(pres: Presentation, probe_bound: int) -> list[list[tuple]]:
+    """Irreducible words by length as far as they are a certified basis: all
+    of them on a complete presentation with finitely many, else the lengths
+    up to the probe and the completion bound."""
+    if pres.completion_bound is not None:
+        return enumerate_basis(pres, min(probe_bound, pres.completion_bound))
+    # the automaton states of irreducible words die out within as many
+    # lengths as there are states, unless they hold a cycle, which pumps an
+    # irreducible word without end
+    delta, out, _ = pres._automaton or pres._build_automaton()
+    level = {0}
+    for _ in delta:
+        level = {t for s in level for t in delta[s] if out[t] is None}
+        if not level:
+            return enumerate_basis(pres, None)
+    return enumerate_basis(pres, probe_bound)
+
+
 @dataclass
 class DimensionResult:
     finite: bool
     value: int                  # total dimension, or count seen up to the probe
     counts: list[int] = field(default_factory=list)
-    provisional: bool = False
 
     def __repr__(self):
         kind = "Finite" if self.finite else "InfiniteAtLeast"
-        flag = ", provisional" if self.provisional else ""
-        return f"{kind}({self.value}{flag})"
+        return f"{kind}({self.value})"
 
 
-def dimension(pres: Presentation, probe_bound: int = 10) -> DimensionResult:
-    """Count irreducible words until a length is empty (then conclusive)."""
-    if pres.collapsed:
-        return DimensionResult(True, 0, [0])
-    levels = enumerate_basis(pres, probe_bound)
-    counts, total = [], 0
-    for n, level in enumerate(levels):
+def dimension(pres: Presentation,
+              probe_bound: int = DEFAULT_PROBE_BOUND) -> DimensionResult:
+    """Count irreducible words by length until a length is empty (then
+    conclusive), over the lengths _basis_levels certifies."""
+    counts = []
+    for level in _basis_levels(pres, probe_bound):
         counts.append(len(level))
-        total += len(level)
         if not level:
-            provisional = n > pres.completion_bound
-            return DimensionResult(True, total, counts, provisional)
-    return DimensionResult(False, total, counts,
-                           provisional=probe_bound > pres.completion_bound)
+            return DimensionResult(True, sum(counts), counts)
+    return DimensionResult(False, sum(counts), counts)
 
 
-def basis_words(pres: Presentation, probe_bound: int = 10) -> list[tuple]:
+def basis_words(pres: Presentation,
+                probe_bound: int = DEFAULT_PROBE_BOUND) -> list[tuple]:
     """Sorted basis of a finite-dimensional quotient."""
-    from .errors import NotFiniteDimensional
-
-    if pres.collapsed:
-        return []
-    levels = enumerate_basis(pres, probe_bound)
-    out = []
-    for level in levels:
-        if not level:
-            return sorted(out, key=pres.order.key)
-        out.extend(level)
-    raise NotFiniteDimensional(
-        f"no empty length up to probe bound {probe_bound}")
+    levels = _basis_levels(pres, probe_bound)
+    if levels[-1]:
+        raise NotFiniteDimensional(
+            f"{pres.label}: no empty length up to {len(levels) - 1}")
+    return sorted((w for level in levels for w in level), key=pres.order.key)

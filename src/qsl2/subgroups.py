@@ -24,8 +24,8 @@ from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, XGENS, classical_sl2, phi_even_images,
                             phi_minus1_images, quotient_ideal, sl2_algebra,
                             _sl2_hopf)
-from .rewrite import (Presentation, dimension, enumerate_basis, normal_form,
-                      quotient_presentation)
+from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
+                      enumerate_basis, normal_form, quotient_presentation)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -250,8 +250,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
     conductor = max(w_order, 1)
     mats = _group_matrices(gamma, parity, exponent, conductor)
     max_deg = step * (order + 2)
-    classical = classical_sl2(conductor, complete_to=max_deg + 2)
-    ambient = classical.pres
+    ambient = classical_sl2(conductor).pres
     ideal: list[NCPoly] = []
     quot = ambient
     expected = order if parity == "odd" else 2 * order
@@ -269,10 +268,9 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
                     XGENS, conductor,
                     [(batch[i], c) for i, c in combo.items()]))
             quot = quotient_presentation(ambient, ideal,
-                                         complete_to=max_deg + 2,
                                          label="classical/kernel")
-        res = dimension(quot, max_deg + 1)
-        if res.finite and not res.provisional and res.value == expected:
+        res = dimension(quot)
+        if res.finite and res.value == expected:
             break
 
     certs = []
@@ -286,13 +284,11 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
                 bad = g
     certs.append(CheckResult("kernel-vanishes", gamma.kind, bad is None,
                              None if bad is None else render_poly(bad)))
-    res = dimension(quot, max_deg + 2)
     if parity == "odd":
         dim_ok = res.finite and res.value == order
         witness = f"dim {res.value} = |group| {order}"
     else:
-        levels = enumerate_basis(quot, res.counts and len(res.counts) or 1)
-        even_dim = sum(len(l) for i, l in enumerate(levels) if i % 2 == 0)
+        even_dim = sum(res.counts[::2])
         dim_ok = res.finite and even_dim == order and res.value == 2 * order
         witness = (f"even part {even_dim} = |group| {order}; "
                    f"total {res.value} = preimage order {2 * order}")
@@ -401,8 +397,12 @@ def _gamma_subalgebra_gens(parity: str, alg: NamedAlgebra) -> list[NCPoly]:
     return [images[pair] for pair in images]
 
 
-def construct_quotient(d: SubgroupDatum, probe_bound: int | None = None,
+def construct_quotient(d: SubgroupDatum,
+                       probe_bound: int = DEFAULT_PROBE_BOUND,
                        raise_on_inconsistent: bool = True) -> Construction:
+    """Run the three steps on a datum and certify the result.  A finite
+    group's quotients and the top H complete until no overlap is left; a
+    catalog group's infinite ambient completes to the probe bound."""
     violations = validate_datum(d)
     if violations:
         raise InconsistentDatum("; ".join(violations))
@@ -421,14 +421,8 @@ def construct_quotient(d: SubgroupDatum, probe_bound: int | None = None,
         w_order = 1
     conductor = lcm(base_ell, max(w_order, 1))
 
-    # completion must reach past the largest power relation in the pipeline
-    if gamma.finite:
-        scale = base_ell * max(order, 1) + 6
-    else:
-        scale = max(12, 2 * base_ell + 6)
-    bound = max(scale, probe_bound or 0)
-
-    base = sl2_algebra(parity, d.ell, conductor=conductor, complete_to=8)
+    bound = None if gamma.finite else probe_bound
+    base = sl2_algebra(parity, d.ell, conductor=conductor)
     transcript: dict = {"parity": parity, "ell": d.ell, "conductor": conductor,
                         "steps": []}
 
@@ -453,7 +447,7 @@ def construct_quotient(d: SubgroupDatum, probe_bound: int | None = None,
 
     pres2 = quotient_presentation(base.pres, step1 + step2, complete_to=bound,
                                   label=f"A[{parity},step2]")
-    dim2 = dimension(pres2, bound)
+    dim2 = dimension(pres2, probe_bound)
     transcript["after_step2_dim"] = repr(dim2)
 
     step3 = []
@@ -475,17 +469,15 @@ def construct_quotient(d: SubgroupDatum, probe_bound: int | None = None,
     algebra = named_algebra(pres3, delta_imgs, counit_imgs, antipode_imgs,
                             label=f"A_D({parity}, ell={d.ell}, "
                                   f"gamma={gamma.to_json()})")
-    dim_res = dimension(pres3, bound) if step3 else dim2
+    dim_res = dimension(pres3, probe_bound) if step3 else dim2
 
     h_ideal = step1 + _parity_augmentation_ideal(parity, d.ell, base)
     if d.N_generator is not None:
         h_ideal = h_ideal + [NCPoly.monomial(ABCD, conductor,
                                              (A,) * d.N_generator)
                              - base.pres.one()]
-    h_pres = quotient_presentation(base.pres, h_ideal,
-                                   complete_to=max(2 * base_ell + 6, 12),
-                                   label=f"H({parity})")
-    h_dim = dimension(h_pres, max(2 * base_ell + 6, 12))
+    h_pres = quotient_presentation(base.pres, h_ideal, label=f"H({parity})")
+    h_dim = dimension(h_pres, probe_bound)
 
     certificates = list(kernel_cert)
     # pipeline monotonicity: dimensions only shrink along the transcript
@@ -645,7 +637,7 @@ def verify_dihedral_quotient(m: int) -> list[CheckResult]:
     """
     model = dihedral_model(m)
     cond = model.conductor
-    base = sl2_algebra("minus_one", 2, conductor=cond, complete_to=8)
+    base = sl2_algebra("minus_one", 2, conductor=cond)
     results = []
     label = f"o-minus1-sl2 -> functions(D_{2 * m})"
     zero = CycRat.zero(cond)

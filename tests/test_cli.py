@@ -34,6 +34,8 @@ def test_construct_taft_report(capsys, tmp_path):
     assert doc["schema"] == "qsl2-report/1"
     assert doc["h_dimension"] == "Finite(25)"
     assert doc["status"] == "pass"
+    # the G_a ambient is infinite: completed to the probe bound
+    assert doc["presentation"]["confluence"] == "bounded(10)"
 
 
 def test_construct_inconsistent_exit_2(capsys):
@@ -94,7 +96,38 @@ def test_dim_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["dimension"] == "Finite(27)"
-    assert doc["provisional"] is False
+    assert doc["confluence"] == "complete"
+
+
+@pytest.mark.parametrize("name, confluence", [
+    ("classical-sl2", "complete"), ("oq-sl2", "bounded(10)")])
+def test_dim_of_an_infinite_algebra_counts_to_the_probe(capsys, name,
+                                                       confluence):
+    code, out = run(capsys, "--format", "json", "dim", name)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == "InfiniteAtLeast(506)"
+    assert doc["counts"] == [(n + 1) ** 2 for n in range(11)]
+    assert doc["confluence"] == confluence
+
+
+@pytest.mark.parametrize("name", ["classical-sl2", "o-minus1-sl2"])
+def test_dim_ell_on_an_algebra_with_fixed_root_is_usage_error(capsys, name):
+    # ell is 1 and 2 there; an --ell nothing reads is refused, not echoed
+    assert main(["dim", name, "--ell", "0"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --ell does not apply to {name}\n"
+
+
+def test_verify_normal_n_past_the_base_completion_bound(capsys):
+    # N at ell = 8 has elements of degree 8, so its adjoint actions reach
+    # degree 10, past the bound 8 the base algebra was completed to
+    code, out = run(capsys, "--format", "json", "verify", "normal", "N",
+                    "--ell", "8")
+    doc = json.loads(out)
+    assert [r["status"] for r in doc["results"]] == ["pass"] * 64
+    assert code == 0
 
 
 def test_grouplikes_command(capsys):
@@ -173,6 +206,7 @@ def test_options_nothing_reads_are_usage_errors(capsys, argv):
     (["construct", "--datum-json", TRIVIAL_ODD], {"datum", "probe_bound"}),
     (["equiv", "--datum1", TRIVIAL_ODD, "--datum2", TRIVIAL_ODD],
      {"datum1", "datum2"}),
+    (["dim", "classical-sl2"], {"name", "probe_bound"}),
 ])
 def test_config_lists_only_settings_read(capsys, monkeypatch, argv, keys):
     monkeypatch.setenv("QSL2_MAX_DEGREE", "11")
@@ -259,6 +293,7 @@ def test_interreduction_failure_exit_2_with_context(capsys, monkeypatch):
     (["verify", "morphism", "dihedral", "--m", "0"], "needs m >= 1, got 0"),
     (["grouplikes", "taft", "--ell", "0"], "needs odd ell >= 3, got 0"),
     (["grouplikes", "cz2n", "--n", "0"], "needs n >= 1"),
+    (["dim", "oq-sl2", "--probe-bound", "-1"], "needs a length >= 0, got -1"),
 ])
 def test_parameter_out_of_range_exit_2(capsys, argv, message):
     # an explicit 0 is range-checked, not replaced by the default

@@ -12,8 +12,9 @@ from qsl2.ncalg import MonomialOrder, NCPoly
 from qsl2.presentations import (classical_sl2, oq_sl2, o_minus1_sl2,
                                 quotient_ideal)
 from qsl2.rewrite import (Presentation, Reducer, _Completer, _descending_key,
-                          build_presentation, check_confluence, dimension,
-                          enumerate_basis, normal_form, quotient_presentation)
+                          build_presentation, check_confluence,
+                          complete_further, dimension, enumerate_basis,
+                          normal_form, quotient_presentation)
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +107,8 @@ def test_oq_infinite(oq5):
     res = dimension(oq5.pres, probe_bound=8)
     assert not res.finite
     assert res.value >= sum((n + 1) ** 2 for n in range(9))
-    assert not res.provisional
-    # probing past the completion bound flags the count provisional
-    assert dimension(oq5.pres, probe_bound=12).provisional
+    # a probe past the completion bound counts no length beyond it
+    assert dimension(oq5.pres, probe_bound=12).counts == res.counts
 
 
 @pytest.mark.parametrize("ell,expected", [(3, 27), (5, 125)])
@@ -117,7 +117,7 @@ def test_widehat_dimension(ell, expected):
     quot = quotient_presentation(alg.pres, quotient_ideal("widehat", ell),
                                  complete_to=3 * ell, label=f"widehat-{ell}")
     res = dimension(quot, probe_bound=3 * ell)
-    assert res.finite and not res.provisional
+    assert res.finite
     assert res.value == expected
 
 
@@ -127,7 +127,7 @@ def test_overline_dimension(ell, expected):
     quot = quotient_presentation(alg.pres, quotient_ideal("overline", ell),
                                  complete_to=2 * ell + 2, label=f"overline-{ell}")
     res = dimension(quot, probe_bound=2 * ell + 2)
-    assert res.finite and not res.provisional
+    assert res.finite
     assert res.value == expected
 
 
@@ -136,6 +136,74 @@ def test_widehat_dimension_larger():
                                  complete_to=23, label="widehat-7")
     res = dimension(quot, probe_bound=23)
     assert res.finite and res.value == 343
+
+
+# -- the completion certificate -------------------------------------------------
+
+FINITE_QUOTIENTS = [("widehat", 3), ("widehat", 5), ("widehat", 7),
+                    ("overline", 4), ("overline", 6), ("overline", 8)]
+
+
+@pytest.fixture(scope="module")
+def finite_quotients():
+    """The ladder quotients, completed until no overlap is left."""
+    return {(kind, ell): quotient_presentation(
+                oq_sl2(ell).pres, quotient_ideal(kind, ell),
+                label=f"{kind}-{ell}")
+            for kind, ell in FINITE_QUOTIENTS}
+
+
+def every_overlap(pres):
+    """The longest overlap two of its rules can have: 2 maxlhs - 1."""
+    return 2 * max(map(len, pres.rules)) - 1
+
+
+@pytest.mark.parametrize("kind,ell", FINITE_QUOTIENTS)
+def test_complete_quotients_resolve_every_overlap(finite_quotients, kind, ell):
+    pres = finite_quotients[kind, ell]
+    assert pres.completion_bound is None and pres.confluence == "complete"
+    assert check_confluence(pres, every_overlap(pres)) == []
+
+
+def test_classical_sl2_is_complete_and_infinite():
+    pres = classical_sl2().pres
+    assert pres.confluence == "complete"
+    assert check_confluence(pres, every_overlap(pres)) == []
+    # the automaton's irreducible part has a cycle: counted up to the probe
+    res = dimension(pres)
+    assert not res.finite and len(res.counts) == 11
+    assert repr(res) == "InfiniteAtLeast(506)"
+
+
+def test_base_algebra_is_bounded_with_open_overlaps(oq5):
+    assert oq5.pres.confluence == "bounded(8)"
+    assert check_confluence(oq5.pres, every_overlap(oq5.pres)) != []
+
+
+def test_dimension_of_a_complete_quotient_is_exact_past_the_probe(
+        finite_quotients):
+    # basis words of widehat-7 reach length 18, past the default probe 10
+    assert repr(dimension(finite_quotients["widehat", 7])) == "Finite(343)"
+    assert repr(dimension(finite_quotients["widehat", 7], 3)) == "Finite(343)"
+
+
+def test_positional_copy_keeps_the_certificate(finite_quotients):
+    # the copy the benchmark's fresh_presentation makes
+    p = finite_quotients["overline", 4]
+    copy = Presentation(p.gens, p.order, p.ell, p.rules, p.defining,
+                        p.parity, p.q, p.completion_bound, p.collapsed,
+                        p.label)
+    assert copy.completion_bound is None and copy.confluence == "complete"
+    assert repr(dimension(copy)) == "Finite(16)"
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_complete_further_matches_completion_from_scratch(ell):
+    # only overlaps past the first bound are processed, with the same rules
+    pres = complete_further(oq_sl2(ell).pres, 10)
+    assert pres.confluence == "bounded(10)"
+    assert pres.rules == oq_sl2(ell, complete_to=10).pres.rules
+    assert check_confluence(pres, 10) == []
 
 
 def test_random_ideal_members_reduce_to_zero():
@@ -166,16 +234,23 @@ def test_rules_order_compatible(oq5):
             assert order.compare(w, rule.lhs) == -1
 
 
-def test_json_roundtrip_presentation(oq5):
+def test_json_roundtrip_presentation(oq5, finite_quotients):
     from qsl2.rewrite import presentation_from_json
 
     doc = oq5.pres.to_json()
     assert doc["generators"] == ["a", "b", "c", "d"]
     assert doc["parity"] == "odd"
+    assert doc["confluence"] == "bounded(8)"
     assert any(r["lhs"] == "b*a" for r in doc["rules"])
     rebuilt = presentation_from_json(doc)
     assert rebuilt.rules == oq5.pres.rules
     assert rebuilt.q == oq5.pres.q
+    assert rebuilt.completion_bound == 8
+    quot = finite_quotients["widehat", 3]
+    doc = quot.to_json()
+    assert doc["confluence"] == "complete"
+    rebuilt = presentation_from_json(doc)
+    assert rebuilt.rules == quot.rules and rebuilt.completion_bound is None
 
 
 words5 = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(tuple)

@@ -1,10 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsl2.errors import InconsistentDatum
 from qsl2.hopf import FiniteModel, all_ok, grouplikes, named_algebra
 from qsl2.presentations import _sl2_hopf
-from qsl2.rewrite import normal_form
+from qsl2.rewrite import check_confluence, normal_form
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                             datum_equiv, dihedral_model, exact_sequence_shadow,
                             kernel_sigma_t, minus_one_classify,
@@ -178,6 +182,28 @@ def test_taft_pipeline():
     res = construct_quotient(d)
     assert not res.dim.finite
     assert res.h_dim.value == 9
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.mark.parametrize("seed", [3, 424242])
+def test_finite_constructions_are_complete(monkeypatch, seed):
+    # the finite data the construct benchmark generates at the seed
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cases = [c for c in workloads.construct_cases(seed)
+             if c.accept and c.dim.startswith("Finite")]
+    assert len(cases) == 22
+    for case in cases:
+        cons = construct_quotient(SubgroupDatum.from_json(case.datum))
+        for pres in (cons.algebra.pres, cons.h_pres):
+            assert pres.confluence == "complete", case.name
+            longest = 2 * max(map(len, pres.rules)) - 1
+            assert check_confluence(pres, longest) == [], case.name
 
 
 def test_validation_error_raises():
