@@ -13,9 +13,9 @@ from .cyclo import CycRat, embed_scalar
 from .errors import QSL2Error
 from .exactla import Echelon, addto, kernel_of_columns, span_closure
 from .ncalg import EMPTY_WORD, NCPoly, TensorPoly, render_poly
-from .rewrite import (Presentation, basis_words, complete_further,
-                      enumerate_basis, normal_form, quotient_presentation,
-                      tensor_normal_form, _word_name)
+from .rewrite import (Presentation, basis_words, enumerate_basis,
+                      normal_form, quotient_presentation, tensor_normal_form,
+                      _word_name)
 
 
 @dataclass
@@ -356,7 +356,8 @@ def grouplikes(model: FiniteModel) -> GrouplikeReport:
 
 
 def is_hopf_ideal(alg: NamedAlgebra, gens: list[NCPoly]) -> list[CheckResult]:
-    """Counit kills each generator; Delta and S land in the induced ideal."""
+    """Counit kills each generator; Delta and S land in the induced ideal.
+    The quotient must have a finite completion (see quotient_presentation)."""
     results = []
     quot = quotient_presentation(alg.pres, gens, label=f"{alg.label}/J")
     for j in gens:
@@ -417,8 +418,8 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
     degree = max_elem_deg + 2
     bound = alg.pres.completion_bound
     if bound is not None and bound < degree:
-        alg = NamedAlgebra(complete_further(alg.pres, degree), alg.hopf,
-                           alg.label)
+        alg = NamedAlgebra(quotient_presentation(alg.pres, [], degree),
+                           alg.hopf, alg.label)
     span = subalgebra_span(alg, elements, degree)
     for x in elements:
         xt = render_poly(x, alg.pres.order)

@@ -369,7 +369,9 @@ def presentation_from_json(doc: dict) -> Presentation:
     ell = doc["ell"]
     q = parse_scalar(ell, doc["q"]) if doc.get("q") else None
     relations = [parse_poly(text, gens, ell) for text in doc["defining"]]
-    confluence = doc.get("confluence", f"bounded({DEFAULT_COMPLETION_BOUND})")
+    # documents older than the confluence field record completion_bound
+    bound = doc.get("completion_bound", DEFAULT_COMPLETION_BOUND)
+    confluence = doc.get("confluence", f"bounded({bound})")
     bound = (None if confluence == "complete" else
              int(confluence.removeprefix("bounded(").removesuffix(")")))
     return build_presentation(gens, order, relations, ell, q,
@@ -535,31 +537,22 @@ def _contains(haystack, needle) -> bool:
 
 def build_presentation(gens, order, relations, ell, q=None, parity="generic",
                        complete_to=DEFAULT_COMPLETION_BOUND,
-                       max_rules=DEFAULT_MAX_RULES, label="") -> Presentation:
+                       max_rules=DEFAULT_MAX_RULES, label="",
+                       base: Presentation | None = None) -> Presentation:
     """Orient relations, interreduce, and complete overlaps up to the bound
-    complete_to, or until none is left when it is None."""
+    complete_to, or until none is left when it is None; over a base, from its
+    rules, skipping their overlaps up to its bound, which resolve already."""
     comp = _Completer(tuple(gens), order, ell, complete_to, max_rules)
+    if base is not None:
+        comp.rules, comp.collapsed = dict(base.rules), base.collapsed
+        for l1 in base.rules if base.completion_bound is not None else ():
+            for l2 in base.rules:
+                comp._schedule_overlaps(l1, l2, base.completion_bound)
     comp.run([dict(r.terms) for r in relations])
-    return _presentation(comp, relations, parity, q, label)
-
-
-def complete_further(pres: Presentation, bound: int) -> Presentation:
-    """A bounded presentation completed to a larger bound; its overlaps up
-    to its own bound resolve already, so only longer ones are processed."""
-    comp = _Completer(pres.gens, pres.order, pres.ell, bound, DEFAULT_MAX_RULES)
-    comp.rules = dict(pres.rules)
-    for l1 in pres.rules:
-        for l2 in pres.rules:
-            comp._schedule_overlaps(l1, l2, pres.completion_bound)
-    comp.run([])
-    return _presentation(comp, pres.defining, pres.parity, pres.q, pres.label)
-
-
-def _presentation(comp: _Completer, relations, parity, q, label):
-    """A finished completion's presentation, right-hand sides canonical."""
-    gens, order, bound = comp.gens, comp.order, comp.bound
+    defining = (base.defining if base is not None else []) + list(relations)
     rules = {}
     if not comp.collapsed:
+        # canonicalize right-hand sides against the final rule set
         for lhs in sorted(comp.rules, key=order.key):
             rules[lhs] = comp.nf_terms(comp.rules[lhs])
         for lhs in rules:
@@ -567,24 +560,26 @@ def _presentation(comp: _Completer, relations, parity, q, label):
                 if lhs != other and _contains(other, lhs):
                     raise CompletionFailure(
                         f"interreduction invariant broken at completion bound "
-                        f"{bound}: left-hand side {_word_name(gens, lhs)} "
+                        f"{complete_to}: left-hand side {_word_name(gens, lhs)} "
                         f"occurs in left-hand side {_word_name(gens, other)}, "
                         f"{len(rules)} rules",
-                        bound=bound, rules=len(rules), lhs=lhs,
+                        bound=complete_to, rules=len(rules), lhs=lhs,
                         occurs_in=other)
     cut = any(l1 in rules and l2 in rules for l1, l2 in comp.cut)
-    return Presentation(gens, order, comp.ell, rules, relations, parity, q,
-                        bound if cut else None, comp.collapsed, label)
+    return Presentation(gens, order, ell, rules, defining, parity, q,
+                        complete_to if cut else None, comp.collapsed, label)
 
 
 def quotient_presentation(pres: Presentation, extra_relations, complete_to=None,
                           label="") -> Presentation:
-    """Quotient by appending generators of a two-sided ideal, then recomplete."""
-    rels = pres.defining + [normal_form(pres, r) for r in extra_relations]
-    rels = [r for r in rels if not r.is_zero()]
+    """Quotient by a two-sided ideal, recompleted from the rules of pres until
+    no overlap is left unless complete_to bounds it; with no finite completion
+    (pres itself, say) that stops at the rule cap with CompletionFailure."""
+    rels = [p for p in (normal_form(pres, r) for r in extra_relations)
+            if not p.is_zero()]
     return build_presentation(pres.gens, pres.order, rels, pres.ell, pres.q,
                               pres.parity, complete_to,
-                              label=label or pres.label)
+                              label=label or pres.label, base=pres)
 
 
 # -- confluence --------------------------------------------------------------
@@ -616,18 +611,16 @@ def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
 # -- basis enumeration and dimension ------------------------------------------
 
 
-def enumerate_basis(pres: Presentation,
-                    max_len: int | None) -> list[list[tuple]]:
-    """Irreducible words grouped by length, lengths 0..max_len; with max_len
-    None, through the first empty length."""
+def enumerate_basis(pres: Presentation, max_len: int) -> list[list[tuple]]:
+    """Irreducible words grouped by length, lengths 0..max_len."""
     if pres.collapsed:
-        return [[] for _ in range((max_len or 0) + 1)]
+        return [[] for _ in range(max_len + 1)]
     delta, out, _ = pres._automaton or pres._build_automaton()
     # each irreducible word with its automaton state: w + g is reducible iff
     # an lhs is a suffix of it, i.e. iff the state after g has an output
     levels = [[EMPTY_WORD] if EMPTY_WORD not in pres.rules else []]
     states = [0] * len(levels[0])
-    while levels[-1] if max_len is None else len(levels) <= max_len:
+    for _ in range(max_len):
         nxt, nxt_states = [], []
         for w, s in zip(levels[-1], states):
             for g, t in enumerate(delta[s]):
@@ -641,19 +634,17 @@ def enumerate_basis(pres: Presentation,
 
 def _basis_levels(pres: Presentation, probe_bound: int) -> list[list[tuple]]:
     """Irreducible words by length as far as they are a certified basis: all
-    of them on a complete presentation with finitely many, else the lengths
-    up to the probe and the completion bound."""
+    if complete and finitely many, else up to the probe and the bound."""
     if pres.completion_bound is not None:
         return enumerate_basis(pres, min(probe_bound, pres.completion_bound))
-    # the automaton states of irreducible words die out within as many
-    # lengths as there are states, unless they hold a cycle, which pumps an
-    # irreducible word without end
+    # the states of irreducible words die out within as many lengths as
+    # there are states, unless a cycle among them pumps words without end
     delta, out, _ = pres._automaton or pres._build_automaton()
     level = {0}
-    for _ in delta:
+    for n in range(len(delta)):
         level = {t for s in level for t in delta[s] if out[t] is None}
         if not level:
-            return enumerate_basis(pres, None)
+            return enumerate_basis(pres, n + 1)
     return enumerate_basis(pres, probe_bound)
 
 

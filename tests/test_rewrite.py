@@ -12,9 +12,8 @@ from qsl2.ncalg import MonomialOrder, NCPoly
 from qsl2.presentations import (classical_sl2, oq_sl2, o_minus1_sl2,
                                 quotient_ideal)
 from qsl2.rewrite import (Presentation, Reducer, _Completer, _descending_key,
-                          build_presentation, check_confluence,
-                          complete_further, dimension, enumerate_basis,
-                          normal_form, quotient_presentation)
+                          build_presentation, check_confluence, dimension,
+                          enumerate_basis, normal_form, quotient_presentation)
 
 
 @pytest.fixture(scope="module")
@@ -198,12 +197,30 @@ def test_positional_copy_keeps_the_certificate(finite_quotients):
 
 
 @pytest.mark.parametrize("ell", [5, 8])
-def test_complete_further_matches_completion_from_scratch(ell):
-    # only overlaps past the first bound are processed, with the same rules
-    pres = complete_further(oq_sl2(ell).pres, 10)
+def test_quotient_of_a_bounded_base_matches_completion_from_scratch(ell):
+    # resumed from the bound-8 rules, only the longer overlaps are processed
+    pres = quotient_presentation(oq_sl2(ell).pres, [], complete_to=10)
     assert pres.confluence == "bounded(10)"
     assert pres.rules == oq_sl2(ell, complete_to=10).pres.rules
     assert check_confluence(pres, 10) == []
+
+
+def test_quotient_of_a_complete_base_matches_completion_from_scratch(
+        finite_quotients):
+    base = finite_quotients["widehat", 3]
+    quot = quotient_presentation(base, [base.poly("b")])
+    scratch = build_presentation(base.gens, base.order,
+                                 base.defining + [base.poly("b")], base.ell,
+                                 base.q, base.parity, None)
+    assert quot.rules == scratch.rules and quot.confluence == "complete"
+    assert repr(dimension(quot)) == "Finite(9)"
+
+
+def test_quotient_of_a_collapsed_base_is_collapsed(oq5):
+    zero = quotient_presentation(oq5.pres, [oq5.pres.one()])
+    assert zero.collapsed and zero.confluence == "complete"
+    quot = quotient_presentation(zero, [oq5.pres.gen("b")])
+    assert quot.collapsed and repr(dimension(quot)) == "Finite(0)"
 
 
 def test_random_ideal_members_reduce_to_zero():
@@ -246,6 +263,12 @@ def test_json_roundtrip_presentation(oq5, finite_quotients):
     assert rebuilt.rules == oq5.pres.rules
     assert rebuilt.q == oq5.pres.q
     assert rebuilt.completion_bound == 8
+    # a document older than the confluence field records completion_bound
+    del doc["confluence"]
+    doc["completion_bound"] = 10
+    rebuilt = presentation_from_json(doc)
+    assert rebuilt.rules == oq_sl2(5, complete_to=10).pres.rules
+    assert rebuilt.confluence == "bounded(10)"
     quot = finite_quotients["widehat", 3]
     doc = quot.to_json()
     assert doc["confluence"] == "complete"
