@@ -12,14 +12,14 @@ from functools import partial
 
 from .cyclo import CycRat
 from .errors import ParamOutOfRange, UnknownEntry
-from .hopf import (CheckResult, FiniteModel, all_ok, check_central,
-                   check_normal, grouplikes, is_hopf_ideal, named_algebra,
+from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
+                   check_central, check_normal, grouplikes, is_hopf_ideal,
                    run_battery, verify_hopf_morphism)
 from .ncalg import NCPoly, TensorPoly
 from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                             oq_sl2, phi_even_images, phi_minus1_images,
                             psl2_model, quotient_ideal, sl2_algebra,
-                            verify_psl2_embedding, _sl2_hopf)
+                            verify_psl2_embedding)
 from .rewrite import (check_confluence, dimension, normal_form,
                       quotient_presentation, tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
@@ -70,7 +70,7 @@ def _verify_dual(kind: str, ell: int) -> CatalogEntry:
         f"{res!r}, expected {dim}"))
     entry.results.append(CheckResult(
         "confluence", quot.label, check_confluence(quot, 8) == []))
-    entry.results.extend(is_hopf_ideal(alg, ideal))
+    entry.results.extend(is_hopf_ideal(alg, ideal, quot))
     return entry
 
 
@@ -87,28 +87,27 @@ def _verify_taft(ell: int) -> CatalogEntry:
         "ambient-infinite", cons.algebra.label, not cons.dim.finite,
         repr(cons.dim)))
     entry.results.append(CheckResult(
-        "dimension", cons.h_pres.label,
+        "dimension", cons.h.pres.label,
         cons.h_dim.finite and cons.h_dim.value == ell ** 2,
         f"{cons.h_dim!r}, expected {ell ** 2}"))
     entry.results.append(CheckResult(
-        "confluence", cons.h_pres.label, check_confluence(cons.h_pres, 8) == []))
-    delta, counit, antipode = _sl2_hopf(cons.h_pres.ell, cons.h_pres.q)
-    taft = named_algebra(cons.h_pres, delta, counit, antipode,
-                         label=f"taft-{ell}")
+        "confluence", cons.h.pres.label,
+        check_confluence(cons.h.pres, 8) == []))
+    taft = NamedAlgebra(cons.h.pres, cons.h.hopf, f"taft-{ell}")
     model = FiniteModel(taft)
     rep = grouplikes(model)
     entry.results.append(CheckResult(
         "grouplikes", taft.label, rep.count() == ell and rep.complete,
         f"{rep.count()} found ({rep.method})"))
     # skew-primitive witness: Delta(b a) = a^2 (x) b a + b a (x) 1
-    x = normal_form(cons.h_pres, taft.pres.poly("b*a"))
+    x = normal_form(taft.pres, taft.pres.poly("b*a"))
     lhs = taft.delta(x)
     one = CycRat.one(taft.ell)
     rhs = TensorPoly.zero(ABCD, taft.ell)
     for w, c in x.terms.items():
         rhs = rhs + TensorPoly.monomial(ABCD, taft.ell, ((A, A), w), c)
         rhs = rhs + TensorPoly.monomial(ABCD, taft.ell, (w, ()), c)
-    rhs = tensor_normal_form(cons.h_pres, rhs)
+    rhs = tensor_normal_form(taft.pres, rhs)
     entry.results.append(CheckResult(
         "skew-primitive-witness", taft.label, (lhs - rhs).is_zero(),
         "Delta(b*a) = a^2 (x) b*a + b*a (x) 1"))
@@ -165,7 +164,7 @@ def _verify_cz2mn(ell: int, n: int) -> CatalogEntry:
         cons.dim.finite and cons.dim.value == 2 * m * n,
         f"{cons.dim!r}, expected {2 * m * n}"))
     entry.results.append(CheckResult(
-        "h-dimension", cons.h_pres.label,
+        "h-dimension", cons.h.pres.label,
         cons.h_dim.finite and cons.h_dim.value == 2 * m,
         f"{cons.h_dim!r}, expected {2 * m}"))
     entry.results.append(CheckResult(
@@ -225,12 +224,10 @@ def _verify_case_i_full(parity: str, ell: int) -> CatalogEntry:
         "ambient-infinite", cons.algebra.label, not cons.dim.finite,
         repr(cons.dim)))
     entry.results.append(CheckResult(
-        "h-dimension", cons.h_pres.label,
+        "h-dimension", cons.h.pres.label,
         cons.h_dim.finite and cons.h_dim.value == h_expect,
         f"{cons.h_dim!r}, expected {h_expect}"))
-    delta, counit, antipode = _sl2_hopf(cons.h_pres.ell, cons.h_pres.q)
-    h_alg = named_algebra(cons.h_pres, delta, counit, antipode,
-                          label=f"case-I-top({parity})")
+    h_alg = NamedAlgebra(cons.h.pres, cons.h.hopf, f"case-I-top({parity})")
     rep = grouplikes(FiniteModel(h_alg))
     entry.results.append(CheckResult(
         "grouplikes", h_alg.label, rep.count() == h_expect and rep.complete,

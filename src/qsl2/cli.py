@@ -23,10 +23,12 @@ from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
                      ParityMismatch, QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
-                   is_hopf_ideal, named_algebra)
+                   is_hopf_ideal)
+from .ncalg import render_poly
 from .presentations import (classical_sl2, distinguished_subalgebra,
-                            o_minus1_sl2, oq_sl2, quotient_ideal, sl2_algebra,
-                            _sl2_hopf)
+                            o_minus1_sl2, oq_sl2, phi_even_images,
+                            phi_minus1_images, psl2_model, quotient_ideal,
+                            sl2_algebra, verify_psl2_embedding)
 from .rewrite import DEFAULT_PROBE_BOUND, dimension, quotient_presentation
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                         datum_equiv, exact_sequence_shadow,
@@ -38,6 +40,15 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64
+
+VERIFY_SUBJECTS = {
+    "axioms": ("oq-sl2", "o-minus1-sl2"),
+    "central": ("L",),
+    "normal": ("B", "N"),
+    "hopf-ideal": ("widehat", "overline"),
+    "sequence": ("cz2n", "cz2mn"),
+    "morphism": ("dihedral", "B", "N"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_sub("verify", _cmd_verify, probe_bound=True,
                 help="run a named verification")
-    p.add_argument("target", choices=("axioms", "central", "normal",
-                                      "hopf-ideal", "sequence", "morphism"))
+    p.add_argument("target", choices=tuple(VERIFY_SUBJECTS))
     p.add_argument("subject", help="e.g. oq-sl2, L, B, N, widehat, cz2mn, dihedral")
     p.add_argument("--ell", type=int)
     p.add_argument("--n", type=int)
@@ -204,6 +214,9 @@ def _given(value, default):
 
 def _verify_dispatch(args) -> list:
     target, subject = args.target, args.subject
+    if subject not in VERIFY_SUBJECTS[target]:
+        raise _UsageError(f"{target} subjects: "
+                          f"{', '.join(VERIFY_SUBJECTS[target])}")
     if target == "axioms":
         ell = _given(args.ell, 3)
         alg = (sl2_algebra("minus_one", 2) if subject == "o-minus1-sl2"
@@ -211,8 +224,6 @@ def _verify_dispatch(args) -> list:
         return (check_structure_well_defined(alg)
                 + check_axioms(alg, sample_deg=3))
     if target == "central":
-        if subject != "L":
-            raise _UsageError("central checks the subalgebra L (odd ell)")
         ell = _given(args.ell, 3)
         alg = oq_sl2(ell, complete_to=2 * ell + 2)
         return check_central(alg, distinguished_subalgebra("L_odd", ell))
@@ -220,45 +231,36 @@ def _verify_dispatch(args) -> list:
         if subject == "B":
             alg = sl2_algebra("minus_one", 2)
             return check_normal(alg, distinguished_subalgebra("B_minus1", 2))
-        if subject == "N":
-            ell = _given(args.ell, 4)
-            alg = oq_sl2(ell)
-            return check_normal(alg, distinguished_subalgebra("N_even", ell))
-        raise _UsageError("normal checks the subalgebras B or N")
+        ell = _given(args.ell, 4)
+        alg = oq_sl2(ell)
+        return check_normal(alg, distinguished_subalgebra("N_even", ell))
     if target == "hopf-ideal":
         ell = _given(args.ell, 3 if subject == "widehat" else 4)
         alg = oq_sl2(ell)
         ideal = quotient_ideal(subject, ell)
-        return is_hopf_ideal(alg, ideal)
+        quot = quotient_presentation(alg.pres, ideal, label=f"{alg.label}/J")
+        return is_hopf_ideal(alg, ideal, quot)
     if target == "sequence":
         if subject == "cz2n":
             n = _given(args.n, 2)
             datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
                                   I_minus=(1,), gamma=GroupSpec("cyclic", n=n))
-        elif subject == "cz2mn":
+        else:
             datum = SubgroupDatum(parity="even", ell=_given(args.ell, 4),
                                   gamma=GroupSpec("cyclic",
                                                   n=_given(args.n, 2)))
-        else:
-            raise _UsageError("sequence subjects: cz2n, cz2mn")
         cons = construct_quotient(datum, probe_bound=args.probe_bound)
         return list(cons.certificates) + exact_sequence_shadow(cons)
-    if target == "morphism":
-        if subject == "dihedral":
-            return verify_dihedral_quotient(_given(args.m, 3))
-        if subject in ("B", "N"):
-            from .presentations import (phi_even_images, phi_minus1_images,
-                                        psl2_model, verify_psl2_embedding)
-            model = psl2_model(8)
-            if subject == "B":
-                alg = sl2_algebra("minus_one", 2)
-                images = phi_minus1_images(alg)
-            else:
-                alg = oq_sl2(_given(args.ell, 4))
-                images = phi_even_images(alg)
-            return verify_psl2_embedding(model, alg, images, 2)
-        raise _UsageError("morphism subjects: dihedral, B, N")
-    raise _UsageError(f"unknown verify target {target}")
+    # morphism
+    if subject == "dihedral":
+        return verify_dihedral_quotient(_given(args.m, 3))
+    if subject == "B":
+        alg = sl2_algebra("minus_one", 2)
+        images = phi_minus1_images(alg)
+    else:
+        alg = oq_sl2(_given(args.ell, 4))
+        images = phi_even_images(alg)
+    return verify_psl2_embedding(psl2_model(8), alg, images, 2)
 
 
 def _cmd_verify(args) -> dict:
@@ -315,8 +317,6 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_grouplikes(args) -> dict:
-    from .ncalg import render_poly
-
     name = args.name
     config = {"name": name}
     if name == "taft":
@@ -324,25 +324,20 @@ def _cmd_grouplikes(args) -> dict:
         config["ell"] = ell
         datum = SubgroupDatum(parity="odd", ell=ell, I_plus=(1,), I_minus=(),
                               gamma=GroupSpec("catalog", name="G_a"))
-        cons = construct_quotient(datum)
-        pres = cons.h_pres
+        alg = construct_quotient(datum).h
     elif name == "cz2n":
         n = _given(args.n, 2)
         config["n"] = n
         datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
                               I_minus=(1,), gamma=GroupSpec("cyclic", n=n))
-        cons = construct_quotient(datum)
-        pres = cons.algebra.pres
+        alg = construct_quotient(datum).algebra
     else:
         parity = args.parity or "odd"
         ell = _given(args.ell, {"odd": 3, "even": 4, "minus_one": 2}[parity])
         config.update({"parity": parity, "ell": ell})
         datum = SubgroupDatum(parity=parity, ell=ell,
                               gamma=GroupSpec("catalog", name="torus"))
-        cons = construct_quotient(datum)
-        pres = cons.h_pres
-    delta, counit, antipode = _sl2_hopf(pres.ell, pres.q)
-    alg = named_algebra(pres, delta, counit, antipode, label=name)
+        alg = construct_quotient(datum).h
     rep = grouplikes(FiniteModel(alg))
     return _report("grouplikes", config, [], "pass", count=rep.count(),
                    complete=rep.complete, method=rep.method,

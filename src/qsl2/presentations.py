@@ -12,11 +12,11 @@ from itertools import combinations_with_replacement
 
 from .cyclo import CycRat, multiplicative_order
 from .errors import ParamOutOfRange, ParityMismatch, QSL2Error
-from .exactla import Echelon, kernel_of_columns
-from .hopf import NamedAlgebra, named_algebra
+from .exactla import Echelon, kernel_of_columns, span_dim
+from .hopf import CheckResult, NamedAlgebra, named_algebra, substitute
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
 from .rewrite import (DEFAULT_COMPLETION_BOUND, build_presentation,
-                      enumerate_basis, normal_form)
+                      enumerate_basis, normal_form, tensor_normal_form)
 
 ABCD = ("a", "b", "c", "d")
 XGENS = ("x11", "x12", "x21", "x22")
@@ -250,9 +250,12 @@ def phi_even_images(alg: NamedAlgebra) -> dict:
     The m-th powers of the coordinates commute up to (-1)^m, so for odd m
     the embedding needs the same sign pattern as the q = -1 case (minus on
     pairs whose first sorted factor is off-diagonal); for even m the
-    unsigned map is the algebra map.
+    unsigned map is the algebra map.  q must have even order 2m, m != 1.
     """
-    m = multiplicative_order(alg.pres.q * alg.pres.q)
+    order = multiplicative_order(alg.pres.q)
+    if order % 2 or order == 2:
+        raise ParityMismatch("N needs even ell = 2m with m != 1")
+    m = order // 2
     signed = m % 2 == 1
     out = {}
     for pair in QUAD_PAIRS_ALL:
@@ -273,17 +276,12 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
     antipode match on the generators (the source values are computed from
     the matrix coalgebra: Delta(X_ij X_kl) = sum_st X_is X_kt (x) X_sj X_tl).
     """
-    from .hopf import CheckResult, substitute
-    from .rewrite import tensor_normal_form
-
     results = []
     label = f"psl2-model -> {target.label}"
 
     def img_product(pairs, coeff) -> NCPoly:
         return substitute(target.pres, coeff,
                           (images[tuple(sorted(pair))] for pair in pairs))
-
-    from .exactla import span_dim
 
     for count in range(1, max_product_degree + 1):
         all_dead = True

@@ -14,16 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .cyclo import CycRat, multiplicative_order
+from .cyclo import CycRat, embed_scalar, multiplicative_order
 from .errors import (CertificateFailed, InconsistentDatum, ParamOutOfRange,
                      QSL2Error)
 from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
-                   coinvariants, named_algebra, substitute)
+                   coinvariants, substitute)
 from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, XGENS, classical_sl2, phi_even_images,
-                            phi_minus1_images, quotient_ideal, sl2_algebra,
-                            _sl2_hopf)
+                            phi_minus1_images, quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, quotient_presentation)
 
@@ -303,8 +302,6 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
 
 def lift_classical_poly(p: NCPoly, parity: str, alg: NamedAlgebra) -> NCPoly:
     """Image of a classical polynomial under the subalgebra embedding."""
-    from .cyclo import embed_scalar
-
     ell = alg.ell
     out = alg.pres.zero()
     if parity == "odd":
@@ -360,7 +357,7 @@ def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
 class Construction:
     datum: SubgroupDatum
     algebra: NamedAlgebra              # A_D
-    h_pres: Presentation               # top quotient H
+    h: NamedAlgebra                    # top quotient H
     dim: object                        # DimensionResult of A_D
     h_dim: object                      # DimensionResult of H
     gamma_image_dim: int | None
@@ -445,9 +442,10 @@ def construct_quotient(d: SubgroupDatum,
     transcript["steps"].append({
         "step": 2, "ideal": [render_poly(g, base.pres.order) for g in step2]})
 
-    pres2 = quotient_presentation(base.pres, step1 + step2, complete_to=bound,
-                                  label=f"A[{parity},step2]")
-    dim2 = dimension(pres2, probe_bound)
+    # (b), (c) and a kernel lifted through a Hopf subalgebra are Hopf ideals
+    a2 = base.quotient(step1 + step2, label=f"A[{parity},step2]",
+                       complete_to=bound)
+    dim2 = dimension(a2.pres, probe_bound)
     transcript["after_step2_dim"] = repr(dim2)
 
     step3 = []
@@ -458,26 +456,23 @@ def construct_quotient(d: SubgroupDatum,
                - NCPoly.monomial(ABCD, conductor,
                                  (A,) * (chi_exp * d.delta_exponent)))
         step3 = [rel]
-        pres3 = quotient_presentation(pres2, step3, complete_to=bound,
-                                      label=f"A_D[{parity}]")
+        a_d = a2.quotient(step3, label=f"A_D[{parity}]", complete_to=bound)
     else:
-        pres3 = pres2
+        a_d = a2
     transcript["steps"].append({
         "step": 3, "ideal": [render_poly(g, base.pres.order) for g in step3]})
 
-    delta_imgs, counit_imgs, antipode_imgs = _sl2_hopf(conductor, base.pres.q)
-    algebra = named_algebra(pres3, delta_imgs, counit_imgs, antipode_imgs,
-                            label=f"A_D({parity}, ell={d.ell}, "
-                                  f"gamma={gamma.to_json()})")
-    dim_res = dimension(pres3, probe_bound) if step3 else dim2
+    algebra = NamedAlgebra(a_d.pres, a_d.hopf, f"A_D({parity}, ell={d.ell}, "
+                                               f"gamma={gamma.to_json()})")
+    dim_res = dimension(algebra.pres, probe_bound) if step3 else dim2
 
     h_ideal = step1 + _parity_augmentation_ideal(parity, d.ell, base)
     if d.N_generator is not None:
         h_ideal = h_ideal + [NCPoly.monomial(ABCD, conductor,
                                              (A,) * d.N_generator)
                              - base.pres.one()]
-    h_pres = quotient_presentation(base.pres, h_ideal, label=f"H({parity})")
-    h_dim = dimension(h_pres, probe_bound)
+    h = base.quotient(h_ideal, label=f"H({parity})")
+    h_dim = dimension(h.pres, probe_bound)
 
     certificates = list(kernel_cert)
     # pipeline monotonicity: dimensions only shrink along the transcript
@@ -488,11 +483,11 @@ def construct_quotient(d: SubgroupDatum,
 
     gamma_image_dim = None
     if gamma.finite and dim_res.finite:
-        gens = [normal_form(pres3, g)
+        gens = [normal_form(algebra.pres, g)
                 for g in _gamma_subalgebra_gens(parity, base)]
         gamma_image_dim = span_closure(
             algebra.pres.one(),
-            lambda v: (normal_form(pres3, v * g) for g in gens),
+            lambda v: (normal_form(algebra.pres, v * g) for g in gens),
             lambda v: v.terms).dim
         certificates.append(CheckResult(
             "gamma-image-dimension", algebra.label, gamma_image_dim == order,
@@ -507,7 +502,7 @@ def construct_quotient(d: SubgroupDatum,
     transcript["h_dim"] = repr(h_dim)
     transcript["gamma_image_dim"] = gamma_image_dim
 
-    result = Construction(d, algebra, h_pres, dim_res, h_dim,
+    result = Construction(d, algebra, h, dim_res, h_dim,
                           gamma_image_dim, transcript, certificates)
     if raise_on_inconsistent and not result.consistent:
         raise InconsistentDatum(
@@ -519,7 +514,7 @@ def construct_quotient(d: SubgroupDatum,
 def exact_sequence_shadow(result: Construction) -> list[CheckResult]:
     """dim A = (coinvariant dimension) x (dim H) on a finite construction."""
     model = FiniteModel(result.algebra)
-    coinv = coinvariants(model, result.h_pres)
+    coinv = coinvariants(model, result.h.pres)
     h_dim = result.h_dim.value
     ok = model.dim == len(coinv) * h_dim
     out = [CheckResult("coinvariant-product", result.algebra.label, ok,

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsl2.errors import InconsistentDatum
-from qsl2.hopf import (FiniteModel, all_ok, check_axioms, check_central,
-                       check_normal, check_structure_well_defined,
-                       grouplikes, is_hopf_ideal, named_algebra)
+from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
+                       check_axioms, check_central, check_normal,
+                       check_structure_well_defined, grouplikes,
+                       is_hopf_ideal)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                                 o_minus1_sl2, oq_sl2, phi_minus1_images,
                                 psl2_model, quotient_ideal,
-                                verify_psl2_embedding, _sl2_hopf, _sl2_order,
+                                verify_psl2_embedding, _sl2_order,
                                 _sl2_relations)
 from qsl2.rewrite import (build_presentation, check_confluence, dimension,
                           enumerate_basis, normal_form, quotient_presentation,
@@ -86,7 +87,7 @@ def test_criterion_03_confluence_at_8():
         cons = construct_quotient(SubgroupDatum(
             parity="odd", ell=ell, I_plus=(1,), I_minus=(),
             gamma=GroupSpec("catalog", name="G_a")))
-        presentations.append((f"taft-{ell}", cons.h_pres))
+        presentations.append((f"taft-{ell}", cons.h.pres))
     for n in (2, 3, 4):
         cons = construct_quotient(SubgroupDatum(
             parity="minus_one", ell=2, I_plus=(1,), I_minus=(1,),
@@ -103,7 +104,7 @@ def test_criterion_03_confluence_at_8():
     for parity, ell in (("odd", 3), ("even", 4), ("minus_one", 2)):
         cons = construct_quotient(SubgroupDatum(
             parity=parity, ell=ell, gamma=GroupSpec("catalog", name="torus")))
-        presentations.append((f"case-I-top-{parity}", cons.h_pres))
+        presentations.append((f"case-I-top-{parity}", cons.h.pres))
 
     for name, pres in presentations:
         unresolved = check_confluence(pres, 8)
@@ -124,25 +125,24 @@ def test_criterion_04_hopf_battery_and_mutants():
     ell = 5
     alg = oq_sl2(ell)
     q = alg.pres.q
-    from qsl2.presentations import _sl2_hopf as hopf_maps
+    h = alg.hopf
 
-    d, e, s = hopf_maps(ell, q)
-    d = dict(d)
+    d = dict(h.delta)
     d[A] = TensorPoly.monomial(ABCD, ell, ((A,), (A,)))  # drop b (x) c
-    mut1 = named_algebra(alg.pres, d, e, s, "mutant-delta", validate=False)
+    mut1 = NamedAlgebra(alg.pres, HopfStructure(d, h.counit, h.antipode),
+                        "mutant-delta")
     assert not all_ok(check_structure_well_defined(mut1))
 
-    d, e, s = hopf_maps(ell, q)
-    s = dict(s)
+    s = dict(h.antipode)
     s[B] = NCPoly.monomial(ABCD, ell, (B,), q.inverse())  # wrong sign
-    mut2 = named_algebra(alg.pres, d, e, s, "mutant-antipode", validate=False)
+    mut2 = NamedAlgebra(alg.pres, HopfStructure(h.delta, h.counit, s),
+                        "mutant-antipode")
     assert (not all_ok(check_structure_well_defined(mut2))
             or not all_ok(check_axioms(mut2, 2)))
 
     rels = _sl2_relations(ell, q)[:-1]  # drop the determinant relation
     pres = build_presentation(ABCD, _sl2_order(), rels, ell, q, "odd", 8)
-    d, e, s = hopf_maps(ell, q)
-    mut3 = named_algebra(pres, d, e, s, "mutant-nodet", validate=False)
+    mut3 = NamedAlgebra(pres, h, "mutant-nodet")
     assert not all_ok(check_axioms(mut3, 2))
     print("ACCEPTANCE 4 hopf-battery (ell in {3,4,5,6} and q = -1; "
           "3 seeded mutants caught): PASS")
@@ -160,10 +160,10 @@ def test_criterion_05_subalgebra_lemma():
     for ell in (4, 6):
         alg = oq_sl2(ell)
         assert all_ok(check_normal(alg, distinguished_subalgebra("N_even", ell)))
-    alg3 = oq_sl2(3)
-    assert all_ok(is_hopf_ideal(alg3, quotient_ideal("widehat", 3)))
-    alg6 = oq_sl2(6)
-    assert all_ok(is_hopf_ideal(alg6, quotient_ideal("overline", 6)))
+    alg3, quot3 = _finite_quotient(3, "widehat", None)
+    assert all_ok(is_hopf_ideal(alg3, quotient_ideal("widehat", 3), quot3))
+    alg6, quot6 = _finite_quotient(6, "overline", None)
+    assert all_ok(is_hopf_ideal(alg6, quotient_ideal("overline", 6), quot6))
     print("ACCEPTANCE 5 subalgebra-lemma (L central 3,5; B normal + "
           "embedding to degree 4; N normal 4,6; quotient ideals are Hopf "
           "ideals): PASS")
@@ -173,8 +173,7 @@ def _taft_algebra(ell):
     cons = construct_quotient(SubgroupDatum(
         parity="odd", ell=ell, I_plus=(1,), I_minus=(),
         gamma=GroupSpec("catalog", name="G_a")))
-    d, e, s = _sl2_hopf(cons.h_pres.ell, cons.h_pres.q)
-    return cons, named_algebra(cons.h_pres, d, e, s, f"taft-{ell}")
+    return cons, cons.h
 
 
 def test_criterion_06_worked_examples():
@@ -298,9 +297,7 @@ def test_criterion_09_equivalence_instances():
     fingerprints = []
     for d in (d1, d2):
         cons = construct_quotient(d)
-        maps = _sl2_hopf(cons.algebra.pres.ell, cons.algebra.pres.q)
-        alg = named_algebra(cons.algebra.pres, *maps, label="fingerprint")
-        rep = grouplikes(FiniteModel(alg))
+        rep = grouplikes(FiniteModel(cons.algebra))
         fingerprints.append((cons.dim.value, rep.count(), rep.complete))
     assert fingerprints[0] == fingerprints[1]
     print("ACCEPTANCE 9 datum-equivalence (equivalence relation on a "

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from qsl2.catalog import entry_names, verify_entry
@@ -54,3 +56,20 @@ def test_json_shape():
     assert doc["entry"] == "dihedral"
     assert all({"check", "subject", "status"} <= set(row)
                for row in doc["results"])
+
+
+def test_dual_entry_completes_one_quotient(monkeypatch):
+    # the Hopf-ideal rows read the quotient the dimension row completed
+    modules = [importlib.import_module(f"qsl2.{name}")
+               for name in ("catalog", "cli", "hopf", "rewrite", "subgroups")]
+    real = modules[3].quotient_presentation
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "quotient_presentation", counting)
+    assert verify_entry("widehat-dual", ell=3).ok
+    assert len(calls) == 1

@@ -294,6 +294,7 @@ def test_interreduction_failure_exit_2_with_context(capsys, monkeypatch):
     (["grouplikes", "taft", "--ell", "0"], "needs odd ell >= 3, got 0"),
     (["grouplikes", "cz2n", "--n", "0"], "needs n >= 1"),
     (["dim", "oq-sl2", "--probe-bound", "-1"], "needs a length >= 0, got -1"),
+    (["verify", "morphism", "N", "--ell", "5"], "N needs even ell"),
 ])
 def test_parameter_out_of_range_exit_2(capsys, argv, message):
     # an explicit 0 is range-checked, not replaced by the default
@@ -303,6 +304,21 @@ def test_parameter_out_of_range_exit_2(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("target, subject, subjects", [
+    ("axioms", "banana", "oq-sl2, o-minus1-sl2"),
+    ("axioms", "widehat", "oq-sl2, o-minus1-sl2"),
+    ("hopf-ideal", "foo", "widehat, overline"),
+    ("hopf-ideal", "oq-sl2", "widehat, overline"),
+    ("central", "N", "L"),
+])
+def test_verify_refuses_a_subject_of_another_target(capsys, target, subject,
+                                                    subjects):
+    assert main(["verify", target, subject]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {target} subjects: {subjects}\n"
 
 
 def test_usage_error_exit_64():

@@ -2,14 +2,14 @@ import pytest
 
 from qsl2.cyclo import CycRat
 from qsl2.errors import NotFiniteDimensional, QSL2Error
-from qsl2.hopf import (FiniteModel, all_ok, check_axioms, check_central,
-                       check_normal, check_structure_well_defined,
-                       coinvariants, grouplikes, is_hopf_ideal,
-                       named_algebra, verify_hopf_morphism)
+from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
+                       check_axioms, check_central, check_normal,
+                       check_structure_well_defined, coinvariants, grouplikes,
+                       is_hopf_ideal, named_algebra, verify_hopf_morphism)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, distinguished_subalgebra, o_minus1_sl2,
-                                oq_sl2, quotient_ideal,
-                                _sl2_hopf, _sl2_order, _sl2_relations)
+                                oq_sl2, quotient_ideal, _sl2_order,
+                                _sl2_relations)
 from qsl2.rewrite import (build_presentation, dimension,
                           quotient_presentation)
 
@@ -67,18 +67,20 @@ def test_axioms_to_degree_four(oq5):
 
 def _mutant_drop_bc(ell):
     alg = oq_sl2(ell)
-    d, e, s = _sl2_hopf(alg.ell, alg.pres.q)
-    d = dict(d)
+    d = dict(alg.hopf.delta)
     d[A] = TensorPoly.monomial(ABCD, alg.ell, ((A,), (A,)))
-    return named_algebra(alg.pres, d, e, s, "mutant-delta", validate=False)
+    return NamedAlgebra(
+        alg.pres, HopfStructure(d, alg.hopf.counit, alg.hopf.antipode),
+        "mutant-delta")
 
 
 def _mutant_antipode_sign(ell):
     alg = oq_sl2(ell)
-    d, e, s = _sl2_hopf(alg.ell, alg.pres.q)
-    s = dict(s)
+    s = dict(alg.hopf.antipode)
     s[B] = NCPoly.monomial(ABCD, alg.ell, (B,), alg.pres.q.inverse())
-    return named_algebra(alg.pres, d, e, s, "mutant-antipode", validate=False)
+    return NamedAlgebra(
+        alg.pres, HopfStructure(alg.hopf.delta, alg.hopf.counit, s),
+        "mutant-antipode")
 
 
 def _mutant_no_determinant(ell):
@@ -86,8 +88,7 @@ def _mutant_no_determinant(ell):
     rels = _sl2_relations(ell, q)[:-1]
     pres = build_presentation(ABCD, _sl2_order(), rels, ell, q, "odd", 8,
                               label="mutant-nodet")
-    d, e, s = _sl2_hopf(ell, q)
-    return named_algebra(pres, d, e, s, "mutant-nodet", validate=False)
+    return NamedAlgebra(pres, oq_sl2(ell).hopf, "mutant-nodet")
 
 
 def test_mutants_caught():
@@ -104,19 +105,15 @@ def test_mutants_caught():
 
 def test_validation_rejects_mutant():
     alg = oq_sl2(3)
-    d, e, s = _sl2_hopf(alg.ell, alg.pres.q)
-    d = dict(d)
+    d = dict(alg.hopf.delta)
     d[A] = TensorPoly.monomial(ABCD, alg.ell, ((A,), (A,)))
     with pytest.raises(QSL2Error):
-        named_algebra(alg.pres, d, e, s, "bad")
+        named_algebra(alg.pres, d, alg.hopf.counit, alg.hopf.antipode, "bad")
 
 
 def finite_quotient(ell, kind):
-    alg = oq_sl2(ell)
-    quot = quotient_presentation(alg.pres, quotient_ideal(kind, ell),
-                                 complete_to=3 * ell, label=f"{kind}-{ell}")
-    d, e, s = _sl2_hopf(alg.ell, alg.pres.q)
-    return named_algebra(quot, d, e, s, f"{kind}-{ell}")
+    return oq_sl2(ell).quotient(quotient_ideal(kind, ell),
+                                label=f"{kind}-{ell}", complete_to=3 * ell)
 
 
 def test_finite_models():
@@ -183,9 +180,7 @@ def test_grouplikes_taft():
     alg = oq_sl2(5)
     p = alg.pres
     ideal = [p.gen("c"), p.poly("a^5 - 1"), p.poly("b^5"), p.poly("d^5 - 1")]
-    quot = quotient_presentation(p, ideal, complete_to=12, label="taft-5")
-    d, e, s = _sl2_hopf(alg.ell, alg.pres.q)
-    taft = named_algebra(quot, d, e, s, "taft-5")
+    taft = alg.quotient(ideal, label="taft-5", complete_to=12)
     rep = grouplikes(FiniteModel(taft))
     assert rep.count() == 5
     assert rep.complete
@@ -197,23 +192,39 @@ def test_grouplikes_group_algebra():
     alg = oq_sl2(4)
     p = alg.pres
     ideal = [p.gen("b"), p.gen("c"), p.poly("a^4 - 1"), p.poly("d^4 - 1")]
-    quot = quotient_presentation(p, ideal, complete_to=12, label="torus-top-4")
-    d, e, s = _sl2_hopf(alg.ell, alg.pres.q)
-    top = named_algebra(quot, d, e, s, "torus-top-4")
+    top = alg.quotient(ideal, label="torus-top-4", complete_to=12)
     rep = grouplikes(FiniteModel(top))
     assert rep.count() == 4 and rep.complete
     assert "every basis word is grouplike" in rep.method
 
 
+def hopf_ideal_rows(alg, gens):
+    return is_hopf_ideal(alg, gens, quotient_presentation(alg.pres, gens))
+
+
 def test_hopf_ideals():
     alg3 = oq_sl2(3)
-    assert all_ok(is_hopf_ideal(alg3, quotient_ideal("widehat", 3)))
+    assert all_ok(hopf_ideal_rows(alg3, quotient_ideal("widehat", 3)))
     alg6 = oq_sl2(6)
-    assert all_ok(is_hopf_ideal(alg6, quotient_ideal("overline", 6)))
+    assert all_ok(hopf_ideal_rows(alg6, quotient_ideal("overline", 6)))
     # non-example: (b - 1) has nonzero counit
     bad = [alg3.pres.poly("b - 1")]
-    rep = is_hopf_ideal(alg3, bad)
+    rep = hopf_ideal_rows(alg3, bad)
     assert any(r.check == "hopf-ideal-counit" and not r.ok for r in rep)
+
+
+def test_quotient_shares_the_structure_maps():
+    alg = oq_sl2(3)
+    quot = alg.quotient(quotient_ideal("widehat", 3), label="widehat-3")
+    assert quot.hopf is alg.hopf
+    assert quot.label == quot.pres.label == "widehat-3"
+    assert quot.pres.confluence == "complete"
+
+
+def test_quotient_by_a_non_hopf_ideal_raises():
+    alg = oq_sl2(3)
+    with pytest.raises(QSL2Error, match="hopf-ideal-counit at b - 1"):
+        alg.quotient([alg.pres.poly("b - 1")])
 
 
 def test_central_and_normal():

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl2.subgroups
 from qsl2.errors import InconsistentDatum
-from qsl2.hopf import FiniteModel, all_ok, grouplikes, named_algebra
-from qsl2.presentations import _sl2_hopf
+from qsl2.hopf import FiniteModel, all_ok, grouplikes
+from qsl2.presentations import sl2_algebra
 from qsl2.rewrite import check_confluence, normal_form
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                             datum_equiv, dihedral_model, exact_sequence_shadow,
@@ -131,6 +132,22 @@ def test_jdelta_consistent_collapse():
     assert all(c.ok for c in exact_sequence_shadow(res))
 
 
+def test_quotients_share_the_base_structure_maps(monkeypatch):
+    bases = []
+
+    def recording(*args, **kwargs):
+        bases.append(sl2_algebra(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(qsl2.subgroups, "sl2_algebra", recording)
+    res = construct_quotient(SubgroupDatum(
+        parity="even", ell=6, gamma=GroupSpec("cyclic", n=2),
+        N_generator=2, delta_exponent=1))
+    [base] = bases
+    assert res.algebra.hopf is base.hopf
+    assert res.h.hopf is base.hopf
+
+
 def test_jdelta_inconsistent_rejected():
     # ell = 4 (m = 2 = n): r m = 2 = 0 mod 2 violates the congruence and the
     # group image collapses
@@ -200,7 +217,7 @@ def test_finite_constructions_are_complete(monkeypatch, seed):
     assert cases
     for case in cases:
         cons = construct_quotient(SubgroupDatum.from_json(case.datum))
-        for pres in (cons.algebra.pres, cons.h_pres):
+        for pres in (cons.algebra.pres, cons.h.pres):
             assert pres.confluence == "complete", case.name
             longest = 2 * max(map(len, pres.rules)) - 1
             assert check_confluence(pres, longest) == [], case.name
@@ -324,8 +341,6 @@ def test_equivalent_pair_same_fingerprint():
     fps = []
     for d in (d1, d2):
         res = construct_quotient(d)
-        hopf = _sl2_hopf(res.algebra.pres.ell, res.algebra.pres.q)
-        alg = named_algebra(res.algebra.pres, *hopf, label="fp")
-        rep = grouplikes(FiniteModel(alg))
+        rep = grouplikes(FiniteModel(res.algebra))
         fps.append((res.dim.value, rep.count()))
     assert fps[0] == fps[1] == (12, 12)
