@@ -316,10 +316,16 @@ def entry_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def verify_entry(name: str, **params) -> CatalogEntry:
+def entry_parameters(name: str) -> tuple:
+    """The parameters an entry reads, all of them required."""
     if name not in _BUILDERS:
         raise UnknownEntry(name)
-    builder, keys = _BUILDERS[name]
+    return _BUILDERS[name][1]
+
+
+def verify_entry(name: str, **params) -> CatalogEntry:
+    keys = entry_parameters(name)
+    builder = _BUILDERS[name][0]
     missing = [k for k in keys if k not in params]
     if missing:
         raise ParamOutOfRange(f"{name} needs parameters {list(keys)}")

@@ -4,8 +4,9 @@ JSON is the single source of truth; the text format is rendered from the
 JSON document.  --format and --output go before or after the subcommand;
 --probe-bound (default 10) belongs to construct, verify and dim, the
 commands that read it, and bounds counting and completion only where
-completion cannot finish.  Each report's config lists exactly the settings
-that produced it.  An option left out takes its default; an explicit value,
+completion cannot finish.  An option the chosen subject does not read is a
+usage error, and each report's config lists exactly the settings that
+produced it.  An option left out takes its default; an explicit value,
 0 included, is range-checked.  Exit codes: 0 all green, 1 internal error,
 2 datum, parameter or check failure (a completion that hits its cap
 included), 64 usage error.
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 
-from .catalog import entry_names, verify_entry, verify_grid
+from .catalog import entry_names, entry_parameters, verify_entry, verify_grid
 from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
                      ParityMismatch, QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
@@ -41,13 +42,15 @@ EXIT_INTERNAL = 1
 EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64
 
+# the settings each verify subject reads, with their defaults
+_SEQUENCE = {"n": 2, "probe_bound": DEFAULT_PROBE_BOUND}
 VERIFY_SUBJECTS = {
-    "axioms": ("oq-sl2", "o-minus1-sl2"),
-    "central": ("L",),
-    "normal": ("B", "N"),
-    "hopf-ideal": ("widehat", "overline"),
-    "sequence": ("cz2n", "cz2mn"),
-    "morphism": ("dihedral", "B", "N"),
+    "axioms": {"oq-sl2": {"ell": 3}, "o-minus1-sl2": {}},
+    "central": {"L": {"ell": 3}},
+    "normal": {"B": {}, "N": {"ell": 4}},
+    "hopf-ideal": {"widehat": {"ell": 3}, "overline": {"ell": 4}},
+    "sequence": {"cz2n": _SEQUENCE, "cz2mn": {"ell": 4, **_SEQUENCE}},
+    "morphism": {"dihedral": {"m": 3}, "B": {}, "N": {"ell": 4}},
 }
 
 
@@ -81,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, suppress=True)
         if probe_bound:
             p.add_argument("--probe-bound", type=int,
-                           default=DEFAULT_PROBE_BOUND,
                            help="basis probe length and completion bound "
                                 "where completion cannot finish (default 10)")
         return p
@@ -183,18 +185,22 @@ def _emit(doc: dict, args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-    if args.format == "json":
-        print(payload)
-    else:
-        print(_render_text(doc))
+    try:
+        print(payload if args.format == "json" else _render_text(doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is left, and the flush at exit, to
+        # the null device so that neither fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if doc["status"] == "pass" else EXIT_CHECK_FAILED
 
 
 def _cmd_construct(args) -> dict:
     datum = _load_datum(args.datum or args.datum_json)
-    config = {"probe_bound": args.probe_bound, "datum": datum.to_json()}
+    config = _settings(args, "construct", {"probe_bound": DEFAULT_PROBE_BOUND})
+    config["datum"] = datum.to_json()
     try:
-        cons = construct_quotient(datum, probe_bound=args.probe_bound)
+        cons = construct_quotient(datum, probe_bound=config["probe_bound"])
     except InconsistentDatum as exc:
         return _report("construct", config, [], "inconsistent-datum",
                        detail=str(exc))
@@ -212,75 +218,90 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _verify_dispatch(args) -> list:
-    target, subject = args.target, args.subject
-    if subject not in VERIFY_SUBJECTS[target]:
-        raise _UsageError(f"{target} subjects: "
-                          f"{', '.join(VERIFY_SUBJECTS[target])}")
+def _settings(args, subject, reads: dict, options=()) -> dict:
+    """The settings subject reads, each given or else at its default (left
+    out when it has none); any other of options that was given is a usage
+    error."""
+    for key in options:
+        if key not in reads and getattr(args, key) is not None:
+            raise _UsageError(f"--{key.replace('_', '-')} does not apply "
+                              f"to {subject}")
+    config = {key: _given(getattr(args, key), default)
+              for key, default in reads.items()}
+    config = {key: value for key, value in config.items() if value is not None}
+    if config.get("probe_bound", 0) < 0:
+        raise ParamOutOfRange(f"--probe-bound needs a length >= 0, "
+                              f"got {config['probe_bound']}")
+    return config
+
+
+def _verify_dispatch(target, subject, cfg) -> list:
+    ell = cfg.get("ell")
     if target == "axioms":
-        ell = _given(args.ell, 3)
         alg = (sl2_algebra("minus_one", 2) if subject == "o-minus1-sl2"
                else oq_sl2(ell))
         return (check_structure_well_defined(alg)
                 + check_axioms(alg, sample_deg=3))
     if target == "central":
-        ell = _given(args.ell, 3)
         alg = oq_sl2(ell, complete_to=2 * ell + 2)
         return check_central(alg, distinguished_subalgebra("L_odd", ell))
     if target == "normal":
         if subject == "B":
             alg = sl2_algebra("minus_one", 2)
             return check_normal(alg, distinguished_subalgebra("B_minus1", 2))
-        ell = _given(args.ell, 4)
         alg = oq_sl2(ell)
         return check_normal(alg, distinguished_subalgebra("N_even", ell))
     if target == "hopf-ideal":
-        ell = _given(args.ell, 3 if subject == "widehat" else 4)
         alg = oq_sl2(ell)
         ideal = quotient_ideal(subject, ell)
         quot = quotient_presentation(alg.pres, ideal, label=f"{alg.label}/J")
         return is_hopf_ideal(alg, ideal, quot)
     if target == "sequence":
+        gamma = GroupSpec("cyclic", n=cfg["n"])
         if subject == "cz2n":
-            n = _given(args.n, 2)
             datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
-                                  I_minus=(1,), gamma=GroupSpec("cyclic", n=n))
+                                  I_minus=(1,), gamma=gamma)
         else:
-            datum = SubgroupDatum(parity="even", ell=_given(args.ell, 4),
-                                  gamma=GroupSpec("cyclic",
-                                                  n=_given(args.n, 2)))
-        cons = construct_quotient(datum, probe_bound=args.probe_bound)
+            datum = SubgroupDatum(parity="even", ell=ell, gamma=gamma)
+        cons = construct_quotient(datum, probe_bound=cfg["probe_bound"])
         return list(cons.certificates) + exact_sequence_shadow(cons)
     # morphism
     if subject == "dihedral":
-        return verify_dihedral_quotient(_given(args.m, 3))
+        return verify_dihedral_quotient(cfg["m"])
     if subject == "B":
         alg = sl2_algebra("minus_one", 2)
         images = phi_minus1_images(alg)
     else:
-        alg = oq_sl2(_given(args.ell, 4))
+        alg = oq_sl2(ell)
         images = phi_even_images(alg)
     return verify_psl2_embedding(psl2_model(8), alg, images, 2)
 
 
 def _cmd_verify(args) -> dict:
-    config = {"probe_bound": args.probe_bound, "target": args.target,
-              "subject": args.subject}
-    for key in ("ell", "n", "m"):
-        if getattr(args, key) is not None:
-            config[key] = getattr(args, key)
+    target, subject = args.target, args.subject
+    if subject not in VERIFY_SUBJECTS[target]:
+        raise _UsageError(f"{target} subjects: "
+                          f"{', '.join(VERIFY_SUBJECTS[target])}")
+    cfg = _settings(args, subject, VERIFY_SUBJECTS[target][subject],
+                    ("ell", "n", "m", "probe_bound"))
+    config = {"target": target, "subject": subject, **cfg}
     try:
-        results = _verify_dispatch(args)
+        results = _verify_dispatch(target, subject, cfg)
     except InconsistentDatum as exc:
         return _report("verify", config, [], "inconsistent-datum",
                        detail=str(exc))
     return _report("verify", config, results, _status(results))
 
 
+CATALOG_OPTIONS = ("ell", "n", "m", "p", "r", "parity")
+
+
 def _cmd_catalog(args) -> dict:
     if args.action == "list":
+        _settings(args, "catalog list", {}, CATALOG_OPTIONS)
         return _report("catalog list", {}, [], "pass", entries=entry_names())
     if args.grid:
+        _settings(args, "the grid", {}, CATALOG_OPTIONS)
         entries = verify_grid()
         ok = all(e.ok for e in entries)
         return _report("catalog verify --grid default", {}, [],
@@ -288,8 +309,9 @@ def _cmd_catalog(args) -> dict:
                        entries=[e.to_json() for e in entries])
     if not args.entry:
         raise _UsageError("catalog verify needs an entry name or --grid")
-    params = {k: getattr(args, k) for k in ("ell", "n", "m", "p", "r", "parity")
-              if getattr(args, k) is not None}
+    params = _settings(args, args.entry,
+                       dict.fromkeys(entry_parameters(args.entry)),
+                       CATALOG_OPTIONS)
     entry = verify_entry(args.entry, **params)
     return _report(f"catalog verify {args.entry}", params, entry.results,
                    "pass" if entry.ok else "fail", expected=entry.expected)
@@ -297,44 +319,48 @@ def _cmd_catalog(args) -> dict:
 
 def _cmd_dim(args) -> dict:
     name = args.name
-    config = {"name": name, "probe_bound": args.probe_bound}
-    if name in ("classical-sl2", "o-minus1-sl2"):
-        if args.ell is not None:
-            raise _UsageError(f"--ell does not apply to {name}")
-        pres = (classical_sl2() if name == "classical-sl2" else
-                o_minus1_sl2(complete_to=args.probe_bound)).pres
+    reads = {"probe_bound": DEFAULT_PROBE_BOUND}
+    if name not in ("classical-sl2", "o-minus1-sl2"):
+        reads["ell"] = 4 if name == "overline" else 3
+    config = {"name": name, **_settings(args, name, reads, ("ell",))}
+    bound, ell = config["probe_bound"], config.get("ell")
+    if name == "classical-sl2":
+        pres = classical_sl2().pres
+    elif name == "o-minus1-sl2":
+        pres = o_minus1_sl2(complete_to=bound).pres
+    elif name == "oq-sl2":
+        pres = oq_sl2(ell, complete_to=bound).pres
     else:
-        ell = config["ell"] = _given(args.ell, 4 if name == "overline" else 3)
-        if name == "oq-sl2":
-            pres = oq_sl2(ell, complete_to=args.probe_bound).pres
-        else:
-            pres = quotient_presentation(oq_sl2(ell).pres,
-                                         quotient_ideal(name, ell),
-                                         label=f"{name}-{ell}")
-    res = dimension(pres, args.probe_bound)
+        pres = quotient_presentation(oq_sl2(ell).pres,
+                                     quotient_ideal(name, ell),
+                                     label=f"{name}-{ell}")
+    res = dimension(pres, bound)
     return _report("dim", config, [], "pass", dimension=repr(res),
                    counts=res.counts, confluence=pres.confluence)
 
 
+GROUPLIKES_SETTINGS = {"taft": {"ell": 3}, "cz2n": {"n": 2},
+                       "case-I-full": {"parity": "odd", "ell": None}}
+
+
 def _cmd_grouplikes(args) -> dict:
     name = args.name
-    config = {"name": name}
+    config = {"name": name, **_settings(args, name, GROUPLIKES_SETTINGS[name],
+                                        ("ell", "n", "parity"))}
     if name == "taft":
-        ell = _given(args.ell, 3)
-        config["ell"] = ell
-        datum = SubgroupDatum(parity="odd", ell=ell, I_plus=(1,), I_minus=(),
-                              gamma=GroupSpec("catalog", name="G_a"))
+        datum = SubgroupDatum(parity="odd", ell=config["ell"], I_plus=(1,),
+                              I_minus=(), gamma=GroupSpec("catalog", name="G_a"))
         alg = construct_quotient(datum).h
     elif name == "cz2n":
-        n = _given(args.n, 2)
-        config["n"] = n
         datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
-                              I_minus=(1,), gamma=GroupSpec("cyclic", n=n))
+                              I_minus=(1,),
+                              gamma=GroupSpec("cyclic", n=config["n"]))
         alg = construct_quotient(datum).algebra
     else:
-        parity = args.parity or "odd"
-        ell = _given(args.ell, {"odd": 3, "even": 4, "minus_one": 2}[parity])
-        config.update({"parity": parity, "ell": ell})
+        parity = config["parity"]
+        # the default ell is the smallest of the parity
+        ell = config.setdefault(
+            "ell", {"odd": 3, "even": 4, "minus_one": 2}[parity])
         datum = SubgroupDatum(parity=parity, ell=ell,
                               gamma=GroupSpec("catalog", name="torus"))
         alg = construct_quotient(datum).h
@@ -360,9 +386,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if getattr(args, "probe_bound", 0) < 0:
-            raise ParamOutOfRange(
-                f"--probe-bound needs a length >= 0, got {args.probe_bound}")
         return _emit(args.run(args), args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

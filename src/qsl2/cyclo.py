@@ -13,7 +13,10 @@ q^m for 0 <= m < ell, and ``units``, mapping the coefficient tuple of each
 a table entry; a unit times x is x rotated through ``pows``, keeping the
 denominator of x with no gcd, because multiplication by a unit is an
 automorphism of Z[q] (a Z-basis 1, q, ..., q^(phi-1)) and so keeps the
-content of the numerator.  Inverting a unit reads ``pows[-k % ell]``.
+content of the numerator.  Inverting a unit reads ``pows[-k % ell]``; any
+other irrational x is inverted by its norm, the product of its Galois
+conjugates q -> q^k (k a unit mod ell), which is rational: 1/x is the
+product of the conjugates other than x itself over the norm.
 Reduction of x^k for any k >= phi also reads ``pows[k % ell]``.  The
 stored form is the same for every path.
 """
@@ -296,18 +299,21 @@ class CycRat:
         if self.is_rational():
             f = 1 / self.rational_value()
             return CycRat.from_rational(self.ell, f)
-        # extended Euclid in Q[x] for gcd(self, Phi) = 1
-        f = [Fraction(c, self.den) for c in self.num]
-        g = [Fraction(c) for c in ctx.modulus]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while any(g):
-            q, r = _poly_divmod(f, g)
-            f, g = g, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # f is now a nonzero constant gcd; s0 * self = f (mod Phi)
-        const = f[0]
-        inv = [c / const for c in s0]
-        return CycRat.from_coeffs(self.ell, inv)
+        # num/den times the product of the other conjugates q -> q^k of num
+        # is den times the norm of num, a nonzero integer
+        ell, rows = self.ell, ctx.rows
+        rest = CycRat.one(ell)
+        for k in range(2, ell):
+            if gcd(k, ell) == 1:
+                conj = [0] * ctx.phi
+                for i, c in enumerate(self.num):
+                    if c:
+                        for j, r in rows[i * k % ell]:
+                            conj[j] += c * r
+                rest = rest * CycRat(ell, tuple(conj), 1)
+        norm = (CycRat(ell, self.num, 1) * rest).num[0]
+        num, den = _normalize([c * self.den for c in rest.num], norm)
+        return CycRat(ell, num, den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -387,52 +393,13 @@ def _reduce_vector(ctx: _Context, vec: list[int]) -> list[int]:
     return out
 
 
-def _poly_divmod(f, g):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
-    q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        c = f[-1] / g[-1]
-        k = len(f) - len(g)
-        q[k] = c
-        for j in range(len(g)):
-            f[k + j] -= c * g[j]
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f if f else [Fraction(0)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def multiplicative_order(a: CycRat, bound: int | None = None) -> int | None:
-    """Least k >= 1 with a^k = 1, searching k <= bound (default 2*ell).
-
-    Returns None when no such k exists within the bound.
-    """
+def multiplicative_order(a: CycRat) -> int | None:
+    """Least k >= 1 with a^k = 1, searching k <= 2*ell (the order of every
+    root of unity in Q(zeta_ell)); None when there is none."""
     if a.is_zero():
         raise ZeroDivisionError("zero has no multiplicative order")
-    if bound is None:
-        bound = 2 * a.ell
     acc = a
-    for k in range(1, bound + 1):
+    for k in range(1, 2 * a.ell + 1):
         if acc.is_one():
             return k
         acc = acc * a

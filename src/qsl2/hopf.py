@@ -246,10 +246,6 @@ class FiniteModel:
         self._mult: dict = {}
         self._delta: dict = {}
 
-    def vector(self, p: NCPoly) -> dict:
-        nf = normal_form(self.alg.pres, p)
-        return {self.index[w]: c for w, c in nf.terms.items()}
-
     def word_vector(self, word) -> dict:
         return {self.index[w]: c
                 for w, c in self.alg.pres.nf_word_terms(word).items()}
@@ -273,9 +269,6 @@ class FiniteModel:
 
     def counit(self, i: int) -> CycRat:
         return self.alg.counit_word(self.basis[i])
-
-    def antipode(self, i: int) -> dict:
-        return self.vector(self.alg.antipode_word(self.basis[i]))
 
 
 # -- grouplikes -------------------------------------------------------------------

@@ -148,8 +148,8 @@ class PSL2Model:
     relation is parity-homogeneous.
     """
 
-    def __init__(self, max_deg: int = 8, conductor: int = 1):
-        self.alg = classical_sl2(conductor)
+    def __init__(self, max_deg: int = 8):
+        self.alg = classical_sl2()
         self.max_deg = max_deg
         self.levels = enumerate_basis(self.alg.pres, max_deg)
 
@@ -193,8 +193,8 @@ class PSL2Model:
         return [(combo_vec, prods) for combo_vec in kernel]
 
 
-def psl2_model(max_deg: int = 8, conductor: int = 1) -> PSL2Model:
-    return PSL2Model(max_deg, conductor)
+def psl2_model(max_deg: int = 8) -> PSL2Model:
+    return PSL2Model(max_deg)
 
 
 # -- quotient ideals and distinguished subalgebras ------------------------------

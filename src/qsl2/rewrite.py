@@ -25,9 +25,8 @@ Presentation and the completer share one reduction engine, Reducer:
   largest pending word under the monomial order is always expanded next.
   Every rewrite produces strictly smaller words, so each word is rewritten
   once, with the sum of the coefficients of all paths that reach it.
-* Normal forms of single words are cached.  During completion the cache
-  is versioned by rule additions, so that entries predating a rule
-  retirement are never trusted (see Reducer).
+* Normal forms of single words are cached.  Any change to the rules drops
+  the cache along with the automaton.
 """
 
 from __future__ import annotations
@@ -89,14 +88,8 @@ class Reducer:
     the leftmost, longest redex (see find_redex).  A hand-made set that is
     not factor-free costs the scan at most maxlhs - 1 more letters.
 
-    The cache maps a word to (version, terms).  The version counts rule
-    additions.  An entry of the current version is final.  An entry written
-    after the last retirement (version >= retire_floor) is congruent to its
-    word modulo the current rules, so unless it is the identity it seeds the
-    reduction, all its words being strictly smaller.  Older entries may cite
-    retired rules and are discarded: seeding them back would let a retired
-    rule's equation cancel against itself and silently shrink the ideal.  A
-    fixed rule set keeps every entry final.
+    The cache maps a word to its normal form under the current rules; a
+    rule change drops it.
     """
 
     def __init__(self, order: MonomialOrder, ell: int, rules: dict):
@@ -104,9 +97,7 @@ class Reducer:
         self.ell = ell              # conductor of the scalar field
         self.rules = rules          # lhs word -> rhs terms dict
         self.collapsed = False
-        self.cache: dict = {}
-        self.version = 0
-        self.retire_floor = 0
+        self.cache: dict = {}       # word -> normal-form terms
         self._one = CycRat.one(ell)
         self._key = _descending_key(order)
         self._automaton = None      # built by the next find_redex
@@ -194,34 +185,28 @@ class Reducer:
         """Normal form of a single word, as a terms dict (cached)."""
         if self.collapsed:
             return {}
-        cache = self.cache
-        entry = cache.get(word)
-        if entry is not None:
-            if entry[0] == self.version:
-                return entry[1]
-            if entry[0] >= self.retire_floor and not _is_identity(entry[1], word):
-                out = self._reduce(dict(entry[1]))
-                cache[word] = (self.version, out)
-                return out
-        redex = self.find_redex(word)
-        if redex is None:
-            out = {word: self._one}
-        else:
-            i, L, lhs = redex
-            prefix, suffix = word[:i], word[i + L:]
-            out = self._reduce({prefix + t + suffix: ct
-                                for t, ct in self.rules[lhs].items()})
-        cache[word] = (self.version, out)
+        out = self.cache.get(word)
+        if out is None:
+            # the first step is taken here, so that an irreducible word (a
+            # third of the misses of a grid pass) costs one scan and no heap
+            redex = self.find_redex(word)
+            if redex is None:
+                out = {word: self._one}
+            else:
+                i, L, lhs = redex
+                out = self._reduce({word[:i] + t + word[i + L:]: ct
+                                    for t, ct in self.rules[lhs].items()})
+            self.cache[word] = out
         return out
 
     def _reduce(self, pending: dict) -> dict:
         """Reduce pending terms, always expanding the largest pending word.
 
-        Rewriting and cache seeds only produce smaller words, so a word that
-        has been expanded never comes back and each is expanded once, with
-        its merged coefficient."""
-        cache, rules, version = self.cache, self.rules, self.version
-        floor, key, find = self.retire_floor, self._key, self.find_redex
+        Rewriting only produces smaller words, so a word that has been
+        expanded never comes back and each is expanded once, with its merged
+        coefficient."""
+        cache, rules = self.cache, self.rules
+        key, find = self._key, self.find_redex
         heap = [(key(w), w) for w in pending]
         heapq.heapify(heap)
         out: dict = {}
@@ -230,24 +215,18 @@ class Reducer:
             c = pending.pop(w)
             if c.is_zero():
                 continue
-            entry = cache.get(w)
-            if entry is not None and entry[0] == version:
-                for u, cu in entry[1].items():
+            known = cache.get(w)
+            if known is not None:
+                for u, cu in known.items():
                     addto(out, u, cu * c)
                 continue
-            if (entry is not None and entry[0] >= floor
-                    and not _is_identity(entry[1], w)):
-                prefix = suffix = EMPTY_WORD
-                expansion = entry[1]
-            else:
-                redex = find(w)
-                if redex is None:
-                    addto(out, w, c)
-                    continue
-                i, L, lhs = redex
-                prefix, suffix = w[:i], w[i + L:]
-                expansion = rules[lhs]
-            for t, ct in expansion.items():
+            redex = find(w)
+            if redex is None:
+                addto(out, w, c)
+                continue
+            i, L, lhs = redex
+            prefix, suffix = w[:i], w[i + L:]
+            for t, ct in rules[lhs].items():
                 u = prefix + t + suffix
                 acc = pending.get(u)
                 if acc is None:
@@ -274,10 +253,6 @@ class Reducer:
                                     for t, c in self.rules[l2].items()}).items():
             addto(diff, u, -cu)
         return diff
-
-
-def _is_identity(terms: dict, word) -> bool:
-    return len(terms) == 1 and word in terms and terms[word].is_one()
 
 
 class Presentation(Reducer):
@@ -455,6 +430,7 @@ class _Completer(Reducer):
             # the ideal contains a nonzero scalar: the quotient is zero
             self.collapsed = True
             self.rules = {}
+            self.cache = {}
             self._automaton = None
             return
         lead = max(terms, key=self.order.key)
@@ -476,11 +452,9 @@ class _Completer(Reducer):
                 addto(eq, w, -x)
             self.eqs.append(eq)
         self.rules[lead] = rhs
-        self.version += 1
+        self.cache = {}
         self._automaton = None
-        if doomed:
-            self.retired += len(doomed)
-            self.retire_floor = self.version
+        self.retired += len(doomed)
         for other in list(self.rules):
             self._schedule_overlaps(lead, other)
             if other != lead:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -199,10 +202,12 @@ def test_options_nothing_reads_are_usage_errors(capsys, argv):
     (["catalog", "list"], set()),
     (["catalog", "verify", "cz2n", "--n", "2"], {"n"}),
     (["dim", "widehat", "--ell", "3"], {"name", "ell", "probe_bound"}),
-    (["verify", "axioms", "oq-sl2"], {"target", "subject", "probe_bound"}),
-    (["verify", "central", "L", "--ell", "3"],
-     {"target", "subject", "ell", "probe_bound"}),
+    (["verify", "axioms", "oq-sl2"], {"target", "subject", "ell"}),
+    (["verify", "central", "L", "--ell", "3"], {"target", "subject", "ell"}),
+    (["verify", "normal", "B"], {"target", "subject"}),
+    (["verify", "sequence", "cz2n"], {"target", "subject", "n", "probe_bound"}),
     (["grouplikes", "taft", "--ell", "3"], {"name", "ell"}),
+    (["grouplikes", "cz2n"], {"name", "n"}),
     (["construct", "--datum-json", TRIVIAL_ODD], {"datum", "probe_bound"}),
     (["equiv", "--datum1", TRIVIAL_ODD, "--datum2", TRIVIAL_ODD],
      {"datum1", "datum2"}),
@@ -213,6 +218,45 @@ def test_config_lists_only_settings_read(capsys, monkeypatch, argv, keys):
     code, out = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert set(json.loads(out)["config"]) == keys
+
+
+@pytest.mark.parametrize("argv, option, subject", [
+    (["verify", "normal", "B", "--ell", "9", "--n", "4"], "ell", "B"),
+    (["verify", "axioms", "o-minus1-sl2", "--ell", "7"], "ell", "o-minus1-sl2"),
+    (["verify", "axioms", "oq-sl2", "--probe-bound", "12"], "probe-bound",
+     "oq-sl2"),
+    (["verify", "morphism", "dihedral", "--ell", "4"], "ell", "dihedral"),
+    (["verify", "sequence", "cz2n", "--ell", "4"], "ell", "cz2n"),
+    (["catalog", "verify", "cz2n", "--n", "2", "--ell", "5", "--parity", "odd"],
+     "ell", "cz2n"),
+    (["catalog", "verify", "normal-B", "--ell", "4"], "ell", "normal-B"),
+    (["catalog", "verify", "--grid", "default", "--m", "3"], "m", "the grid"),
+    (["grouplikes", "taft", "--n", "4", "--parity", "even"], "n", "taft"),
+    (["grouplikes", "cz2n", "--ell", "3"], "ell", "cz2n"),
+])
+def test_options_a_subject_does_not_read_are_usage_errors(capsys, argv,
+                                                          option, subject):
+    # refused like dim refuses them, not echoed into the config
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --{option} does not apply to {subject}\n"
+
+
+def test_closed_stdout_is_not_an_internal_error():
+    # the reader has gone before the report is written, as when piping
+    # into head: the report's own exit code, and nothing on stderr
+    src = os.path.dirname(os.path.dirname(qsl2.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from qsl2.cli import main; "
+         "sys.exit(main())", "verify", "normal", "B"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [

@@ -118,7 +118,7 @@ def test_render_roundtrip(a):
 # The oracle works on Fraction coefficient lists of length phi: products are
 # convolved in full and reduced mod Phi_ell by long division, with no table.
 
-FIELDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
+FIELDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16]
 
 
 def oracle_reduce(ell, vec):
@@ -211,7 +211,7 @@ def test_fast_paths_match_oracle(case):
         assert oracle_mul(ell, list(power.coeffs), oracle_pow(ell, ca, -k)) == one
 
 
-@pytest.mark.parametrize("ell", FIELDS + [10, 15])
+@pytest.mark.parametrize("ell", FIELDS + [10])
 def test_from_coeffs_any_length_and_q_power(ell):
     for k in range(-ell, 3 * ell + 1):
         assert_matches(CycRat.q_power(ell, k), ell, oracle_unit(ell, 1, k))

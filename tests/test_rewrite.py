@@ -422,8 +422,8 @@ def differential(monkeypatch, relations):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(relations=small_relation_sets())
 # xx = -1 and xx = -x collapse the algebra, but only if the retired rule
-# xx -> -1 keeps its equation: seeding cache entries from before the
-# retirement leaves the rule x -> 1 instead
+# xx -> -1 keeps its equation: normal forms cached before the retirement
+# would leave the rule x -> 1 instead, so a rule change must drop the cache
 @example(relations=[[((), 1), ((0, 0), 1)], [((0,), 1), ((0, 0), 1)]])
 def test_completion_cache_differential_random(monkeypatch, relations):
     differential(monkeypatch, relations)
@@ -431,7 +431,7 @@ def test_completion_cache_differential_random(monkeypatch, relations):
 
 def test_completion_cache_differential_with_retirement(monkeypatch):
     # a relation set whose cached completion retires at least one rule, so
-    # the retire_floor path of the cache is exercised, not only additions
+    # the cache is dropped on retirements, not only on additions
     def retires(relations):
         try:
             return complete_both(monkeypatch, lambda: build_small(relations))[2] > 0
@@ -443,6 +443,30 @@ def test_completion_cache_differential_with_retirement(monkeypatch):
                      settings=settings(max_examples=300, database=None,
                                        derandomize=True))
     assert differential(monkeypatch, relations) > 0
+
+
+def test_rule_changes_drop_the_cache(monkeypatch):
+    # the cache size right after each rule addition and after a collapse
+    sizes = []
+
+    class Recording(_Completer):
+        def _add_rule(self, lead, rhs):
+            super()._add_rule(lead, rhs)
+            sizes.append(len(self.cache))
+
+        def _orient(self, terms):
+            collapsed = self.collapsed
+            super()._orient(terms)
+            if self.collapsed and not collapsed:
+                sizes.append(len(self.cache))
+
+    monkeypatch.setattr(rewrite, "_Completer", Recording)
+    quotient_presentation(oq_sl2(3).pres, quotient_ideal("widehat", 3))
+    added = len(sizes)
+    assert build_small([[((), 1), ((0, 0), 1)],
+                        [((0,), 1), ((0, 0), 1)]]).collapsed
+    assert added > 0 and len(sizes) > added
+    assert sizes == [0] * len(sizes)
 
 
 def test_find_redex_matches_brute_force_on_shipped_presentation():
