@@ -17,7 +17,7 @@ from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    run_battery, verify_hopf_morphism)
 from .ncalg import NCPoly, TensorPoly
 from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
-                            oq_sl2, phi_even_images, phi_minus1_images,
+                            oq_sl2, phi_even_images, phi_images,
                             psl2_model, quotient_ideal, sl2_algebra,
                             verify_psl2_embedding)
 from .rewrite import (check_confluence, dimension, normal_form,
@@ -263,7 +263,7 @@ def _verify_normal_b() -> CatalogEntry:
     entry.results.extend(check_normal(alg, Bgens))
     model = psl2_model(8)
     entry.results.extend(
-        verify_psl2_embedding(model, alg, phi_minus1_images(alg), 2))
+        verify_psl2_embedding(model, alg, phi_images(alg), 2))
     return entry
 
 

@@ -28,7 +28,7 @@ from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
 from .ncalg import render_poly
 from .presentations import (classical_sl2, distinguished_subalgebra,
                             o_minus1_sl2, oq_sl2, phi_even_images,
-                            phi_minus1_images, psl2_model, quotient_ideal,
+                            phi_images, psl2_model, quotient_ideal,
                             sl2_algebra, verify_psl2_embedding)
 from .rewrite import DEFAULT_PROBE_BOUND, dimension, quotient_presentation
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
@@ -135,12 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_datum(text_or_path: str) -> SubgroupDatum:
     text = text_or_path
     if os.path.exists(text_or_path):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot read datum file: {exc}") from exc
     try:
-        doc = json.loads(text)
-        return SubgroupDatum.from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+        return SubgroupDatum.from_json(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError, QSL2Error) as exc:
+        # 1e400 parses as inf, which int() refuses with OverflowError
         raise _UsageError(f"malformed datum JSON: {exc}") from exc
 
 
@@ -270,7 +274,7 @@ def _verify_dispatch(target, subject, cfg) -> list:
         return verify_dihedral_quotient(cfg["m"])
     if subject == "B":
         alg = sl2_algebra("minus_one", 2)
-        images = phi_minus1_images(alg)
+        images = phi_images(alg)
     else:
         alg = oq_sl2(ell)
         images = phi_even_images(alg)
@@ -309,9 +313,11 @@ def _cmd_catalog(args) -> dict:
                        entries=[e.to_json() for e in entries])
     if not args.entry:
         raise _UsageError("catalog verify needs an entry name or --grid")
-    params = _settings(args, args.entry,
-                       dict.fromkeys(entry_parameters(args.entry)),
-                       CATALOG_OPTIONS)
+    keys = entry_parameters(args.entry)
+    params = _settings(args, args.entry, dict.fromkeys(keys), CATALOG_OPTIONS)
+    missing = [f"--{key}" for key in keys if key not in params]
+    if missing:
+        raise _UsageError(f"{args.entry} needs {', '.join(missing)}")
     entry = verify_entry(args.entry, **params)
     return _report(f"catalog verify {args.entry}", params, entry.results,
                    "pass" if entry.ok else "fail", expected=entry.expected)

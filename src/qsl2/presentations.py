@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .cyclo import CycRat, multiplicative_order
+from .cyclo import CycRat, embed_scalar, multiplicative_order
 from .errors import ParamOutOfRange, ParityMismatch, QSL2Error
 from .exactla import Echelon, kernel_of_columns, span_dim
-from .hopf import CheckResult, NamedAlgebra, named_algebra, substitute
+from .hopf import (CheckResult, NamedAlgebra, map_tensor, named_algebra,
+                   substitute)
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
 from .rewrite import (DEFAULT_COMPLETION_BOUND, build_presentation,
-                      enumerate_basis, normal_form, tensor_normal_form)
+                      enumerate_basis, normal_form)
 
 ABCD = ("a", "b", "c", "d")
 XGENS = ("x11", "x12", "x21", "x22")
@@ -42,9 +43,12 @@ def _sl2_relations(ell: int, q: CycRat) -> list[NCPoly]:
     ]
 
 
-def _sl2_hopf(ell: int, q: CycRat):
-    tens = lambda uv, c=None: TensorPoly.monomial(ABCD, ell, uv, c)
-    mono = lambda w, c=None: NCPoly.monomial(ABCD, ell, w, c)
+def _sl2_hopf(ell: int, q: CycRat, gens=ABCD):
+    """Delta, epsilon and S of the matrix generators (x11, x12, x21, x22) =
+    (a, b, c, d): Delta(x_ij) = sum_s x_is (x) x_sj, epsilon(x_ij) = delta_ij
+    and S the q-adjugate, which at q = 1 is the adjugate."""
+    tens = lambda uv, c=None: TensorPoly.monomial(gens, ell, uv, c)
+    mono = lambda w, c=None: NCPoly.monomial(gens, ell, w, c)
     delta = {
         A: tens(((A,), (A,))) + tens(((B,), (C,))),
         B: tens(((A,), (B,))) + tens(((B,), (D,))),
@@ -113,23 +117,8 @@ def classical_sl2(conductor: int = 1) -> NamedAlgebra:
     rels.append(mono((0, 3)) - mono((1, 2)) - NCPoly.one(XGENS, ell))
     pres = build_presentation(XGENS, MonomialOrder(4), rels, ell, None,
                               "classical", None, label="classical-sl2")
-
-    def entry(i, j):
-        return 2 * (i - 1) + (j - 1)
-
-    delta = {}
-    counit = {}
-    antipode_imgs = {0: mono((3,)), 1: -mono((1,)), 2: -mono((2,)), 3: mono((0,))}
-    for i in (1, 2):
-        for j in (1, 2):
-            g = entry(i, j)
-            t = TensorPoly.zero(XGENS, ell)
-            for s in (1, 2):
-                t = t + TensorPoly.monomial(XGENS, ell,
-                                            ((entry(i, s),), (entry(s, j),)))
-            delta[g] = t
-            counit[g] = CycRat.one(ell) if i == j else CycRat.zero(ell)
-    return named_algebra(pres, delta, counit, antipode_imgs, pres.label)
+    delta, counit, antipode = _sl2_hopf(ell, CycRat.one(ell), XGENS)
+    return named_algebra(pres, delta, counit, antipode, pres.label)
 
 
 # all ten unordered products of two coordinates; the nine below generate
@@ -220,49 +209,42 @@ def quotient_ideal(kind: str, ell: int, conductor: int | None = None) -> list[NC
     raise QSL2Error(f"unknown quotient ideal kind {kind!r}")
 
 
-# image of the nine quadratic generators (plus the determinant pair) inside
-# the q = -1 algebra: pair of coordinate indices -> word with sign
-PHI_MINUS1 = {
-    (0, 0): ((A, A), 1),
-    (0, 1): ((A, B), 1),
-    (1, 1): ((B, B), -1),
-    (0, 2): ((A, C), 1),
-    (1, 2): ((B, C), -1),
-    (1, 3): ((B, D), -1),
-    (2, 2): ((C, C), -1),
-    (2, 3): ((C, D), -1),
-    (3, 3): ((D, D), 1),
-    (0, 3): ((A, D), 1),
-}
+def phi_images(alg: NamedAlgebra) -> dict:
+    """The even-part embedding: quadratic pair -> x^m y^m; q must have even
+    order 2m.
 
-
-def phi_minus1_images(alg: NamedAlgebra) -> dict:
+    The m-th powers of the coordinates commute up to (-1)^m, so for odd m
+    (q = -1 is m = 1) the pairs whose first sorted factor is off-diagonal
+    carry a minus; for even m the unsigned map is the algebra map.
+    """
+    m = multiplicative_order(alg.pres.q) // 2
     out = {}
-    for pair, (word, sign) in PHI_MINUS1.items():
-        out[pair] = NCPoly.monomial(ABCD, alg.ell, word,
+    for pair in QUAD_PAIRS_ALL:
+        sign = -1 if m % 2 and pair[0] in (B, C) else 1
+        out[pair] = NCPoly.monomial(ABCD, alg.ell,
+                                    (pair[0],) * m + (pair[1],) * m,
                                     CycRat.from_rational(alg.ell, sign))
     return out
 
 
 def phi_even_images(alg: NamedAlgebra) -> dict:
-    """Quadratic pair -> x^m y^m, signed like the q = -1 matrix when m is odd.
-
-    The m-th powers of the coordinates commute up to (-1)^m, so for odd m
-    the embedding needs the same sign pattern as the q = -1 case (minus on
-    pairs whose first sorted factor is off-diagonal); for even m the
-    unsigned map is the algebra map.  q must have even order 2m, m != 1.
-    """
+    """phi_images onto the subalgebra N: even ell = 2m with m != 1."""
     order = multiplicative_order(alg.pres.q)
     if order % 2 or order == 2:
         raise ParityMismatch("N needs even ell = 2m with m != 1")
-    m = order // 2
-    signed = m % 2 == 1
-    out = {}
-    for pair in QUAD_PAIRS_ALL:
-        sign = -1 if signed and pair[0] in (1, 2) else 1
-        out[pair] = NCPoly.monomial(ABCD, alg.ell,
-                                    (pair[0],) * m + (pair[1],) * m,
-                                    CycRat.from_rational(alg.ell, sign))
+    return phi_images(alg)
+
+
+def lift_even(p: NCPoly, images: dict, target: NamedAlgebra) -> NCPoly:
+    """Image in target of a classical polynomial in even words, mapped pair
+    by pair through images (sorted coordinate pair -> NCPoly over target)."""
+    out = target.pres.zero()
+    for w, c in p.terms.items():
+        if len(w) % 2:
+            raise QSL2Error("PSL2-side lift needs even words")
+        out = out + substitute(target.pres, c,
+                               (images[tuple(sorted(w[i:i + 2]))]
+                                for i in range(0, len(w), 2)))
     return out
 
 
@@ -273,15 +255,17 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
     images maps every sorted coordinate pair to an NCPoly over the target.
     Checks, degreewise, that every exact linear dependency among products of
     the nine quadratic generators maps to zero, and that Delta, counit and
-    antipode match on the generators (the source values are computed from
-    the matrix coalgebra: Delta(X_ij X_kl) = sum_st X_is X_kt (x) X_sj X_tl).
+    antipode match on the generators.  The source values are the classical
+    maps on the free products x_a x_b, unreduced, so that every word maps
+    through exactly one pair.
     """
     results = []
     label = f"psl2-model -> {target.label}"
+    src = model.alg
+    lift = lambda p: lift_even(p, images, target)
 
-    def img_product(pairs, coeff) -> NCPoly:
-        return substitute(target.pres, coeff,
-                          (images[tuple(sorted(pair))] for pair in pairs))
+    def img_product(pairs, coeff=None) -> NCPoly:
+        return lift(NCPoly.monomial(XGENS, src.ell, sum(pairs, ()), coeff))
 
     for count in range(1, max_product_degree + 1):
         all_dead = True
@@ -299,54 +283,31 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
         # equal ranks of sources and images certify degreewise injectivity
         prods = model.products(count)
         src_rank = span_dim(p.terms for _, p in prods)
-        img_rank = span_dim(
-            img_product(combo, CycRat.one(model.alg.ell)).terms
-            for combo, _ in prods)
+        img_rank = span_dim(img_product(combo).terms for combo, _ in prods)
         results.append(CheckResult(
             "psl2-map-degreewise-injective", label, src_rank == img_rank,
             f"degree {2 * count}: rank {src_rank} vs {img_rank}"))
 
-    def rc(g):  # generator index -> matrix row/col, 1-based
-        return (g // 2 + 1, g % 2 + 1)
-
-    def entry(i, j):
-        return 2 * (i - 1) + (j - 1)
-
-    for pair in QUAD_PAIRS:
-        (i, j), (k, l) = rc(pair[0]), rc(pair[1])
-        lhs = target.delta(images[pair])
-        rhs = TensorPoly.zero(target.gens, target.ell)
-        for s in (1, 2):
-            for t in (1, 2):
-                left = img_product([(entry(i, s), entry(k, t))], CycRat.one(model.alg.ell))
-                right = img_product([(entry(s, j), entry(t, l))], CycRat.one(model.alg.ell))
-                for wu, cu in left.terms.items():
-                    for wv, cv in right.terms.items():
-                        rhs = rhs + TensorPoly.monomial(
-                            target.gens, target.ell, (wu, wv), cu * cv)
-        rhs = tensor_normal_form(target.pres, rhs)
-        name = f"x{i}{j}*x{k}{l}"
+    hopf = src.hopf
+    for a, b in QUAD_PAIRS:
+        image = images[(a, b)]
+        name = f"{src.gens[a]}*{src.gens[b]}"
+        rhs = map_tensor(hopf.delta[a] * hopf.delta[b], lift, target)
         results.append(CheckResult("psl2-map-delta", label,
-                                   (lhs - rhs).is_zero(), name))
-        eps_src = CycRat.one(target.ell) if (i == j and k == l) else CycRat.zero(target.ell)
+                                   (target.delta(image) - rhs).is_zero(), name))
+        eps = embed_scalar(hopf.counit[a] * hopf.counit[b], target.ell)
         results.append(CheckResult("psl2-map-counit", label,
-                                   target.counit(images[pair]) == eps_src, name))
-        # S(x_ij) = (-1)^(i+j) x_{3-j,3-i}, the adjugate entry
-        sign = (1 if i == j else -1) * (1 if k == l else -1)
-        s_src = img_product([(entry(3 - l, 3 - k), entry(3 - j, 3 - i))],
-                            CycRat.from_rational(model.alg.ell, sign))
-        s_tgt = target.antipode(images[pair])
+                                   target.counit(image) == eps, name))
+        s_src = lift(hopf.antipode[b] * hopf.antipode[a])
         results.append(CheckResult("psl2-map-antipode", label,
-                                   (s_tgt - normal_form(target.pres, s_src)).is_zero(),
+                                   (target.antipode(image) - s_src).is_zero(),
                                    name))
     return results
 
 
-def distinguished_subalgebra(case: str, ell: int,
-                             conductor: int | None = None):
+def distinguished_subalgebra(case: str, ell: int):
     """Generator lists of the central/normal subalgebras L, B, N."""
-    cond = conductor or ell
-    mono = lambda w, c=None: NCPoly.monomial(ABCD, cond, w, c)
+    mono = lambda w, c=None: NCPoly.monomial(ABCD, ell, w, c)
     if case == "L_odd":
         if ell % 2 == 0 or ell <= 2:
             raise ParityMismatch("L needs odd ell > 2")
@@ -358,7 +319,6 @@ def distinguished_subalgebra(case: str, ell: int,
     if case == "N_even":
         if ell % 2 or ell == 2:
             raise ParityMismatch("N needs even ell = 2m with m != 1")
-        q = CycRat.q_power(cond, cond // ell)
-        m = multiplicative_order(q * q)
+        m = ell // 2
         return [mono((x,) * m + (y,) * m) for x in range(4) for y in range(4)]
     raise QSL2Error(f"unknown subalgebra case {case!r}")

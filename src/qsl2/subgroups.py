@@ -19,10 +19,10 @@ from .errors import (CertificateFailed, InconsistentDatum, ParamOutOfRange,
                      QSL2Error)
 from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
-                   coinvariants, substitute)
+                   coinvariants)
 from .ncalg import NCPoly, render_poly
-from .presentations import (ABCD, XGENS, classical_sl2, phi_even_images,
-                            phi_minus1_images, quotient_ideal, sl2_algebra)
+from .presentations import (ABCD, XGENS, classical_sl2, lift_even,
+                            phi_images, quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, quotient_presentation)
 
@@ -311,19 +311,7 @@ def lift_classical_poly(p: NCPoly, parity: str, alg: NamedAlgebra) -> NCPoly:
             word = tuple(g for g in w for _ in range(power))
             out = out + NCPoly.monomial(ABCD, ell, word, embed_scalar(c, ell))
         return out
-    images = _phi_images(parity, alg)
-    for w, c in p.terms.items():
-        if len(w) % 2:
-            raise QSL2Error("PSL2-side lift needs even words")
-        out = out + substitute(alg.pres, c, (images[tuple(sorted(w[i:i + 2]))]
-                                             for i in range(0, len(w), 2)))
-    return out
-
-
-def _phi_images(parity: str, alg: NamedAlgebra) -> dict:
-    """The PSL2-side subalgebra embedding for the parity (even or q = -1)."""
-    return (phi_minus1_images(alg) if parity == "minus_one"
-            else phi_even_images(alg))
+    return lift_even(p, phi_images(alg), alg)
 
 
 # catalog groups: kernel generators transcribed in the quantum letters,
@@ -340,7 +328,7 @@ def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
         if name == "G_a":
             return [apow(A, p.scalar(1)), apow(D, p.scalar(1))]
         return []  # borel_plus, borel_minus, full: identity embedding
-    images = _phi_images(parity, alg)
+    images = phi_images(alg)
     if name in ("torus", "G_m"):
         offdiag = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
         return [images[pair] for pair in offdiag]
@@ -376,7 +364,7 @@ def _parity_augmentation_ideal(parity: str, ell: int, alg: NamedAlgebra):
     if parity == "even":
         return quotient_ideal("overline", multiplicative_order(alg.pres.q),
                               conductor=alg.ell)
-    images = phi_minus1_images(alg)
+    images = phi_images(alg)
     eps = {(0, 0): 1, (3, 3): 1, (0, 3): 1}
     out = []
     for pair, img in images.items():
@@ -390,7 +378,7 @@ def _gamma_subalgebra_gens(parity: str, alg: NamedAlgebra) -> list[NCPoly]:
     if parity == "odd":
         k = multiplicative_order(alg.pres.q)
         return [NCPoly.monomial(ABCD, alg.ell, (g,) * k) for g in range(4)]
-    images = _phi_images(parity, alg)
+    images = phi_images(alg)
     return [images[pair] for pair in images]
 
 

@@ -18,7 +18,7 @@ from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        is_hopf_ideal)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
-                                o_minus1_sl2, oq_sl2, phi_minus1_images,
+                                o_minus1_sl2, oq_sl2, phi_images,
                                 psl2_model, quotient_ideal,
                                 verify_psl2_embedding, _sl2_order,
                                 _sl2_relations)
@@ -156,7 +156,7 @@ def test_criterion_05_subalgebra_lemma():
     Bgens = distinguished_subalgebra("B_minus1", 2)
     assert all_ok(check_normal(m1, Bgens))
     model = psl2_model(8)
-    assert all_ok(verify_psl2_embedding(model, m1, phi_minus1_images(m1), 2))
+    assert all_ok(verify_psl2_embedding(model, m1, phi_images(m1), 2))
     for ell in (4, 6):
         alg = oq_sl2(ell)
         assert all_ok(check_normal(alg, distinguished_subalgebra("N_even", ell)))

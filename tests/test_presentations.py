@@ -2,10 +2,10 @@ import pytest
 
 from qsl2.cyclo import CycRat, multiplicative_order
 from qsl2.errors import ParityMismatch, QSL2Error
-from qsl2.ncalg import NCPoly, render_poly
+from qsl2.ncalg import NCPoly, TensorPoly, render_poly
 from qsl2.presentations import (XGENS, classical_sl2,
                                 distinguished_subalgebra, o_minus1_sl2,
-                                oq_sl2, phi_minus1_images, psl2_model,
+                                oq_sl2, phi_images, psl2_model,
                                 quotient_ideal, verify_psl2_embedding,
                                 phi_even_images)
 from qsl2.rewrite import normal_form
@@ -108,19 +108,58 @@ def test_distinguished_subalgebras():
 
 
 def test_phi_matrix_entries():
+    # at q = -1 (m = 1) every pair maps to its word in a, b, c, d; b^2, bc,
+    # bd, c^2 and cd carry a minus
     alg = o_minus1_sl2()
-    phi = phi_minus1_images(alg)
-    # X12^2 -> -b^2 and X12 X21 -> -bc
-    assert render_poly(phi[(1, 1)]) == "-b^2"
-    assert render_poly(phi[(1, 2)]) == "-b*c"
-    assert render_poly(phi[(0, 0)]) == "a^2"
+    phi = phi_images(alg)
+    assert {pair: render_poly(img) for pair, img in phi.items()} == {
+        (0, 0): "a^2", (0, 1): "a*b", (0, 2): "a*c", (0, 3): "a*d",
+        (1, 1): "-b^2", (1, 2): "-b*c", (1, 3): "-b*d",
+        (2, 2): "-c^2", (2, 3): "-c*d", (3, 3): "d^2"}
+
+
+def test_classical_structure_maps_are_the_matrix_coalgebra():
+    hopf = classical_sl2().hopf
+    x = {(i, j): 2 * (i - 1) + (j - 1) for i in (1, 2) for j in (1, 2)}
+    for (i, j), g in x.items():
+        delta = TensorPoly.zero(XGENS, 1)
+        for s in (1, 2):
+            delta = delta + TensorPoly.monomial(XGENS, 1,
+                                                ((x[i, s],), (x[s, j],)))
+        assert hopf.delta[g] == delta
+        assert hopf.counit[g] == CycRat.from_rational(1, int(i == j))
+        # S is the adjugate: S(x_ij) = (-1)^(i+j) x_{3-j,3-i}
+        assert hopf.antipode[g] == NCPoly.monomial(
+            XGENS, 1, (x[3 - j, 3 - i],), CycRat.from_rational(1, (-1) ** (i + j)))
 
 
 def test_phi_embedding_is_hopf_map():
     model = psl2_model(8)
     alg = o_minus1_sl2()
-    rep = verify_psl2_embedding(model, alg, phi_minus1_images(alg), 2)
+    rep = verify_psl2_embedding(model, alg, phi_images(alg), 2)
     assert all(r.ok for r in rep)
+
+
+@pytest.mark.parametrize("ell", [2, 4])
+def test_psl2_embedding_check_fails_on_wrong_images(ell):
+    model = psl2_model(8)
+    alg = o_minus1_sl2() if ell == 2 else oq_sl2(ell)
+    images = phi_images(alg)
+
+    def failures(wrong):
+        rows = verify_psl2_embedding(model, alg, {**images, **wrong}, 2)
+        return {(r.check, r.witness) for r in rows if not r.ok}
+
+    # x11*x12 -> -a^m b^m: the sign breaks Delta and S where it occurs
+    assert failures({(0, 1): -images[(0, 1)]}) == {
+        ("psl2-map-dependencies", "degree 4: 12 dependencies"),
+        ("psl2-map-delta", "x11*x11"), ("psl2-map-delta", "x11*x12"),
+        ("psl2-map-delta", "x12*x12"), ("psl2-map-delta", "x12*x21"),
+        ("psl2-map-delta", "x21*x22"), ("psl2-map-antipode", "x11*x12"),
+        ("psl2-map-antipode", "x12*x22")}
+    swapped = failures({(0, 2): images[(1, 2)], (1, 2): images[(0, 2)]})
+    assert ("psl2-map-antipode", "x12*x21") in swapped
+    assert ("psl2-map-delta", "x11*x21") in swapped
 
 
 @pytest.mark.parametrize("ell", [4, 6])
