@@ -27,6 +27,13 @@ Presentation and the completer share one reduction engine, Reducer:
   once, with the sum of the coefficients of all paths that reach it.
 * Normal forms of single words are cached.  Any change to the rules drops
   the cache along with the automaton.
+
+Completion skips, without reducing it, every overlap whose word has an lhs
+strictly inside it (the noncommutative chain criterion of Buchberger's
+algorithm: Gebauer & Moeller 1988, Mora 1994).  Such an ambiguity splits
+into two shorter ones that completion has already resolved; _Completer
+gives the condition and its proof.  The rules are unchanged, since a
+reduced Groebner basis is unique for its ideal and order.
 """
 
 from __future__ import annotations
@@ -390,7 +397,38 @@ class _Completer(Reducer):
     """Overlap completion over an evolving, interreduced rule set; overlaps
     longer than the bound (if any) are cut and their lhs pairs kept in cut.
     Processed overlaps stay resolved, so the result is complete when no cut
-    pair survives: no confluence pass is needed."""
+    pair survives: no confluence pass is needed.
+
+    The agenda pops overlaps shortest first.  An overlap w = l1 + l2[k:]
+    popped with both rules current is skipped, and counted in skipped, when
+    some current lhs l3 occurs strictly inside w: starting after position 0
+    and ending before the last letter, so that it is neither the l1 prefix
+    nor the l2 suffix.  It resolves relative to the order (Bergman's diamond
+    lemma), and that is all completion needs of it:
+
+    * The rule set is factor-free, so l3 lies inside neither l1 nor l2.
+      Hence l3 starts inside l1 and ends inside l2, and w = u l3 v with u, v
+      nonempty, where (l1, l3) overlap in the proper prefix u l3 of w and
+      (l3, l2) in the proper suffix l3 v.
+    * With r(x) the rhs of x, the ambiguity of w splits as
+      r(l1) s - p r(l2) = (r(l1) s' - u r(l3)) v + u (r(l3) v' - p' r(l2))
+      for w = l1 s = p l2, l1 s' = u l3 and l3 v' = p' l2: the ambiguity of
+      u l3 times v, plus u times that of l3 v.
+    * Both overlap words are proper factors of w, so they are shorter.
+      Each pair was scheduled when the later of its rules was added (or,
+      over a base, resolves already), and its rules have stayed current
+      since, as a retired lhs never returns.  The agenda pops by length, so
+      both were popped before w, and they resolve relative to the order:
+      reduced to zero, oriented into a rule, or skipped by this same
+      criterion, by induction on length.  Later rule changes keep them so:
+      a retired rule re-enters as an equation that reduces below its lhs.
+    * A monomial order is compatible with concatenation, so the two pieces
+      times u and v stay below u l3 v = w, and w resolves relative to the
+      order too.
+
+    Only overlaps popped within the bound are skipped; one past it is still
+    cut when scheduled, so the confluence certificate is unchanged.
+    """
 
     def __init__(self, gens, order, ell, bound, max_rules):
         super().__init__(order, ell, {})
@@ -401,6 +439,7 @@ class _Completer(Reducer):
         self.counter = 0
         self.eqs = deque()
         self.retired = 0            # rules retired so far
+        self.skipped = 0            # overlaps skipped by the chain criterion
         self.last_overlap = None    # (word, lhs1, lhs2) processed last
         self.cut: set = set()       # (lhs1, lhs2) with an overlap past bound
 
@@ -412,11 +451,28 @@ class _Completer(Reducer):
             _, _, w, l1, l2, k = heapq.heappop(self.agenda)
             if l1 not in self.rules or l2 not in self.rules:
                 continue
+            if self._covered(w):
+                self.skipped += 1
+                continue
             self.last_overlap = (w, l1, l2)
             diff = self.overlap_difference(l1, l2, k)
             if diff:
                 self._orient(diff)
             self._drain_eqs()
+
+    def _covered(self, w) -> bool:
+        """Whether an lhs occurs strictly inside w, read in one automaton
+        pass: in a factor-free set out[s] is the only lhs ending there."""
+        delta, out, slack = self._automaton or self._build_automaton()
+        if slack:
+            return False            # the criterion needs a factor-free set
+        s = 0
+        for j in range(len(w) - 1):
+            s = delta[s][w[j]]
+            lhs = out[s]
+            if lhs is not None and len(lhs) <= j:
+                return True
+        return False
 
     def _drain_eqs(self):
         while self.eqs and not self.collapsed:

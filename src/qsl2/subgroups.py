@@ -21,8 +21,9 @@ from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants)
 from .ncalg import NCPoly, render_poly
-from .presentations import (ABCD, XGENS, classical_sl2, lift_even,
-                            phi_images, quotient_ideal, sl2_algebra)
+from .presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
+                            classical_sl2, lift_even, phi_images,
+                            quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, quotient_presentation)
 
@@ -328,14 +329,21 @@ def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
         if name == "G_a":
             return [apow(A, p.scalar(1)), apow(D, p.scalar(1))]
         return []  # borel_plus, borel_minus, full: identity embedding
-    images = phi_images(alg)
+    images, eps = phi_images(alg), _pair_counit(alg)
     if name in ("torus", "G_m"):
-        offdiag = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
-        return [images[pair] for pair in offdiag]
+        # the off-diagonal pairs, where the counit vanishes
+        return [img for pair, img in images.items() if eps[pair].is_zero()]
     if name == "G_a":
-        return [images[(0, 0)] - p.one(), images[(0, 3)] - p.one(),
-                images[(3, 3)] - p.one()]
+        return [img - p.one() * eps[pair] for pair, img in images.items()
+                if not eps[pair].is_zero()]
     return []
+
+
+def _pair_counit(alg: NamedAlgebra) -> dict:
+    """epsilon(x) epsilon(y) on each quadratic pair (x, y), in the order of
+    phi_images."""
+    counit = alg.hopf.counit
+    return {(x, y): counit[x] * counit[y] for x, y in QUAD_PAIRS_ALL}
 
 
 # -- the construction pipeline ---------------------------------------------------
@@ -364,14 +372,8 @@ def _parity_augmentation_ideal(parity: str, ell: int, alg: NamedAlgebra):
     if parity == "even":
         return quotient_ideal("overline", multiplicative_order(alg.pres.q),
                               conductor=alg.ell)
-    images = phi_images(alg)
-    eps = {(0, 0): 1, (3, 3): 1, (0, 3): 1}
-    out = []
-    for pair, img in images.items():
-        if pair == (0, 3):
-            continue
-        out.append(img - alg.pres.one() * alg.pres.scalar(eps.get(pair, 0)))
-    return out
+    images, eps = phi_images(alg), _pair_counit(alg)
+    return [images[pair] - alg.pres.one() * eps[pair] for pair in QUAD_PAIRS]
 
 
 def _gamma_subalgebra_gens(parity: str, alg: NamedAlgebra) -> list[NCPoly]:

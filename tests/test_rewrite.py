@@ -139,13 +139,16 @@ def test_widehat_dimension_larger():
 
 # -- the completion certificate -------------------------------------------------
 
-FINITE_QUOTIENTS = [("widehat", 3), ("widehat", 5), ("widehat", 7),
-                    ("overline", 4), ("overline", 6), ("overline", 8)]
+# the benchmark's ladder, and one rung past it
+LADDER = [("widehat", 3), ("widehat", 5), ("widehat", 7),
+          ("overline", 4), ("overline", 6), ("overline", 8)]
+FINITE_QUOTIENTS = LADDER + [("widehat", 9)]
 
 
 @pytest.fixture(scope="module")
 def finite_quotients():
-    """The ladder quotients, completed until no overlap is left."""
+    """The ladder quotients and widehat-9, completed until no overlap is
+    left."""
     return {(kind, ell): quotient_presentation(
                 oq_sl2(ell).pres, quotient_ideal(kind, ell),
                 label=f"{kind}-{ell}")
@@ -159,9 +162,12 @@ def every_overlap(pres):
 
 @pytest.mark.parametrize("kind,ell", FINITE_QUOTIENTS)
 def test_complete_quotients_resolve_every_overlap(finite_quotients, kind, ell):
+    # check_confluence reduces every overlap: it skips none
     pres = finite_quotients[kind, ell]
     assert pres.completion_bound is None and pres.confluence == "complete"
     assert check_confluence(pres, every_overlap(pres)) == []
+    dim = ell ** 3 if kind == "widehat" else ell ** 3 // 4
+    assert repr(dimension(pres)) == f"Finite({dim})"
 
 
 def test_classical_sl2_is_complete_and_infinite():
@@ -349,10 +355,17 @@ class CacheFreeCompleter(_Completer):
         return reference_nf(self.order, self.rules, word, self.ell)
 
 
-def complete_both(monkeypatch, build):
-    """Run `build` once with the cached completer and once with the
-    cache-free reference; return both presentations and the cached run's
-    number of retired rules."""
+class NoSkipCompleter(_Completer):
+    """Completion that reduces every overlap, skipping none."""
+
+    def _covered(self, w):
+        return False
+
+
+def run_both(monkeypatch, build, reference):
+    """Run `build` once with the completer and once with the `reference`
+    completer class; return both presentations and the completers of the
+    first run."""
     runs = []
 
     class Recording(_Completer):
@@ -361,10 +374,18 @@ def complete_both(monkeypatch, build):
             runs.append(self)
 
     monkeypatch.setattr(rewrite, "_Completer", Recording)
-    cached = build()
-    monkeypatch.setattr(rewrite, "_Completer", CacheFreeCompleter)
-    reference = build()
+    first = build()
+    monkeypatch.setattr(rewrite, "_Completer", reference)
+    second = build()
     monkeypatch.undo()
+    return first, second, runs
+
+
+def complete_both(monkeypatch, build):
+    """Run `build` once with the cached completer and once with the
+    cache-free reference; return both presentations and the cached run's
+    number of retired rules."""
+    cached, reference, runs = run_both(monkeypatch, build, CacheFreeCompleter)
     return cached, reference, sum(run.retired for run in runs)
 
 
@@ -396,14 +417,14 @@ def small_relation_sets():
     return st.lists(relation, min_size=2, max_size=4)
 
 
-def build_small(relations):
+def build_small(relations, complete_to=6):
     gens = ("x", "y", "z")
     polys = [NCPoly.from_terms(gens, 1, [(w, CycRat.from_rational(1, c))
                                          for w, c in rel])
              for rel in relations]
     polys = [p for p in polys if not p.is_zero()]
-    return build_presentation(gens, MonomialOrder(3), polys, 1, complete_to=6,
-                              max_rules=60)
+    return build_presentation(gens, MonomialOrder(3), polys, 1,
+                              complete_to=complete_to, max_rules=60)
 
 
 def differential(monkeypatch, relations):
@@ -443,6 +464,58 @@ def test_completion_cache_differential_with_retirement(monkeypatch):
                      settings=settings(max_examples=300, database=None,
                                        derandomize=True))
     assert differential(monkeypatch, relations) > 0
+
+
+# -- the chain criterion ---------------------------------------------------------
+
+
+def assert_same_completion(skipping, reference):
+    assert skipping.rules == reference.rules
+    assert skipping.collapsed == reference.collapsed
+    assert skipping.completion_bound == reference.completion_bound
+
+
+@pytest.mark.parametrize("bounded", [True, False],
+                         ids=["bounded", "complete"])
+@pytest.mark.parametrize("kind,ell", LADDER)
+def test_skipping_matches_completion_without_it(monkeypatch, kind, ell,
+                                                bounded):
+    base = oq_sl2(ell).pres
+    bound = (3 * ell if kind == "widehat" else 2 * ell + 2) if bounded else None
+    skipping, reference, runs = run_both(
+        monkeypatch, lambda: quotient_presentation(
+            base, quotient_ideal(kind, ell), complete_to=bound),
+        NoSkipCompleter)
+    assert_same_completion(skipping, reference)
+    # every ladder quotient, widehat-5 among them, has overlaps to skip
+    assert sum(run.skipped for run in runs) > 0
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_skipping_matches_on_a_bounded_base(monkeypatch, ell):
+    # resumed from the bound-8 rules, whose overlaps up to 8 are never
+    # scheduled: the overlaps of length 9 and 10 come out the same
+    base = oq_sl2(ell).pres
+    skipping, reference, _ = run_both(
+        monkeypatch, lambda: quotient_presentation(base, [], complete_to=10),
+        NoSkipCompleter)
+    assert_same_completion(skipping, reference)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(relations=small_relation_sets(), bound=st.sampled_from([6, None]))
+@example(relations=[[((), 1), ((0, 0), 1)], [((0,), 1), ((0, 0), 1)]],
+         bound=6)
+def test_skipping_differential_random(monkeypatch, relations, bound):
+    try:
+        skipping, reference, _ = run_both(
+            monkeypatch, lambda: build_small(relations, bound),
+            NoSkipCompleter)
+    except CompletionFailure:
+        monkeypatch.undo()
+        assume(False)
+    assert_same_completion(skipping, reference)
 
 
 def test_rule_changes_drop_the_cache(monkeypatch):
