@@ -16,10 +16,10 @@ from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    check_central, check_normal, grouplikes, is_hopf_ideal,
                    run_battery, verify_hopf_morphism)
 from .ncalg import NCPoly, TensorPoly
-from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
-                            oq_sl2, phi_even_images, phi_images,
-                            psl2_model, quotient_ideal, sl2_algebra,
-                            verify_psl2_embedding)
+from .presentations import (ABCD, QUOTIENT_PARITY, classical_sl2,
+                            distinguished_subalgebra, phi_even_images,
+                            phi_images, psl2_model, quotient_ideal,
+                            sl2_algebra, sl2_parity, verify_psl2_embedding)
 from .rewrite import (check_confluence, dimension, normal_form,
                       quotient_presentation, tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
@@ -61,7 +61,7 @@ def _verify_dual(kind: str, ell: int) -> CatalogEntry:
         dim, claim = 2 * (ell // 2) ** 3, "quotient dimension is 2 m^3"
     entry = CatalogEntry(f"{kind}-dual", {"ell": ell},
                          {"dimension": dim, "claim": claim})
-    alg = oq_sl2(ell)
+    alg = sl2_algebra(QUOTIENT_PARITY[kind], ell)
     ideal = quotient_ideal(kind, ell)
     quot = quotient_presentation(alg.pres, ideal, label=f"{kind}-{ell}")
     res = dimension(quot)
@@ -240,8 +240,7 @@ def _verify_central_l(ell: int) -> CatalogEntry:
     entry = CatalogEntry("central-L", {"ell": ell},
                          {"claim": "ell-th powers generate a central "
                                    "classical copy"})
-    # relation images have length 2*ell; reduce them confluently
-    alg = oq_sl2(ell, complete_to=2 * ell + 2)
+    alg = sl2_algebra("odd", ell)
     L = distinguished_subalgebra("L_odd", ell)
     entry.results.extend(check_central(alg, L))
     images = {g: NCPoly.monomial(ABCD, ell, (g,) * ell) for g in range(4)}
@@ -272,7 +271,7 @@ def _verify_normal_n(ell: int) -> CatalogEntry:
     entry = CatalogEntry("normal-N", {"ell": ell},
                          {"claim": "m-th power pairs generate a normal "
                                    "even-part copy"})
-    alg = oq_sl2(ell)
+    alg = sl2_algebra("even", ell)
     N = distinguished_subalgebra("N_even", ell)
     central = check_central(alg, N)
     entry.results.append(CheckResult(
@@ -286,13 +285,9 @@ def _verify_normal_n(ell: int) -> CatalogEntry:
 
 
 def _verify_battery(ell: int) -> CatalogEntry:
-    if ell == 2:
-        entry = CatalogEntry("battery", {"ell": 2}, {"claim": "Hopf axioms"})
-        entry.results.extend(run_battery(sl2_algebra("minus_one", 2), 3))
-        return entry
-    _require(ell >= 3, "battery needs ell >= 3 or ell = 2")
+    _require(ell >= 2, "battery needs ell >= 3 or ell = 2")
     entry = CatalogEntry("battery", {"ell": ell}, {"claim": "Hopf axioms"})
-    entry.results.extend(run_battery(oq_sl2(ell), 3))
+    entry.results.extend(run_battery(sl2_algebra(sl2_parity(ell), ell), 3))
     return entry
 
 

@@ -1,9 +1,13 @@
 """Canonical constructors for every algebra in the catalog.
 
-The SL2-type presentations use the letter-weighted deglex order (a, d heavy)
-so that the determinant relation orients as ad -> 1 + q bc and the
-irreducible words are exactly the ordered monomials a^l b^m c^s and
-b^m c^s d^t.  The classical coordinate ring uses plain deglex.
+The SL2-type presentations weight a, d by 2 and b, c by 1, which orients
+the determinant relation as ad -> 1 + q bc.  The public oq_sl2 and
+o_minus1_sl2 add the precedence a < b < c < d: their irreducible words are
+the PBW monomials a^l b^m c^s and b^m c^s d^t, every word a b^m c^s d is an
+obstruction, and so they complete only to a bound.  sl2_algebra, the base
+of all quotient work, takes d < a < c < b instead: there the same algebra
+completes to seven quadratic rules, with irreducible words a^l c^s b^m and
+d^t c^s b^m.  The classical coordinate ring uses plain deglex.
 """
 
 from __future__ import annotations
@@ -24,8 +28,14 @@ XGENS = ("x11", "x12", "x21", "x22")
 A, B, C, D = 0, 1, 2, 3
 
 
-def _sl2_order() -> MonomialOrder:
-    return MonomialOrder(4, weights=(2, 1, 1, 2))
+# the rank of each letter in the finite order d < a < c < b
+_FINITE_PRECEDENCE = (1, 3, 2, 0)
+
+
+def _sl2_order(precedence=None) -> MonomialOrder:
+    """Letter weights (2, 1, 1, 2); precedence a < b < c < d (the PBW
+    order) unless given."""
+    return MonomialOrder(4, precedence, weights=(2, 1, 1, 2))
 
 
 def _sl2_relations(ell: int, q: CycRat) -> list[NCPoly]:
@@ -68,43 +78,62 @@ def _sl2_hopf(ell: int, q: CycRat, gens=ABCD):
     return delta, counit, antipode
 
 
-def oq_sl2(ell: int, conductor: int | None = None,
-           complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
-    """The q-deformed coordinate algebra at a primitive ell-th root, ell >= 3."""
-    if ell <= 2:
-        raise ParamOutOfRange("the generic presentation needs ell >= 3; "
-                              "use o_minus1_sl2 for q = -1")
+def sl2_parity(ell: int) -> str:
+    """The regime of a primitive ell-th root q: ell = 2 is q = -1."""
+    return "minus_one" if ell == 2 else ("odd" if ell % 2 else "even")
+
+
+def _sl2(ell: int, conductor: int | None, precedence,
+         complete_to: int | None) -> NamedAlgebra:
+    """O_q(SL2) at a primitive ell-th root q, ell >= 2, over the cyclotomic
+    field of the conductor (doubled if odd at q = -1), in the order with
+    the given precedence, completed to complete_to (None: to the end)."""
     cond = conductor or ell
+    if ell == 2 and cond % 2:
+        cond *= 2
     if cond % ell:
         raise ParamOutOfRange(f"conductor {cond} does not contain an "
                               f"order-{ell} root")
     q = CycRat.q_power(cond, cond // ell)
-    parity = "odd" if ell % 2 else "even"
-    pres = build_presentation(ABCD, _sl2_order(), _sl2_relations(cond, q),
-                              cond, q, parity, complete_to,
-                              label=f"oq-sl2(ell={ell})")
+    parity = sl2_parity(ell)
+    label = "o-minus1-sl2" if ell == 2 else f"oq-sl2(ell={ell})"
+    pres = build_presentation(ABCD, _sl2_order(precedence),
+                              _sl2_relations(cond, q), cond, q, parity,
+                              complete_to, label=label)
     delta, counit, antipode = _sl2_hopf(cond, q)
-    return named_algebra(pres, delta, counit, antipode, pres.label)
+    return named_algebra(pres, delta, counit, antipode, label)
+
+
+def _require_generic(ell: int):
+    if ell <= 2:
+        raise ParamOutOfRange("the generic presentation needs ell >= 3; "
+                              "use o_minus1_sl2 for q = -1")
+
+
+def oq_sl2(ell: int, conductor: int | None = None,
+           complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
+    """The q-deformed coordinate algebra at a primitive ell-th root, ell >= 3,
+    in the PBW order, whose completion is infinite: bounded by complete_to."""
+    _require_generic(ell)
+    return _sl2(ell, conductor, None, complete_to)
 
 
 def o_minus1_sl2(conductor: int = 2,
                  complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
-    """The q = -1 coordinate algebra; relations specialize the generic ones."""
-    if conductor % 2:
-        conductor *= 2
-    q = CycRat.q_power(conductor, conductor // 2)
-    pres = build_presentation(ABCD, _sl2_order(), _sl2_relations(conductor, q),
-                              conductor, q, "minus_one", complete_to,
-                              label="o-minus1-sl2")
-    delta, counit, antipode = _sl2_hopf(conductor, q)
-    return named_algebra(pres, delta, counit, antipode, pres.label)
+    """The q = -1 coordinate algebra in the PBW order; relations specialize
+    the generic ones."""
+    return _sl2(2, conductor, None, complete_to)
 
 
 def sl2_algebra(parity: str, ell: int,
                 conductor: int | None = None) -> NamedAlgebra:
+    """The base of all quotient work: the algebra of oq_sl2 (of o_minus1_sl2
+    for parity minus_one) in the finite order, complete with seven rules."""
     if parity == "minus_one":
-        return o_minus1_sl2(conductor or 2)
-    return oq_sl2(ell, conductor)
+        ell = 2
+    else:
+        _require_generic(ell)
+    return _sl2(ell, conductor, _FINITE_PRECEDENCE, None)
 
 
 def classical_sl2(conductor: int = 1) -> NamedAlgebra:
@@ -187,6 +216,10 @@ def psl2_model(max_deg: int = 8) -> PSL2Model:
 
 
 # -- quotient ideals and distinguished subalgebras ------------------------------
+
+
+# the regime of the root each finite-quotient ideal needs
+QUOTIENT_PARITY = {"widehat": "odd", "overline": "even"}
 
 
 def quotient_ideal(kind: str, ell: int, conductor: int | None = None) -> list[NCPoly]:
@@ -313,9 +346,10 @@ def distinguished_subalgebra(case: str, ell: int):
             raise ParityMismatch("L needs odd ell > 2")
         return [mono((g,) * ell) for g in range(4)]
     if case == "B_minus1":
-        words = [(A, A), (B, B), (C, C), (D, D),
-                 (A, B), (A, C), (B, C), (B, D), (C, D)]
-        return [mono(w) for w in words]
+        # squares first, then mixed pairs (a stable sort): reports list
+        # their rows in this order
+        return [mono(w)
+                for w in sorted(QUAD_PAIRS, key=lambda p: p[0] != p[1])]
     if case == "N_even":
         if ell % 2 or ell == 2:
             raise ParityMismatch("N needs even ell = 2m with m != 1")

@@ -387,9 +387,10 @@ def _gamma_subalgebra_gens(parity: str, alg: NamedAlgebra) -> list[NCPoly]:
 def construct_quotient(d: SubgroupDatum,
                        probe_bound: int = DEFAULT_PROBE_BOUND,
                        raise_on_inconsistent: bool = True) -> Construction:
-    """Run the three steps on a datum and certify the result.  A finite
-    group's quotients and the top H complete until no overlap is left; a
-    catalog group's infinite ambient completes to the probe bound."""
+    """Run the three steps on a datum and certify the result.  Every
+    quotient divides the complete base sl2_algebra and completes until no
+    overlap is left, a catalog group's infinite ambient included; the probe
+    bound only limits the words counted in an infinite dimension."""
     violations = validate_datum(d)
     if violations:
         raise InconsistentDatum("; ".join(violations))
@@ -408,7 +409,6 @@ def construct_quotient(d: SubgroupDatum,
         w_order = 1
     conductor = lcm(base_ell, max(w_order, 1))
 
-    bound = None if gamma.finite else probe_bound
     base = sl2_algebra(parity, d.ell, conductor=conductor)
     transcript: dict = {"parity": parity, "ell": d.ell, "conductor": conductor,
                         "steps": []}
@@ -433,8 +433,7 @@ def construct_quotient(d: SubgroupDatum,
         "step": 2, "ideal": [render_poly(g, base.pres.order) for g in step2]})
 
     # (b), (c) and a kernel lifted through a Hopf subalgebra are Hopf ideals
-    a2 = base.quotient(step1 + step2, label=f"A[{parity},step2]",
-                       complete_to=bound)
+    a2 = base.quotient(step1 + step2, label=f"A[{parity},step2]")
     dim2 = dimension(a2.pres, probe_bound)
     transcript["after_step2_dim"] = repr(dim2)
 
@@ -446,7 +445,7 @@ def construct_quotient(d: SubgroupDatum,
                - NCPoly.monomial(ABCD, conductor,
                                  (A,) * (chi_exp * d.delta_exponent)))
         step3 = [rel]
-        a_d = a2.quotient(step3, label=f"A_D[{parity}]", complete_to=bound)
+        a_d = a2.quotient(step3, label=f"A_D[{parity}]")
     else:
         a_d = a2
     transcript["steps"].append({

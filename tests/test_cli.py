@@ -40,8 +40,8 @@ def test_construct_taft_report(capsys, tmp_path):
     assert doc["schema"] == "qsl2-report/1"
     assert doc["h_dimension"] == "Finite(25)"
     assert doc["status"] == "pass"
-    # the G_a ambient is infinite: completed to the probe bound
-    assert doc["presentation"]["confluence"] == "bounded(10)"
+    # the G_a ambient is infinite, yet completes on the finite-order base
+    assert doc["presentation"]["confluence"] == "complete"
 
 
 def test_construct_inconsistent_exit_2(capsys):
@@ -230,7 +230,7 @@ def test_equiv_command(capsys, tmp_path):
     assert doc["witness"] == 4
 
 
-GRID_SHA256 = "337eb3c60b5d3f2d413a0af69e8351de88fa611ead60c7aef9960cbbdde5bd92"
+GRID_SHA256 = "5e0ed0dac5605d21ccab6e101910b781e5661b41ec247f508d5f0068dd81e0aa"
 
 
 def test_catalog_grid_all_green(capsys):

@@ -3,12 +3,12 @@ import pytest
 from qsl2.cyclo import CycRat, multiplicative_order
 from qsl2.errors import ParityMismatch, QSL2Error
 from qsl2.ncalg import NCPoly, TensorPoly, render_poly
-from qsl2.presentations import (XGENS, classical_sl2,
+from qsl2.presentations import (ABCD, XGENS, classical_sl2,
                                 distinguished_subalgebra, o_minus1_sl2,
                                 oq_sl2, phi_images, psl2_model,
-                                quotient_ideal, verify_psl2_embedding,
-                                phi_even_images)
-from qsl2.rewrite import normal_form
+                                quotient_ideal, sl2_algebra,
+                                verify_psl2_embedding, phi_even_images)
+from qsl2.rewrite import check_confluence, enumerate_basis, normal_form
 
 
 def test_oq_relations_hold():
@@ -168,3 +168,64 @@ def test_even_embedding_is_hopf_map(ell):
     alg = oq_sl2(ell)
     rep = verify_psl2_embedding(model, alg, phi_even_images(alg), 2)
     assert all(r.ok for r in rep)
+
+
+# -- the two orders of the SL2 base -----------------------------------------------
+
+
+def _bases(ell):
+    """The public PBW base and the finite-order base of quotient work."""
+    if ell == 2:
+        return o_minus1_sl2(), sl2_algebra("minus_one", 2)
+    return oq_sl2(ell), sl2_algebra("odd" if ell % 2 else "even", ell)
+
+
+def _rule_polys(pres):
+    return [NCPoly.monomial(ABCD, pres.ell, lhs)
+            - NCPoly(ABCD, pres.ell, dict(rhs))
+            for lhs, rhs in pres.rules.items()]
+
+
+@pytest.mark.parametrize("ell", [3, 4, 7, 2])
+def test_pbw_and_finite_bases_present_one_algebra(ell):
+    pbw, fin = _bases(ell)
+    assert pbw.pres.confluence == "bounded(8)"
+    for rule in _rule_polys(pbw.pres):
+        assert normal_form(fin.pres, rule).is_zero()
+    for rule in _rule_polys(fin.pres):
+        assert normal_form(pbw.pres, rule).is_zero()
+
+
+@pytest.mark.parametrize("ell", [3, 4, 7, 2])
+def test_change_of_basis_is_diagonal(ell):
+    # a^l b^m c^s = a^l c^s b^m and b^m c^s d^t = q^(t(s+m)) d^t c^s b^m:
+    # each PBW word is a unit multiple of one finite-order normal word
+    _, fin = _bases(ell)
+    p = fin.pres
+    a, b, c, d = (0,), (1,), (2,), (3,)
+    for x in range(4):
+        for m in range(4):
+            for s in range(4):
+                rhs = NCPoly.monomial(ABCD, p.ell, a * x + c * s + b * m)
+                lhs = NCPoly.monomial(ABCD, p.ell, a * x + b * m + c * s)
+                assert normal_form(p, rhs) == rhs
+                assert normal_form(p, lhs) == rhs
+                rhs = NCPoly.monomial(ABCD, p.ell, d * x + c * s + b * m,
+                                      p.q ** (x * (s + m)))
+                lhs = NCPoly.monomial(ABCD, p.ell, b * m + c * s + d * x)
+                assert normal_form(p, rhs) == rhs
+                assert normal_form(p, lhs) == rhs
+
+
+@pytest.mark.parametrize("ell", [3, 4, 7, 2])
+def test_finite_base_is_totally_confluent(ell):
+    _, fin = _bases(ell)
+    pres = fin.pres
+    assert len(pres.rules) == 7
+    assert pres.confluence == "complete"
+    assert all(len(lhs) == 2 for lhs in pres.rules)
+    # every overlap of two quadratic left-hand sides has length 3
+    assert check_confluence(pres, 3) == []
+    levels = enumerate_basis(pres, 12)
+    assert [len(level) for level in levels] == [(n + 1) ** 2
+                                                for n in range(13)]

@@ -201,6 +201,42 @@ def test_taft_pipeline():
     assert res.h_dim.value == 9
 
 
+# the case (I_plus, I_minus) each catalog group lives in, and the words
+# counted up to the probe bound 10 in its infinite ambient; G_a's count
+# depends on the root
+CATALOG_CASES = {"torus": ((), ()), "G_m": ((), ()),
+                 "borel_plus": ((1,), ()), "borel_minus": ((), (1,)),
+                 "G_a": ((1,), ()), "full": ((1,), (1,))}
+CATALOG_WORDS = {"torus": 21, "G_m": 21, "borel_plus": 121,
+                 "borel_minus": 121, "full": 506}
+G_A_WORDS = {3: 31, 7: 65, 4: 40, 8: 72, 2: 21}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_CASES))
+@pytest.mark.parametrize("parity,ell", [("odd", 3), ("odd", 7), ("even", 4),
+                                        ("even", 8), ("minus_one", 2)])
+def test_catalog_ambients_are_complete(name, parity, ell):
+    i_plus, i_minus = CATALOG_CASES[name]
+    cons = construct_quotient(SubgroupDatum(
+        parity=parity, ell=ell, I_plus=i_plus, I_minus=i_minus,
+        gamma=GroupSpec("catalog", name=name)))
+    pres = cons.algebra.pres
+    assert pres.confluence == "complete"
+    assert 4 <= len(pres.rules) <= 7
+    longest = 2 * max(map(len, pres.rules)) - 1
+    assert check_confluence(pres, longest) == []
+    words = G_A_WORDS[ell] if name == "G_a" else CATALOG_WORDS[name]
+    assert repr(cons.dim) == f"InfiniteAtLeast({words})"
+    # the top H: the group algebra of the roots, times the unipotent line
+    # (ell^2 on SL2, 2m^2 on PSL2) for each of b, c kept
+    if parity == "minus_one":
+        top = 2
+    else:
+        root = ell if parity == "odd" else ell // 2
+        top = ell * root ** (len(i_plus) + len(i_minus))
+    assert repr(cons.h_dim) == f"Finite({top})"
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
