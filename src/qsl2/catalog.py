@@ -16,10 +16,10 @@ from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    check_central, check_normal, grouplikes, is_hopf_ideal,
                    run_battery, verify_hopf_morphism)
 from .ncalg import NCPoly, TensorPoly
-from .presentations import (ABCD, QUOTIENT_PARITY, classical_sl2,
-                            distinguished_subalgebra, phi_even_images,
-                            phi_images, psl2_model, quotient_ideal,
-                            sl2_algebra, sl2_parity, verify_psl2_embedding)
+from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
+                            phi_even_images, phi_images, psl2_model,
+                            quotient_ideal, sl2_algebra, sl2_parity,
+                            verify_psl2_embedding)
 from .rewrite import (check_confluence, dimension, normal_form,
                       quotient_presentation, tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
@@ -61,7 +61,7 @@ def _verify_dual(kind: str, ell: int) -> CatalogEntry:
         dim, claim = 2 * (ell // 2) ** 3, "quotient dimension is 2 m^3"
     entry = CatalogEntry(f"{kind}-dual", {"ell": ell},
                          {"dimension": dim, "claim": claim})
-    alg = sl2_algebra(QUOTIENT_PARITY[kind], ell)
+    alg = sl2_algebra(sl2_parity(ell), ell)
     ideal = quotient_ideal(kind, ell)
     quot = quotient_presentation(alg.pres, ideal, label=f"{kind}-{ell}")
     res = dimension(quot)

@@ -26,11 +26,10 @@ from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
                    is_hopf_ideal)
 from .ncalg import render_poly
-from .presentations import (QUOTIENT_PARITY, classical_sl2,
-                            distinguished_subalgebra, o_minus1_sl2, oq_sl2,
-                            phi_even_images, phi_images, psl2_model,
-                            quotient_ideal, sl2_algebra,
-                            verify_psl2_embedding)
+from .presentations import (classical_sl2, distinguished_subalgebra,
+                            o_minus1_sl2, oq_sl2, phi_even_images, phi_images,
+                            psl2_model, quotient_ideal, sl2_algebra,
+                            sl2_parity, verify_psl2_embedding)
 from .rewrite import DEFAULT_PROBE_BOUND, dimension, quotient_presentation
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                         datum_equiv, exact_sequence_shadow,
@@ -241,6 +240,8 @@ def _settings(args, subject, reads: dict, options=()) -> dict:
 
 
 def _verify_dispatch(target, subject, cfg) -> list:
+    # each base is in the regime ell fixes, and a subject's own constructor
+    # refuses a wrong parity; oq-sl2 asks for a generic one, refusing ell = 2
     ell = cfg.get("ell")
     if target == "axioms":
         alg = (sl2_algebra("minus_one", 2) if subject == "o-minus1-sl2"
@@ -248,16 +249,16 @@ def _verify_dispatch(target, subject, cfg) -> list:
         return (check_structure_well_defined(alg)
                 + check_axioms(alg, sample_deg=3))
     if target == "central":
-        alg = sl2_algebra("odd", ell)
+        alg = sl2_algebra(sl2_parity(ell), ell)
         return check_central(alg, distinguished_subalgebra("L_odd", ell))
     if target == "normal":
         if subject == "B":
             alg = sl2_algebra("minus_one", 2)
             return check_normal(alg, distinguished_subalgebra("B_minus1", 2))
-        alg = sl2_algebra("even", ell)
+        alg = sl2_algebra(sl2_parity(ell), ell)
         return check_normal(alg, distinguished_subalgebra("N_even", ell))
     if target == "hopf-ideal":
-        alg = sl2_algebra(QUOTIENT_PARITY[subject], ell)
+        alg = sl2_algebra(sl2_parity(ell), ell)
         ideal = quotient_ideal(subject, ell)
         quot = quotient_presentation(alg.pres, ideal, label=f"{alg.label}/J")
         return is_hopf_ideal(alg, ideal, quot)
@@ -277,7 +278,7 @@ def _verify_dispatch(target, subject, cfg) -> list:
         alg = sl2_algebra("minus_one", 2)
         images = phi_images(alg)
     else:
-        alg = sl2_algebra("even", ell)
+        alg = sl2_algebra(sl2_parity(ell), ell)
         images = phi_even_images(alg)
     return verify_psl2_embedding(psl2_model(8), alg, images, 2)
 
@@ -338,7 +339,7 @@ def _cmd_dim(args) -> dict:
     elif name == "oq-sl2":
         pres = oq_sl2(ell, complete_to=bound).pres
     else:
-        base = sl2_algebra(QUOTIENT_PARITY[name], ell)
+        base = sl2_algebra(sl2_parity(ell), ell)
         pres = quotient_presentation(base.pres, quotient_ideal(name, ell),
                                      label=f"{name}-{ell}")
     res = dimension(pres, bound)

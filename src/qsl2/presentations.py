@@ -128,11 +128,13 @@ def o_minus1_sl2(conductor: int = 2,
 def sl2_algebra(parity: str, ell: int,
                 conductor: int | None = None) -> NamedAlgebra:
     """The base of all quotient work: the algebra of oq_sl2 (of o_minus1_sl2
-    for parity minus_one) in the finite order, complete with seven rules."""
-    if parity == "minus_one":
-        ell = 2
-    else:
+    for parity minus_one) in the finite order, complete with seven rules.
+    Raises ParityMismatch unless parity is sl2_parity(ell)."""
+    if parity != "minus_one":
         _require_generic(ell)
+    if parity != sl2_parity(ell):
+        raise ParityMismatch(f"{parity} parity does not fit ell = {ell}, "
+                             f"which is {sl2_parity(ell)}")
     return _sl2(ell, conductor, _FINITE_PRECEDENCE, None)
 
 
@@ -216,10 +218,6 @@ def psl2_model(max_deg: int = 8) -> PSL2Model:
 
 
 # -- quotient ideals and distinguished subalgebras ------------------------------
-
-
-# the regime of the root each finite-quotient ideal needs
-QUOTIENT_PARITY = {"widehat": "odd", "overline": "even"}
 
 
 def quotient_ideal(kind: str, ell: int, conductor: int | None = None) -> list[NCPoly]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qsl2.cyclo import CycRat
@@ -5,13 +7,14 @@ from qsl2.errors import NotFiniteDimensional, QSL2Error
 from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        check_axioms, check_central, check_normal,
                        check_structure_well_defined, coinvariants, grouplikes,
-                       is_hopf_ideal, named_algebra, verify_hopf_morphism)
+                       is_hopf_ideal, named_algebra, verify_hopf_morphism,
+                       _first_failure)
 from qsl2.ncalg import NCPoly, TensorPoly
-from qsl2.presentations import (ABCD, distinguished_subalgebra, o_minus1_sl2,
-                                oq_sl2, quotient_ideal, _sl2_order,
-                                _sl2_relations)
-from qsl2.rewrite import (build_presentation, dimension,
-                          quotient_presentation)
+from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
+                                o_minus1_sl2, oq_sl2, quotient_ideal,
+                                sl2_algebra, _sl2_order, _sl2_relations)
+from qsl2.rewrite import (build_presentation, dimension, enumerate_basis,
+                          quotient_presentation, tensor_normal_form)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -101,6 +104,121 @@ def test_mutants_caught():
     m3 = _mutant_no_determinant(5)
     assert all_ok(check_structure_well_defined(m3))  # still a bialgebra map
     assert not all_ok(check_axioms(m3, 2))           # antipode law fails
+
+
+def reference_check_axioms(alg, sample_deg=3):
+    """The battery's three laws with every side reduced to normal form
+    before comparing: check_axioms must give the same rows."""
+    words = [w for level in enumerate_basis(alg.pres, sample_deg)
+             for w in level]
+    for g in range(len(alg.gens)):
+        w = (g,)
+        if alg.pres.is_irreducible(w) and w not in words:
+            words.append(w)
+
+    def coassociative(w):
+        dw = alg.delta_word(w)
+        left = tensor_normal_form(alg.pres, dw.expand_leg(0, alg.delta_word))
+        right = tensor_normal_form(alg.pres, dw.expand_leg(1, alg.delta_word))
+        return (left - right).is_zero()
+
+    def counit_law(w):
+        lhs = alg.pres.zero()
+        rhs = alg.pres.zero()
+        for (u, v), c in alg.delta_word(w).terms.items():
+            lhs = lhs + NCPoly.monomial(alg.gens, alg.ell, v,
+                                        c * alg.counit_word(u))
+            rhs = rhs + NCPoly.monomial(alg.gens, alg.ell, u,
+                                        c * alg.counit_word(v))
+        target = NCPoly.monomial(alg.gens, alg.ell, w)
+        return (alg.nf(lhs - target).is_zero()
+                and alg.nf(rhs - target).is_zero())
+
+    def antipode_law(w):
+        left = alg.pres.zero()
+        right = alg.pres.zero()
+        for (u, v), c in alg.delta_word(w).terms.items():
+            left = left + (alg.antipode_word(u)
+                           * NCPoly.monomial(alg.gens, alg.ell, v)) * c
+            right = right + (NCPoly.monomial(alg.gens, alg.ell, u)
+                             * alg.antipode_word(v)) * c
+        target = alg.pres.one() * alg.counit_word(w)
+        return (alg.nf(left - target).is_zero()
+                and alg.nf(right - target).is_zero())
+
+    return [_first_failure("coassociativity", alg, words, coassociative),
+            _first_failure("counit-law", alg, words, counit_law),
+            _first_failure("antipode-law", alg, words, antipode_law)]
+
+
+@pytest.fixture(scope="module")
+def battery_bases():
+    """Bounded PBW bases, complete finite-order bases in all three regimes,
+    the classical algebra, and a collapsed quotient."""
+    bases = [oq_sl2(3), oq_sl2(4), o_minus1_sl2(), sl2_algebra("odd", 3),
+             sl2_algebra("even", 4), sl2_algebra("minus_one", 2),
+             classical_sl2()]
+    base = bases[3]
+    collapsed = quotient_presentation(base.pres, [base.pres.one()])
+    assert collapsed.collapsed
+    return bases + [NamedAlgebra(collapsed, base.hopf, "collapsed")]
+
+
+def _random_mutant(alg, rng):
+    """alg with Delta, epsilon or S of one generator changed at random: a
+    term added, or the image scaled (by 1 too, which changes nothing)."""
+    n, p = len(alg.gens), alg.pres
+    scalars = [p.scalar(1), p.scalar(-1), p.scalar(2)]
+    if p.q is not None:
+        scalars += [p.q, p.q.inverse()]
+    c = rng.choice(scalars)
+    word = lambda: tuple(rng.randrange(n) for _ in range(rng.randrange(3)))
+    maps = [dict(alg.hopf.delta), dict(alg.hopf.counit),
+            dict(alg.hopf.antipode)]
+    which, g = rng.randrange(3), rng.randrange(n)
+    image = maps[which][g]
+    if rng.random() < 0.5:
+        maps[which][g] = image * c
+    elif which == 0:
+        maps[0][g] = image + TensorPoly.monomial(alg.gens, alg.ell,
+                                                 (word(), word()), c)
+    elif which == 1:
+        maps[1][g] = image + c
+    else:
+        maps[2][g] = image + NCPoly.monomial(alg.gens, alg.ell, word(), c)
+    return NamedAlgebra(alg.pres, HopfStructure(*maps),
+                        f"{alg.label}/mutant-{which}-{g}")
+
+
+def test_battery_matches_the_normalising_reference(battery_bases):
+    rng = random.Random(20261018)
+    rows = []
+    for alg in battery_bases:
+        cases = [alg] + [_random_mutant(alg, rng) for _ in range(15)]
+        for case in cases:
+            got = [r.to_json() for r in check_axioms(case, 3)]
+            want = [r.to_json() for r in reference_check_axioms(case, 3)]
+            assert got == want, case.label
+            rows += got
+    # both outcomes are well represented (166 of 384 rows fail)
+    failing = sum(r["status"] == "fail" for r in rows)
+    assert 100 < failing < len(rows) - 100
+
+
+def test_coproducts_of_basis_words_are_leg_normal(battery_bases):
+    # check_axioms compares coproducts without reducing them: this is the
+    # fact it relies on, on every base and on a finite quotient (Taft)
+    base = sl2_algebra("odd", 3)
+    p = base.pres
+    taft = base.quotient([p.gen("c"), p.poly("a^3 - 1"), p.poly("b^3"),
+                          p.poly("d^3 - 1")], label="taft-3")
+    for alg in battery_bases + [taft]:
+        for w in (w for level in enumerate_basis(alg.pres, 4) for w in level):
+            dw = alg.delta_word(w)
+            for t in (dw, dw.expand_leg(0, alg.delta_word),
+                      dw.expand_leg(1, alg.delta_word)):
+                assert all(alg.pres.is_irreducible(leg)
+                           for key in t.terms for leg in key), (alg.label, w)
 
 
 def test_validation_rejects_mutant():

@@ -1,12 +1,12 @@
 import pytest
 
 from qsl2.cyclo import CycRat, multiplicative_order
-from qsl2.errors import ParityMismatch, QSL2Error
+from qsl2.errors import ParamOutOfRange, ParityMismatch, QSL2Error
 from qsl2.ncalg import NCPoly, TensorPoly, render_poly
 from qsl2.presentations import (ABCD, XGENS, classical_sl2,
                                 distinguished_subalgebra, o_minus1_sl2,
                                 oq_sl2, phi_images, psl2_model,
-                                quotient_ideal, sl2_algebra,
+                                quotient_ideal, sl2_algebra, sl2_parity,
                                 verify_psl2_embedding, phi_even_images)
 from qsl2.rewrite import check_confluence, enumerate_basis, normal_form
 
@@ -91,6 +91,23 @@ def test_quotient_ideal_parity_mismatch():
         quotient_ideal("overline", 5)
     with pytest.raises(ParityMismatch):
         quotient_ideal("widehat", 4)
+
+
+@pytest.mark.parametrize("parity, ell", [
+    ("odd", 4), ("even", 3), ("even", 5), ("minus_one", 3), ("minus_one", 4),
+    ("generic", 3),
+])
+def test_sl2_algebra_refuses_a_parity_that_disagrees_with_ell(parity, ell):
+    assert sl2_algebra(sl2_parity(ell), ell).pres.parity == sl2_parity(ell)
+    with pytest.raises(ParityMismatch):
+        sl2_algebra(parity, ell)
+
+
+def test_sl2_algebra_checks_the_range_before_the_parity():
+    # ell = 2 is q = -1: a generic regime asks for ell >= 3 first
+    for parity in ("odd", "even"):
+        with pytest.raises(ParamOutOfRange):
+            sl2_algebra(parity, 2)
 
 
 def test_distinguished_subalgebras():
