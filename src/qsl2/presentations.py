@@ -20,8 +20,8 @@ from .exactla import Echelon, kernel_of_columns, span_dim
 from .hopf import (CheckResult, NamedAlgebra, map_tensor, named_algebra,
                    substitute)
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
-from .rewrite import (DEFAULT_COMPLETION_BOUND, build_presentation,
-                      enumerate_basis, normal_form)
+from .rewrite import (DEFAULT_COMPLETION_BOUND, Presentation,
+                      build_presentation, enumerate_basis, normal_form)
 
 ABCD = ("a", "b", "c", "d")
 XGENS = ("x11", "x12", "x21", "x22")
@@ -138,17 +138,24 @@ def sl2_algebra(parity: str, ell: int,
     return _sl2(ell, conductor, _FINITE_PRECEDENCE, None)
 
 
-def classical_sl2(conductor: int = 1) -> NamedAlgebra:
-    """Commutative coordinate ring of SL2 with its standard Hopf maps; its
+def classical_sl2_presentation(conductor: int = 1) -> Presentation:
+    """Commutative coordinate ring of SL2, without its Hopf maps; its
     completion is finite (seven rules) and runs to the end."""
     ell = conductor
     mono = lambda w, c=None: NCPoly.monomial(XGENS, ell, w, c)
     rels = [mono((j, i)) - mono((i, j))
             for i in range(4) for j in range(i + 1, 4)]
     rels.append(mono((0, 3)) - mono((1, 2)) - NCPoly.one(XGENS, ell))
-    pres = build_presentation(XGENS, MonomialOrder(4), rels, ell, None,
+    return build_presentation(XGENS, MonomialOrder(4), rels, ell, None,
                               "classical", None, label="classical-sl2")
-    delta, counit, antipode = _sl2_hopf(ell, CycRat.one(ell), XGENS)
+
+
+def classical_sl2(conductor: int = 1) -> NamedAlgebra:
+    """classical_sl2_presentation with its standard Hopf maps, checked well
+    defined on the defining relations."""
+    pres = classical_sl2_presentation(conductor)
+    delta, counit, antipode = _sl2_hopf(conductor, CycRat.one(conductor),
+                                        XGENS)
     return named_algebra(pres, delta, counit, antipode, pres.label)
 
 

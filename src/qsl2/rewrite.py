@@ -28,6 +28,16 @@ Presentation and the completer share one reduction engine, Reducer:
 * Normal forms of single words are cached.  Any change to the rules drops
   the cache along with the automaton.
 
+Overlaps are found through an index, never by testing every pair of rules:
+each proper prefix of a left-hand side maps to the left-hand sides that
+start with it, and completion also keeps the mirror index of proper
+suffixes.  The overlaps of an lhs l1 with the others are then read off in
+one lookup per proper suffix of l1, in time proportional to its length and
+not to the number of rules, as in Buchberger-Mora completion (Mora 1994).
+Completion schedules the overlaps of each new rule this way, and resumes
+from a bounded base by scheduling only its overlaps past the base's bound;
+check_confluence finds those within its length limit and reduces them all.
+
 Completion skips, without reducing it, every overlap whose word has an lhs
 strictly inside it (the noncommutative chain criterion of Buchberger's
 algorithm: Gebauer & Moeller 1988, Mora 1994).  Such an ambiguity splits
@@ -428,6 +438,15 @@ class _Completer(Reducer):
 
     Only overlaps popped within the bound are skipped; one past it is still
     cut when scheduled, so the confluence certificate is unchanged.
+
+    A new rule's overlaps come from the index, not from a scan of the rules:
+    a proper suffix of lead that starts another lhs (in starts) gives an
+    overlap (lead, other), and a proper prefix of lead that ends one (in
+    ends) gives (other, lead).  They are pushed in the order a scan of the
+    rules would push them: by rule, (lead, other) before (other, lead), k
+    ascending.  The agenda counter, which breaks ties between overlaps of
+    one length, then takes the same values, and the rules, retirements,
+    skips and cuts are those of the scan, bounded completions included.
     """
 
     def __init__(self, gens, order, ell, bound, max_rules):
@@ -442,6 +461,11 @@ class _Completer(Reducer):
         self.skipped = 0            # overlaps skipped by the chain criterion
         self.last_overlap = None    # (word, lhs1, lhs2) processed last
         self.cut: set = set()       # (lhs1, lhs2) with an overlap past bound
+        # each proper prefix (starts) and proper suffix (ends) of a current
+        # lhs -> {lhs: rank}; ranks count the rules in the order they came
+        self.starts: dict = {}
+        self.ends: dict = {}
+        self.rank = 0
 
     def run(self, relations):
         for rel in relations:
@@ -488,6 +512,7 @@ class _Completer(Reducer):
             self.rules = {}
             self.cache = {}
             self._automaton = None
+            self.starts, self.ends = {}, {}
             return
         lead = max(terms, key=self.order.key)
         c = terms[lead]
@@ -503,18 +528,54 @@ class _Completer(Reducer):
         doomed = [L for L in self.rules
                   if len(L) >= len(lead) and _contains(L, lead)]
         for L in doomed:
+            self._unindex(L)
             eq = {L: self._one}
             for w, x in self.rules.pop(L).items():
                 addto(eq, w, -x)
             self.eqs.append(eq)
         self.rules[lead] = rhs
+        self._index(lead)
         self.cache = {}
         self._automaton = None
         self.retired += len(doomed)
-        for other in list(self.rules):
-            self._schedule_overlaps(lead, other)
-            if other != lead:
-                self._schedule_overlaps(other, lead)
+        self._schedule_rule(lead)
+
+    def _index(self, lhs):
+        self.rank += 1
+        for k in range(1, len(lhs)):
+            self.starts.setdefault(lhs[:k], {})[lhs] = self.rank
+            self.ends.setdefault(lhs[-k:], {})[lhs] = self.rank
+
+    def _unindex(self, lhs):
+        for k in range(1, len(lhs)):
+            del self.starts[lhs[:k]][lhs]
+            del self.ends[lhs[-k:]][lhs]
+
+    def _schedule_rule(self, lead):
+        """Schedule the overlaps of a new rule with every current rule,
+        itself included, in the order the class docstring gives."""
+        found = [(r, 0, k, lead, other)
+                 for r, k, other in _overlaps_of(lead, self.starts)]
+        found += [(r, 1, k, other, lead) for k in range(1, len(lead))
+                  for other, r in self.ends.get(lead[:k], {}).items()
+                  if other != lead]
+        found.sort()
+        for _, _, k, l1, l2 in found:
+            self._push(l1, l2, k)
+
+    def resume(self, base: Presentation):
+        """Start from the rules of base.  Their overlaps up to its bound
+        resolve already, so only the longer ones are scheduled."""
+        self.rules, self.collapsed = dict(base.rules), base.collapsed
+        for lhs in self.rules:
+            self._index(lhs)
+        if base.completion_bound is not None:
+            self._schedule_base(base.completion_bound)
+
+    def _schedule_base(self, resolved):
+        for l1 in self.rules:
+            for _, k, l2 in sorted(_overlaps_of(l1, self.starts)):
+                self._push(l1, l2, k, resolved)
 
     def _cap_failure(self) -> CompletionFailure:
         name = lambda w: _word_name(self.gens, w)
@@ -530,24 +591,31 @@ class _Completer(Reducer):
             bound=self.bound, rules=len(self.rules), agenda=len(self.agenda),
             last_overlap=self.last_overlap)
 
-    def _schedule_overlaps(self, l1, l2, resolved=0):
-        # overlaps up to length resolved are known to resolve
-        for k, w in _overlaps(l1, l2):
-            if len(w) <= resolved:
-                continue
-            if self.bound is not None and len(w) > self.bound:
-                self.cut.add((l1, l2))
-                continue
-            self.counter += 1
-            heapq.heappush(self.agenda, (len(w), self.counter, w, l1, l2, k))
+    def _push(self, l1, l2, k, resolved=0):
+        """Schedule the overlap l1 + l2[k:] unless it is at most resolved
+        long, which is known to resolve, or past the bound, which is cut."""
+        n = len(l1) + len(l2) - k
+        if n <= resolved:
+            return
+        if self.bound is not None and n > self.bound:
+            self.cut.add((l1, l2))
+            return
+        self.counter += 1
+        heapq.heappush(self.agenda, (n, self.counter, l1 + l2[k:], l1, l2, k))
 
 
-def _overlaps(l1, l2):
-    """(k, word) for each k, ascending, where the last k letters of l1 are
-    the first k of l2; the overlap word is l1 + l2[k:]."""
-    for k in range(1, min(len(l1), len(l2))):
-        if l1[-k:] == l2[:k]:
-            yield k, l1 + l2[k:]
+def _overlaps_of(l1, starts, max_len=None) -> list:
+    """(rank, k, l2) for each overlap of l1 with an lhs l2 of the prefix
+    index starts (proper prefix -> {lhs: rank}): the last k letters of l1
+    are the first k of l2, and the overlap word l1 + l2[k:] is at most
+    max_len long.  Sorted, they come in the order of a scan of the lhss by
+    rank with k ascending."""
+    found = []
+    for k in range(1, len(l1)):
+        for l2, r in starts.get(l1[-k:], {}).items():
+            if max_len is None or len(l1) + len(l2) - k <= max_len:
+                found.append((r, k, l2))
+    return found
 
 
 def _word_name(gens, word) -> str:
@@ -574,10 +642,7 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
     rules, skipping their overlaps up to its bound, which resolve already."""
     comp = _Completer(tuple(gens), order, ell, complete_to, max_rules)
     if base is not None:
-        comp.rules, comp.collapsed = dict(base.rules), base.collapsed
-        for l1 in base.rules if base.completion_bound is not None else ():
-            for l2 in base.rules:
-                comp._schedule_overlaps(l1, l2, base.completion_bound)
+        comp.resume(base)
     comp.run([dict(r.terms) for r in relations])
     defining = (base.defining if base is not None else []) + list(relations)
     rules = {}
@@ -585,19 +650,21 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
         # canonicalize right-hand sides against the final rule set
         for lhs in sorted(comp.rules, key=order.key):
             rules[lhs] = comp.nf_terms(comp.rules[lhs])
-        for lhs in rules:
-            for other in rules:
-                if lhs != other and _contains(other, lhs):
-                    raise CompletionFailure(
-                        f"interreduction invariant broken at completion bound "
-                        f"{complete_to}: left-hand side {_word_name(gens, lhs)} "
-                        f"occurs in left-hand side {_word_name(gens, other)}, "
-                        f"{len(rules)} rules",
-                        bound=complete_to, rules=len(rules), lhs=lhs,
-                        occurs_in=other)
     cut = any(l1 in rules and l2 in rules for l1, l2 in comp.cut)
-    return Presentation(gens, order, ell, rules, defining, parity, q,
+    pres = Presentation(gens, order, ell, rules, defining, parity, q,
                         complete_to if cut else None, comp.collapsed, label)
+    # the automaton of the final rules has slack exactly when some lhs is a
+    # factor of another; only then are the pairs scanned, to name one
+    if pres._build_automaton()[2]:
+        lhs, other = next((lhs, other) for lhs in rules for other in rules
+                          if lhs != other and _contains(other, lhs))
+        raise CompletionFailure(
+            f"interreduction invariant broken at completion bound "
+            f"{complete_to}: left-hand side {_word_name(gens, lhs)} "
+            f"occurs in left-hand side {_word_name(gens, other)}, "
+            f"{len(rules)} rules",
+            bound=complete_to, rules=len(rules), lhs=lhs, occurs_in=other)
+    return pres
 
 
 def quotient_presentation(pres: Presentation, extra_relations, complete_to=None,
@@ -624,17 +691,22 @@ class OverlapReport:
 
 
 def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
-    """All unresolved overlap ambiguities with overlap word length <= max_len."""
+    """All unresolved overlap ambiguities with overlap word length <= max_len,
+    in the order of a scan of all pairs (l1, l2) of rules with k ascending.
+
+    Overlaps are found through an index of the proper prefixes of the
+    left-hand sides, and every one found is reduced: none is skipped."""
+    starts: dict = {}
+    for rank, lhs in enumerate(pres.rules):
+        for k in range(1, len(lhs)):
+            starts.setdefault(lhs[:k], {})[lhs] = rank
     unresolved = []
     for l1 in pres.rules:
-        for l2 in pres.rules:
-            for k, w in _overlaps(l1, l2):
-                if len(w) > max_len:
-                    continue
-                diff = pres.overlap_difference(l1, l2, k)
-                if diff:
-                    unresolved.append(OverlapReport(
-                        w, l1, l2, NCPoly(pres.gens, pres.ell, diff)))
+        for _, k, l2 in sorted(_overlaps_of(l1, starts, max_len)):
+            diff = pres.overlap_difference(l1, l2, k)
+            if diff:
+                unresolved.append(OverlapReport(
+                    l1 + l2[k:], l1, l2, NCPoly(pres.gens, pres.ell, diff)))
     return unresolved
 
 

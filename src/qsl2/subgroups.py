@@ -22,8 +22,8 @@ from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants)
 from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
-                            classical_sl2, lift_even, phi_images,
-                            quotient_ideal, sl2_algebra)
+                            classical_sl2_presentation, lift_even,
+                            phi_images, quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, quotient_presentation)
 
@@ -250,7 +250,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
     conductor = max(w_order, 1)
     mats = _group_matrices(gamma, parity, exponent, conductor)
     max_deg = step * (order + 2)
-    ambient = classical_sl2(conductor).pres
+    ambient = classical_sl2_presentation(conductor)
     ideal: list[NCPoly] = []
     quot = ambient
     expected = order if parity == "odd" else 2 * order

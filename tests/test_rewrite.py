@@ -11,9 +11,10 @@ from qsl2.errors import CompletionFailure
 from qsl2.ncalg import MonomialOrder, NCPoly
 from qsl2.presentations import (classical_sl2, oq_sl2, o_minus1_sl2,
                                 quotient_ideal)
-from qsl2.rewrite import (Presentation, Reducer, _Completer, _descending_key,
-                          build_presentation, check_confluence, dimension,
-                          enumerate_basis, normal_form, quotient_presentation)
+from qsl2.rewrite import (OverlapReport, Presentation, Reducer, _Completer,
+                          _descending_key, build_presentation, check_confluence,
+                          dimension, enumerate_basis, normal_form,
+                          quotient_presentation)
 
 
 @pytest.fixture(scope="module")
@@ -417,14 +418,14 @@ def small_relation_sets():
     return st.lists(relation, min_size=2, max_size=4)
 
 
-def build_small(relations, complete_to=6):
+def build_small(relations, complete_to=6, base=None):
     gens = ("x", "y", "z")
     polys = [NCPoly.from_terms(gens, 1, [(w, CycRat.from_rational(1, c))
                                          for w, c in rel])
              for rel in relations]
     polys = [p for p in polys if not p.is_zero()]
     return build_presentation(gens, MonomialOrder(3), polys, 1,
-                              complete_to=complete_to, max_rules=60)
+                              complete_to=complete_to, max_rules=60, base=base)
 
 
 def differential(monkeypatch, relations):
@@ -516,6 +517,177 @@ def test_skipping_differential_random(monkeypatch, relations, bound):
         monkeypatch.undo()
         assume(False)
     assert_same_completion(skipping, reference)
+
+
+# -- overlaps found through the prefix index -------------------------------------
+
+
+def pairwise_overlaps(l1, l2):
+    """Each k, ascending, where the last k letters of l1 are the first k of
+    l2, found by testing every k."""
+    return [k for k in range(1, min(len(l1), len(l2))) if l1[-k:] == l2[:k]]
+
+
+class PairwiseCompleter(_Completer):
+    """Completion that finds overlaps by testing every pair of rules."""
+
+    def _schedule_rule(self, lead):
+        for other in list(self.rules):
+            for k in pairwise_overlaps(lead, other):
+                self._push(lead, other, k)
+            if other != lead:
+                for k in pairwise_overlaps(other, lead):
+                    self._push(other, lead, k)
+
+    def _schedule_base(self, resolved):
+        for l1 in self.rules:
+            for l2 in self.rules:
+                for k in pairwise_overlaps(l1, l2):
+                    self._push(l1, l2, k, resolved)
+
+
+def complete_recording(monkeypatch, build, completer):
+    """Run `build` with `completer`; return the presentation and every
+    completer made, each with the arguments of its pushes in order."""
+    runs = []
+
+    class Recording(completer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pushes = []
+            runs.append(self)
+
+        def _push(self, l1, l2, k, resolved=0):
+            self.pushes.append((l1, l2, k, resolved))
+            super()._push(l1, l2, k, resolved)
+
+    monkeypatch.setattr(rewrite, "_Completer", Recording)
+    try:
+        return build(), runs
+    finally:
+        monkeypatch.undo()
+
+
+def assert_same_scheduling(monkeypatch, build):
+    indexed, indexed_runs = complete_recording(monkeypatch, build, _Completer)
+    pairwise, pairwise_runs = complete_recording(monkeypatch, build,
+                                                 PairwiseCompleter)
+    assert_same_completion(indexed, pairwise)
+    assert list(indexed.rules) == list(pairwise.rules)
+    assert len(indexed_runs) == len(pairwise_runs) > 0
+    for a, b in zip(indexed_runs, pairwise_runs):
+        assert a.pushes == b.pushes
+        assert list(a.rules.items()) == list(b.rules.items())
+        assert (a.retired, a.skipped, a.counter, a.cut) == \
+            (b.retired, b.skipped, b.counter, b.cut)
+    return indexed_runs
+
+
+@pytest.mark.parametrize("bounded", [True, False],
+                         ids=["bounded", "complete"])
+@pytest.mark.parametrize("kind,ell", LADDER)
+def test_indexed_scheduling_matches_pairwise_scan(monkeypatch, kind, ell,
+                                                  bounded):
+    base = oq_sl2(ell).pres
+    bound = (3 * ell if kind == "widehat" else 2 * ell + 2) if bounded else None
+    runs = assert_same_scheduling(monkeypatch, lambda: quotient_presentation(
+        base, quotient_ideal(kind, ell), complete_to=bound))
+    assert all(run.pushes for run in runs)
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_indexed_scheduling_matches_pairwise_scan_on_a_bounded_base(
+        monkeypatch, ell):
+    # the resumed base overlaps of length 9 and 10 are pushed, the shorter
+    # ones are passed over as resolved
+    base = oq_sl2(ell).pres
+    runs = assert_same_scheduling(
+        monkeypatch, lambda: quotient_presentation(base, [], complete_to=10))
+    resolved = [push for push in runs[0].pushes if push[3]]
+    assert resolved and all(push[3] == 8 for push in resolved)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(relations=small_relation_sets(), bound=st.sampled_from([6, None]),
+       resume=st.booleans())
+@example(relations=[[((), 1), ((0, 0), 1)], [((0,), 1), ((0, 0), 1)]],
+         bound=6, resume=False)
+def test_indexed_scheduling_differential_random(monkeypatch, relations,
+                                                bound, resume):
+    # resumed: from the relations completed to 4, with no new relation
+    build = ((lambda: build_small([], bound, build_small(relations, 4)))
+             if resume else lambda: build_small(relations, bound))
+    try:
+        assert_same_scheduling(monkeypatch, build)
+    except CompletionFailure:
+        assume(False)
+
+
+def pairwise_confluence(pres, max_len):
+    """check_confluence by a scan of every pair of rules."""
+    unresolved = []
+    for l1 in pres.rules:
+        for l2 in pres.rules:
+            for k in pairwise_overlaps(l1, l2):
+                if len(l1) + len(l2) - k > max_len:
+                    continue
+                diff = pres.overlap_difference(l1, l2, k)
+                if diff:
+                    unresolved.append(OverlapReport(
+                        l1 + l2[k:], l1, l2, NCPoly(pres.gens, pres.ell, diff)))
+    return unresolved
+
+
+def report_tuples(reports):
+    return [(r.word, r.lhs1, r.lhs2, r.difference.terms) for r in reports]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_indexed_confluence_differential_random(data):
+    # every rule rewrites to the empty word, so most overlaps stay unresolved
+    ngens = data.draw(st.integers(min_value=1, max_value=3))
+    lhss = data.draw(rule_sets(ngens, data.draw(st.booleans())))
+    gens = ("x", "y", "z")[:ngens]
+    one = CycRat.one(1)
+    pres = Presentation(gens, MonomialOrder(ngens), 1,
+                        {lhs: {(): one} for lhs in lhss}, [], "generic",
+                        None, 8, False)
+    max_len = data.draw(st.integers(min_value=0, max_value=every_overlap(pres)))
+    assert report_tuples(check_confluence(pres, max_len)) == \
+        report_tuples(pairwise_confluence(pres, max_len))
+
+
+# (presentation, whether it has unresolved overlaps within every_overlap)
+@pytest.mark.parametrize("make, unresolved", [
+    (lambda: oq_sl2(5).pres, True),
+    (lambda: oq_sl2(8).pres, True),
+    (lambda: o_minus1_sl2().pres, True),
+    (lambda: classical_sl2().pres, False),
+    (lambda: quotient_presentation(oq_sl2(3).pres,
+                                   quotient_ideal("widehat", 3),
+                                   complete_to=7), False),
+    (lambda: not_factor_free_presentation(), False),
+    (lambda: collapsed_presentation(), False),
+], ids=["oq5", "oq8", "minus1", "classical", "widehat3-bounded",
+        "not-factor-free", "collapsed"])
+def test_indexed_confluence_matches_pairwise_scan(make, unresolved):
+    pres = make()
+    longest = every_overlap(pres) if pres.rules else 0
+    for max_len in (8, longest):
+        assert report_tuples(check_confluence(pres, max_len)) == \
+            report_tuples(pairwise_confluence(pres, max_len))
+    assert bool(check_confluence(pres, longest)) == unresolved
+
+
+@pytest.mark.parametrize("kind,ell", LADDER)
+def test_indexed_confluence_matches_pairwise_scan_on_ladder(
+        finite_quotients, kind, ell):
+    pres = finite_quotients[kind, ell]
+    for max_len in (8, every_overlap(pres)):
+        assert report_tuples(check_confluence(pres, max_len)) == \
+            report_tuples(pairwise_confluence(pres, max_len)) == []
 
 
 def test_rule_changes_drop_the_cache(monkeypatch):
