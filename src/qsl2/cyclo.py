@@ -6,19 +6,29 @@ reduced form so equality and hashing are structural.  The class of x is the
 distinguished root of unity q with q^ell = 1 and no smaller power trivial.
 
 Most scalars the workbench multiplies are units +-q^k (the coefficients of
-the O_q(SL2) relations), so each field keeps two tables, O(ell * phi) in
-size and built once per conductor: ``pows[m]``, the power-basis vector of
-q^m for 0 <= m < ell, and ``units``, mapping the coefficient tuple of each
-+-q^m (denominator 1) to its sign and exponent.  A product of two units is
-a table entry; a unit times x is x rotated through ``pows``, keeping the
-denominator of x with no gcd, because multiplication by a unit is an
-automorphism of Z[q] (a Z-basis 1, q, ..., q^(phi-1)) and so keeps the
-content of the numerator.  Inverting a unit reads ``pows[-k % ell]``; any
-other irrational x is inverted by its norm, the product of its Galois
-conjugates q -> q^k (k a unit mod ell), which is rational: 1/x is the
-product of the conjugates other than x itself over the norm.
-Reduction of x^k for any k >= phi also reads ``pows[k % ell]``.  The
-stored form is the same for every path.
+the O_q(SL2) relations, coproducts and antipodes).  The roots of unity of
+Q(zeta_ell) are exactly the +-q^m, and they form one cyclic group of order
+N, generated by w = -q for odd ell (N = 2*ell) and by w = q for even ell
+(N = ell, with -1 = q^(ell/2)).  Each field, built once per conductor,
+keeps ``pows[m]``, the power-basis vector of q^m for 0 <= m < ell, and
+interns the group: ``unit_index`` maps the coefficient tuple of w^e to e,
+and ``unit_objs[e]`` is one shared CycRat for w^e.
+
+Each CycRat carries its place in that group in the slot ``u``: e for w^e,
+None for a non-unit.  Table paths fill it when they build a value; any
+other value looks it up at most once, on first use.  So unit arithmetic is
+index arithmetic: a product of two units is ``unit_objs[(ea + eb) % N]``,
+-w^e and (w^e)^-1 are ``unit_objs[(e + N/2) % N]`` and
+``unit_objs[-e % N]``.  w^e times x is x rotated through ``shifts[e]``,
+the rows of w^e q^i; it keeps the denominator of x with no gcd, because
+multiplication by a unit is an automorphism of Z[q] (a Z-basis 1, q, ...,
+q^(phi-1)) and so keeps the content of the numerator, and it is a non-unit
+when x is.  Any other irrational x is inverted by its norm, the product of
+its Galois conjugates q -> q^k (k a unit mod ell), which is rational: 1/x
+is the product of the conjugates other than x itself over the norm.
+Reduction of x^k for any k >= phi reads ``pows[k % ell]``.  The stored
+form (ell, num, den) is the same for every path, and equality and hashing
+ignore ``u``.
 """
 
 from __future__ import annotations
@@ -81,7 +91,8 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
 class _Context:
     """Reduction and unit tables for one conductor, O(ell * phi) in size."""
 
-    __slots__ = ("ell", "phi", "modulus", "pows", "negs", "rows", "units")
+    __slots__ = ("ell", "phi", "modulus", "pows", "rows", "order", "half",
+                 "unit_index", "unit_objs", "q_objs", "shifts")
 
     def __init__(self, ell: int):
         self.ell = ell
@@ -99,16 +110,30 @@ class _Context:
             if carry:
                 cur = [c + carry * t for c, t in zip(cur, top)]
         self.pows = pows
-        self.negs = [tuple(-c for c in p) for p in pows]
         # rows[m]: the nonzero (index, coefficient) pairs of pows[m]
         self.rows = [tuple((j, c) for j, c in enumerate(p) if c) for p in pows]
-        # units: coefficient tuple of +-q^m -> (sign, m); for even ell,
-        # -q^m = q^(m + ell/2) keeps its positive entry
-        units = {}
-        for sign, table in ((1, pows), (-1, self.negs)):
-            for m, p in enumerate(table):
-                units.setdefault(p, (sign, m))
-        self.units = units
+        # the units +-q^m are the cyclic group of w = -q (odd ell, order
+        # 2*ell) or w = q (even ell, order ell, -1 = q^(ell/2)), so
+        # w^e = (-1)^e q^e for odd ell; w^half = -1
+        odd = ell % 2
+        self.order = order = 2 * ell if odd else ell
+        self.half = order // 2
+        self.unit_index = {}
+        self.unit_objs = []
+        for e in range(order):
+            num = pows[e % ell]
+            if odd and e % 2:
+                num = tuple(-c for c in num)
+            self.unit_index[num] = e
+            self.unit_objs.append(CycRat(ell, num, 1, e))
+        g = self.unit_index[pows[1 % ell]]  # q = w^g
+        # q_objs[m] is the interned q^m; shifts[e][i] holds the nonzero
+        # (index, coefficient) pairs of w^e q^i, for i < phi
+        self.q_objs = [self.unit_objs[m * g % order] for m in range(ell)]
+        urows = [tuple((j, c) for j, c in enumerate(u.num) if c)
+                 for u in self.unit_objs]
+        self.shifts = [tuple(urows[(e + i * g) % order] for i in range(phi))
+                       for e in range(order)]
 
 
 _CONTEXTS: dict[int, _Context] = {}
@@ -139,27 +164,44 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
+class _Unknown:
+    """The u of a CycRat not yet looked up; copies and pickles as itself."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "_UNKNOWN"
+
+
+_UNKNOWN = _Unknown()
+
+
 class CycRat:
-    """An element of Q(zeta_ell), reduced mod Phi_ell."""
+    """An element of Q(zeta_ell), reduced mod Phi_ell.
 
-    __slots__ = ("ell", "num", "den")
+    u is e when the element is the unit w^e (see _Context), None for a
+    non-unit, and _UNKNOWN until unit_exp() has looked it up; equality and
+    hashing ignore it.
+    """
 
-    def __init__(self, ell: int, num: tuple[int, ...], den: int):
+    __slots__ = ("ell", "num", "den", "u")
+
+    def __init__(self, ell: int, num: tuple[int, ...], den: int, u=_UNKNOWN):
         self.ell = ell
         self.num = num
         self.den = den
+        self.u = u
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ell: int) -> "CycRat":
         phi = _context(ell).phi
-        return CycRat(ell, (0,) * phi, 1)
+        return CycRat(ell, (0,) * phi, 1, None)
 
     @staticmethod
     def one(ell: int) -> "CycRat":
-        phi = _context(ell).phi
-        return CycRat(ell, (1,) + (0,) * (phi - 1), 1)
+        return _context(ell).unit_objs[0]
 
     @staticmethod
     def from_rational(ell: int, value) -> "CycRat":
@@ -183,9 +225,17 @@ class CycRat:
 
     @staticmethod
     def q_power(ell: int, k: int) -> "CycRat":
-        return CycRat(ell, _context(ell).pows[k % ell], 1)
+        return _context(ell).q_objs[k % ell]
 
     # -- predicates --------------------------------------------------------
+
+    def unit_exp(self) -> int | None:
+        """The e with self = w^e, or None for a non-unit (looked up once)."""
+        u = self.u
+        if u is _UNKNOWN:
+            u = self.u = (_context(self.ell).unit_index.get(self.num)
+                          if self.den == 1 else None)
+        return u
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -234,7 +284,11 @@ class CycRat:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycRat(self.ell, tuple(-c for c in self.num), self.den)
+        u = self.u
+        if u is None or u is _UNKNOWN:
+            return CycRat(self.ell, tuple(-c for c in self.num), self.den, u)
+        ctx = _CONTEXTS[self.ell]
+        return ctx.unit_objs[(u + ctx.half) % ctx.order]
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -250,27 +304,26 @@ class CycRat:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        ea, eb = self.u, other.u
+        if ea is _UNKNOWN:
+            ea = self.unit_exp()
+        if eb is _UNKNOWN:
+            eb = other.unit_exp()
         ell = self.ell
-        ctx = _CONTEXTS.get(ell) or _context(ell)
-        units = ctx.units
-        ua = units.get(self.num) if self.den == 1 else None
-        ub = units.get(other.num) if other.den == 1 else None
-        if ua and ub:
-            m = (ua[1] + ub[1]) % ell
-            return CycRat(ell, ctx.pows[m] if ua[0] == ub[0] else ctx.negs[m], 1)
-        if ua or ub:
-            # +-q^k times x: rotate x through the power table; a unit keeps
-            # the content of x, so den needs no gcd
-            (sign, k), x = (ua, other) if ua else (ub, self)
-            rows = ctx.rows
+        ctx = _CONTEXTS[ell]
+        if ea is not None and eb is not None:
+            return ctx.unit_objs[(ea + eb) % ctx.order]
+        if ea is not None or eb is not None:
+            # w^e times x: rotate x through the rows of w^e q^i; a unit
+            # keeps the content of x, so den needs no gcd, and the product
+            # of a unit and a non-unit is a non-unit
+            e, x = (ea, other) if ea is not None else (eb, self)
             out = [0] * ctx.phi
-            for i, c in enumerate(x.num):
+            for c, row in zip(x.num, ctx.shifts[e]):
                 if c:
-                    if sign < 0:
-                        c = -c
-                    for j, r in rows[(i + k) % ell]:
+                    for j, r in row:
                         out[j] += c * r
-            return CycRat(ell, tuple(out), x.den)
+            return CycRat(ell, tuple(out), x.den, None)
         phi = ctx.phi
         a, b = self.num, other.num
         conv = [0] * (2 * phi - 1)
@@ -292,10 +345,9 @@ class CycRat:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero in Q(q)")
         ctx = _context(self.ell)
-        unit = ctx.units.get(self.num) if self.den == 1 else None
-        if unit:
-            m = -unit[1] % self.ell
-            return CycRat(self.ell, ctx.pows[m] if unit[0] > 0 else ctx.negs[m], 1)
+        e = self.unit_exp()
+        if e is not None:
+            return ctx.unit_objs[-e % ctx.order]
         if self.is_rational():
             f = 1 / self.rational_value()
             return CycRat.from_rational(self.ell, f)
@@ -313,7 +365,7 @@ class CycRat:
                 rest = rest * CycRat(ell, tuple(conj), 1)
         norm = (CycRat(ell, self.num, 1) * rest).num[0]
         num, den = _normalize([c * self.den for c in rest.num], norm)
-        return CycRat(ell, num, den)
+        return CycRat(ell, num, den, None)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -346,6 +398,10 @@ class CycRat:
         return self.ell == other.ell and self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # a rational element hashes like the int or Fraction it equals
+        if self.is_rational():
+            n = self.num[0]
+            return hash(n) if self.den == 1 else hash(Fraction(n, self.den))
         return hash((self.ell, self.num, self.den))
 
     # -- rendering ----------------------------------------------------------
@@ -394,16 +450,15 @@ def _reduce_vector(ctx: _Context, vec: list[int]) -> list[int]:
 
 
 def multiplicative_order(a: CycRat) -> int | None:
-    """Least k >= 1 with a^k = 1, searching k <= 2*ell (the order of every
-    root of unity in Q(zeta_ell)); None when there is none."""
+    """Least k >= 1 with a^k = 1; None when there is none.  The roots of
+    unity of Q(zeta_ell) are the units w^e, of order N / gcd(e, N)."""
     if a.is_zero():
         raise ZeroDivisionError("zero has no multiplicative order")
-    acc = a
-    for k in range(1, 2 * a.ell + 1):
-        if acc.is_one():
-            return k
-        acc = acc * a
-    return None
+    e = a.unit_exp()
+    if e is None:
+        return None
+    order = _context(a.ell).order
+    return order // gcd(e, order)
 
 
 def embed_scalar(a: CycRat, target_ell: int) -> CycRat:

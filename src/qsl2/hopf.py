@@ -82,10 +82,11 @@ class NamedAlgebra:
         return out
 
     def delta(self, p: NCPoly) -> TensorPoly:
-        out = TensorPoly.zero(self.gens, self.ell)
+        terms: dict = {}
         for w, c in p.terms.items():
-            out = out + self.delta_word(w) * c
-        return out
+            for k, x in self.delta_word(w).terms.items():
+                addto(terms, k, x * c)
+        return TensorPoly(self.gens, self.ell, 2, terms)
 
     def antipode_word(self, word) -> NCPoly:
         cached = self._antipode_cache.get(word)
@@ -101,10 +102,11 @@ class NamedAlgebra:
         return out
 
     def antipode(self, p: NCPoly) -> NCPoly:
-        out = self.pres.zero()
+        terms: dict = {}
         for w, c in p.terms.items():
-            out = out + self.antipode_word(w) * c
-        return normal_form(self.pres, out)
+            for u, x in self.antipode_word(w).terms.items():
+                addto(terms, u, x * c)
+        return normal_form(self.pres, NCPoly(self.gens, self.ell, terms))
 
     def counit_word(self, word) -> CycRat:
         out = CycRat.one(self.ell)

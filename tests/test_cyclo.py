@@ -1,9 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsl2 import cyclo
 from qsl2.cyclo import (
     CycRat,
     cyclotomic_polynomial,
@@ -118,7 +121,8 @@ def test_render_roundtrip(a):
 # The oracle works on Fraction coefficient lists of length phi: products are
 # convolved in full and reduced mod Phi_ell by long division, with no table.
 
-FIELDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16]
+FIELDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16,
+          10, 20, 24, 28, 30, 35]
 
 
 def oracle_reduce(ell, vec):
@@ -211,7 +215,7 @@ def test_fast_paths_match_oracle(case):
         assert oracle_mul(ell, list(power.coeffs), oracle_pow(ell, ca, -k)) == one
 
 
-@pytest.mark.parametrize("ell", FIELDS + [10])
+@pytest.mark.parametrize("ell", FIELDS)
 def test_from_coeffs_any_length_and_q_power(ell):
     for k in range(-ell, 3 * ell + 1):
         assert_matches(CycRat.q_power(ell, k), ell, oracle_unit(ell, 1, k))
@@ -223,3 +227,145 @@ def test_from_coeffs_any_length_and_q_power(ell):
         assert CycRat.from_coeffs(ell, coeffs) == expect
         assert CycRat.from_coeffs(ell, [1] * length) == sum(
             (CycRat.q_power(ell, k) for k in range(length)), CycRat.zero(ell))
+
+
+# -- the interned unit group ------------------------------------------------------
+# w = -q for odd ell (order 2*ell) and w = q for even ell (order ell); the
+# oracle lists w^e by repeated schoolbook multiplication.
+
+
+def oracle_unit_exps(ell):
+    """Coefficient tuple of each +-q^k -> the e with w^e equal to it."""
+    w = oracle_unit(ell, -1 if ell % 2 else 1, 1)
+    order = 2 * ell if ell % 2 else ell
+    exps, cur = {}, oracle_reduce(ell, [1])
+    for e in range(order):
+        exps[tuple(cur)] = e
+        cur = oracle_mul(ell, cur, w)
+    assert len(exps) == order and tuple(cur) == tuple(oracle_reduce(ell, [1]))
+    return exps
+
+
+def old_order_search(a):
+    """The least k <= 2*ell with a^k = 1, by repeated multiplication."""
+    acc = a
+    for k in range(1, 2 * a.ell + 1):
+        if acc.is_one():
+            return k
+        acc = acc * a
+    return None
+
+
+@pytest.mark.parametrize("ell", FIELDS)
+def test_multiplicative_order_reads_the_unit_index(ell):
+    for sign in (1, -1):
+        for k in range(ell):
+            coeffs = oracle_unit(ell, sign, k)
+            unit = CycRat.from_coeffs(ell, coeffs)
+            assert multiplicative_order(unit) == old_order_search(unit)
+    assert multiplicative_order(CycRat.from_rational(ell, 2)) is None
+    if ell != 2:     # 1 + q = 0 at ell = 2
+        one_plus_q = CycRat.from_coeffs(ell, [1, 1])
+        order = multiplicative_order(one_plus_q)
+        assert order == old_order_search(one_plus_q)
+        # 1 + q = -q^2 is a unit at ell = 3 only
+        assert (order is None) == (ell != 3)
+
+
+def check_unit_slot(x, coeffs, exps):
+    """x.u, filled or still unknown, agrees with the oracle's unit set."""
+    expect = exps.get(tuple(coeffs))
+    assert x.u is cyclo._UNKNOWN or x.u == expect
+    assert x.unit_exp() == expect and x.u == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda ell: st.tuples(
+    st.just(ell),
+    st.lists(field_element(ell), min_size=2, max_size=4),
+    st.lists(st.tuples(st.sampled_from(["mul", "neg", "inv", "unit"]),
+                       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                       st.sampled_from([1, -1]), st.integers(-ell, 2 * ell)),
+             min_size=1, max_size=25))))
+def test_chained_unit_arithmetic_matches_oracle(case):
+    ell, pool, steps = case
+    exps = oracle_unit_exps(ell)
+    one = oracle_reduce(ell, [1])
+    pool = list(pool)
+    for op, i, j, sign, k in steps:
+        a, ca = pool[i % len(pool)]
+        b, cb = pool[j % len(pool)]
+        if op == "mul":
+            x, cx = a * b, oracle_mul(ell, ca, cb)
+        elif op == "neg":
+            x, cx = -a, [-c for c in ca]
+        elif op == "inv":
+            if a.is_zero():
+                continue
+            x = a.inverse()
+            cx = list(x.coeffs)
+            assert oracle_mul(ell, ca, cx) == one
+        else:            # a unit built from coefficients, its u unknown
+            cx = oracle_unit(ell, sign, k)
+            x = CycRat.from_coeffs(ell, cx)
+            assert x.u is cyclo._UNKNOWN
+        assert_matches(x, ell, cx)
+        check_unit_slot(x, cx, exps)
+        pool.append((x, cx))
+    for x, cx in pool:
+        check_unit_slot(x, cx, exps)
+
+
+@pytest.mark.parametrize("ell", FIELDS)
+def test_interned_units_equal_their_coefficient_form(ell):
+    for sign in (1, -1):
+        for k in range(-ell, 2 * ell):
+            built = CycRat.from_coeffs(ell, oracle_unit(ell, sign, k))
+            interned = sign * CycRat.q_power(ell, k)
+            assert interned == built and built == interned
+            assert hash(interned) == hash(built)
+            assert interned.unit_exp() == built.unit_exp() is not None
+            assert {built: k}[interned] == k
+
+
+@pytest.mark.parametrize("ell", [1, 2, 5, 6])
+def test_rational_elements_hash_like_their_value(ell):
+    one, minus_one = CycRat.one(ell), -CycRat.one(ell)
+    half = CycRat.from_rational(ell, Fraction(1, 2))
+    for x, value in ((one, 1), (minus_one, -1), (half, Fraction(1, 2)),
+                     (CycRat.zero(ell), 0),
+                     (CycRat.from_rational(ell, 6), 6),
+                     (CycRat.from_rational(ell, Fraction(-7, 3)),
+                      Fraction(-7, 3))):
+        assert x == value and value == x
+        assert hash(x) == hash(value) == hash(Fraction(value))
+        assert {x: "x"}.get(value) == "x"
+        assert {value: "v"}.get(x) == "v"
+    assert {one: 0}.get(Fraction(1)) == 0
+
+
+def test_battery_leaves_interned_units_unchanged():
+    from qsl2.hopf import run_battery
+    from qsl2.presentations import sl2_algebra
+
+    def interned():
+        return {ell: [(id(x), x.num, x.den, x.u)
+                      for x in ctx.unit_objs + ctx.q_objs]
+                for ell, ctx in cyclo._CONTEXTS.items()}
+
+    CycRat.one(5)
+    before = interned()
+    results = run_battery(sl2_algebra("odd", 5))
+    assert results and all(r.ok for r in results)
+    after = interned()
+    assert {ell: after[ell] for ell in before} == before
+
+
+def test_copies_keep_the_unit_slot():
+    unknown = CycRat.from_coeffs(5, [0, 0, -1])
+    assert unknown.u is cyclo._UNKNOWN
+    for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        a, q = clone(unknown), clone(CycRat.q_power(5, 1))
+        assert a.u is cyclo._UNKNOWN and q.u == CycRat.q_power(5, 1).u
+        assert a * q == -CycRat.q_power(5, 3)
+        assert multiplicative_order(a) == 10

@@ -54,6 +54,31 @@ def test_antipode_law_on_a(oq5):
     assert oq5.nf(acc) == oq5.pres.one()
 
 
+@pytest.mark.parametrize("build", [lambda: sl2_algebra("odd", 5),
+                                   lambda: oq_sl2(4)],
+                         ids=["sl2-odd-5", "oq-sl2-4"])
+def test_structure_maps_match_termwise_sums(build):
+    """delta and antipode equal the sum of their word images, term order
+    included, on random polynomials."""
+    alg = build()
+    rng = random.Random(11)
+    words = [tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
+             for _ in range(12)]
+    for _ in range(8):
+        items = [(rng.choice(words), CycRat.q_power(alg.ell, rng.randrange(9))
+                  * rng.choice([1, -1, 2])) for _ in range(6)]
+        p = NCPoly.from_terms(ABCD, alg.ell, items)
+        d_ref = TensorPoly.zero(ABCD, alg.ell)
+        s_ref = alg.pres.zero()
+        for w, c in p.terms.items():
+            d_ref = d_ref + alg.delta_word(w) * c
+            s_ref = s_ref + alg.antipode_word(w) * c
+        s_ref = alg.nf(s_ref)
+        d, s = alg.delta(p), alg.antipode(p)
+        assert list(d.terms.items()) == list(d_ref.terms.items())
+        assert list(s.terms.items()) == list(s_ref.terms.items())
+
+
 def test_battery_all_shipped():
     for ell in (3, 4, 6):
         alg = oq_sl2(ell)

@@ -45,3 +45,14 @@ def test_every_trace_target_resolves(monkeypatch):
         if not resolves(module, attr):
             missing.append(f"{modname}:{attr}")
     assert missing == []
+
+
+def test_tracer_counts_the_package_units(monkeypatch):
+    """cyclo.mul.unit_share counts the operands the fast path treats as units."""
+    from qsl2 import cyclo
+
+    tracing = load("tracing", monkeypatch)
+    tracer = tracing.Tracer({})
+    for ell in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24, 28, 30, 35]:
+        words = tracer._unit_words(cyclo.CycRat.one(ell))
+        assert words == set(cyclo._context(ell).unit_index)
