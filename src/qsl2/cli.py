@@ -2,14 +2,15 @@
 
 JSON is the single source of truth; the text format is rendered from the
 JSON document.  --format and --output go before or after the subcommand;
---probe-bound (default 10) belongs to construct, verify and dim, the
-commands that read it, and bounds counting and completion only where
-completion cannot finish.  An option the chosen subject does not read is a
-usage error, and each report's config lists exactly the settings that
-produced it.  An option left out takes its default; an explicit value,
-0 included, is range-checked.  Exit codes: 0 all green, 1 internal error,
-2 datum, parameter or check failure (a completion that hits its cap
-included), 64 usage error.
+--probe-bound (default 10) belongs to construct, verify and dim, and bounds
+counting and completion where completion cannot finish: construct and dim
+on the unquotiented algebras read it; no verify subject, nor widehat or
+overline, whose answers are finite, does.  An option the chosen subject
+does not read is a usage error, and each report's config lists exactly
+the settings that produced it.  An option left out takes its default; an
+explicit value, 0 included, is range-checked.  Exit codes: 0 all green,
+1 internal error, 2 datum, parameter or check failure (a completion that
+hits its cap included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import json
 import os
 import sys
 
-from .catalog import entry_names, entry_parameters, verify_entry, verify_grid
+from .catalog import (cz2mn_datum, cz2n_datum, entry_names, entry_parameters,
+                      taft_datum, torus_datum, verify_entry, verify_grid)
 from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
                      ParityMismatch, QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
@@ -31,9 +33,8 @@ from .presentations import (classical_sl2, distinguished_subalgebra,
                             psl2_model, quotient_ideal, sl2_algebra,
                             sl2_parity, verify_psl2_embedding)
 from .rewrite import DEFAULT_PROBE_BOUND, dimension, quotient_presentation
-from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
-                        datum_equiv, exact_sequence_shadow,
-                        verify_dihedral_quotient)
+from .subgroups import (SubgroupDatum, construct_quotient, datum_equiv,
+                        exact_sequence_shadow, verify_dihedral_quotient)
 
 SCHEMA = "qsl2-report/1"
 
@@ -43,13 +44,12 @@ EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64
 
 # the settings each verify subject reads, with their defaults
-_SEQUENCE = {"n": 2, "probe_bound": DEFAULT_PROBE_BOUND}
 VERIFY_SUBJECTS = {
     "axioms": {"oq-sl2": {"ell": 3}, "o-minus1-sl2": {}},
     "central": {"L": {"ell": 3}},
     "normal": {"B": {}, "N": {"ell": 4}},
     "hopf-ideal": {"widehat": {"ell": 3}, "overline": {"ell": 4}},
-    "sequence": {"cz2n": _SEQUENCE, "cz2mn": {"ell": 4, **_SEQUENCE}},
+    "sequence": {"cz2n": {"n": 2}, "cz2mn": {"ell": 4, "n": 2}},
     "morphism": {"dihedral": {"m": 3}, "B": {}, "N": {"ell": 4}},
 }
 
@@ -263,13 +263,9 @@ def _verify_dispatch(target, subject, cfg) -> list:
         quot = quotient_presentation(alg.pres, ideal, label=f"{alg.label}/J")
         return is_hopf_ideal(alg, ideal, quot)
     if target == "sequence":
-        gamma = GroupSpec("cyclic", n=cfg["n"])
-        if subject == "cz2n":
-            datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
-                                  I_minus=(1,), gamma=gamma)
-        else:
-            datum = SubgroupDatum(parity="even", ell=ell, gamma=gamma)
-        cons = construct_quotient(datum, probe_bound=cfg["probe_bound"])
+        # both quotients are finite, so no probe bound can change them
+        cons = construct_quotient(cz2n_datum(cfg["n"]) if subject == "cz2n"
+                                  else cz2mn_datum(ell, cfg["n"]))
         return list(cons.certificates) + exact_sequence_shadow(cons)
     # morphism
     if subject == "dihedral":
@@ -327,11 +323,15 @@ def _cmd_catalog(args) -> dict:
 
 def _cmd_dim(args) -> dict:
     name = args.name
-    reads = {"probe_bound": DEFAULT_PROBE_BOUND}
+    # widehat and overline are finite: no probe bound changes their answer
+    reads = ({} if name in ("widehat", "overline")
+             else {"probe_bound": DEFAULT_PROBE_BOUND})
     if name not in ("classical-sl2", "o-minus1-sl2"):
         reads["ell"] = 4 if name == "overline" else 3
-    config = {"name": name, **_settings(args, name, reads, ("ell",))}
-    bound, ell = config["probe_bound"], config.get("ell")
+    config = {"name": name,
+              **_settings(args, name, reads, ("ell", "probe_bound"))}
+    bound = config.get("probe_bound", DEFAULT_PROBE_BOUND)
+    ell = config.get("ell")
     if name == "classical-sl2":
         pres = classical_sl2().pres
     elif name == "o-minus1-sl2":
@@ -356,22 +356,15 @@ def _cmd_grouplikes(args) -> dict:
     config = {"name": name, **_settings(args, name, GROUPLIKES_SETTINGS[name],
                                         ("ell", "n", "parity"))}
     if name == "taft":
-        datum = SubgroupDatum(parity="odd", ell=config["ell"], I_plus=(1,),
-                              I_minus=(), gamma=GroupSpec("catalog", name="G_a"))
-        alg = construct_quotient(datum).h
+        alg = construct_quotient(taft_datum(config["ell"])).h
     elif name == "cz2n":
-        datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,),
-                              I_minus=(1,),
-                              gamma=GroupSpec("cyclic", n=config["n"]))
-        alg = construct_quotient(datum).algebra
+        alg = construct_quotient(cz2n_datum(config["n"])).algebra
     else:
         parity = config["parity"]
         # the default ell is the smallest of the parity
         ell = config.setdefault(
             "ell", {"odd": 3, "even": 4, "minus_one": 2}[parity])
-        datum = SubgroupDatum(parity=parity, ell=ell,
-                              gamma=GroupSpec("catalog", name="torus"))
-        alg = construct_quotient(datum).h
+        alg = construct_quotient(torus_datum(parity, ell)).h
     rep = grouplikes(FiniteModel(alg))
     return _report("grouplikes", config, [], "pass", count=rep.count(),
                    complete=rep.complete, method=rep.method,

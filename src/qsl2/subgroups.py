@@ -27,7 +27,7 @@ from .presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, quotient_presentation)
 
-A, B, C, D = 0, 1, 2, 3
+A, B, C = 0, 1, 2
 
 CATALOG_GROUPS = ("torus", "borel_plus", "borel_minus", "G_a", "G_m", "full")
 
@@ -52,6 +52,20 @@ class GroupSpec:
         if self.kind == "trivial":
             return 1
         return None
+
+    def root_order(self, parity: str) -> int:
+        """Order of the root of unity the group's matrices are written with
+        (1 for a catalog group, which has none).  On the PSL2 side a cyclic
+        or trivial group is written by its +-1 preimage, of twice its order;
+        in the lcm with the base ell that 2 changes nothing for a trivial
+        group, as that ell is even."""
+        if self.kind == "cyclic":
+            return self.n if parity == "odd" else 2 * self.n
+        if self.kind == "dihedral":
+            return 2 * self.m
+        if self.kind == "trivial":
+            return 1 if parity == "odd" else 2
+        return 1
 
     def to_json(self):
         if self.kind == "cyclic":
@@ -185,33 +199,17 @@ class KernelResult:
     certificates: list = field(default_factory=list)
 
 
-def _group_matrices(gamma: GroupSpec, parity: str, exponent: int, conductor: int):
-    """Explicit 2x2 matrices (entries CycRat) for the embedded finite group."""
+def _group_matrices(gamma: GroupSpec, exponent: int, conductor: int):
+    """Explicit 2x2 matrices (entries CycRat) for the embedded finite group,
+    written with q, a primitive conductor-th root (gamma.root_order)."""
     qp = lambda k: CycRat.q_power(conductor, k % conductor)
     zero = CycRat.zero(conductor)
-    mats = []
-    if gamma.kind == "trivial":
-        return [((qp(0), zero), (zero, qp(0)))]
-    if gamma.kind == "cyclic":
-        n = gamma.n
-        w_order = n if parity == "odd" else 2 * n
-        step = conductor // w_order
-        for j in range(n):
-            k = (exponent * j) % w_order
-            mats.append(((qp(step * k), zero), (zero, qp(-step * k))))
-        return mats
     if gamma.kind == "dihedral":
-        m = gamma.m
-        w_order = 2 * m
-        step = conductor // w_order
-        minus_one = CycRat.from_rational(conductor, -1)
-        for j in range(m):
-            mats.append(((qp(step * j), zero), (zero, qp(-step * j))))
-        for j in range(m):
-            mats.append(((zero, qp(step * j)),
-                         (qp(-step * j) * minus_one, zero)))
-        return mats
-    raise QSL2Error(f"no explicit matrices for group kind {gamma.kind!r}")
+        return ([((qp(j), zero), (zero, qp(-j))) for j in range(gamma.m)]
+                + [((zero, qp(j)), (-qp(-j), zero)) for j in range(gamma.m)])
+    # cyclic, and trivial as the cyclic group of order 1
+    return [((qp(exponent * j), zero), (zero, qp(-exponent * j)))
+            for j in range(gamma.order)]
 
 
 def _eval_word(word, mat, conductor) -> CycRat:
@@ -222,6 +220,13 @@ def _eval_word(word, mat, conductor) -> CycRat:
         if out.is_zero():
             break
     return out
+
+
+def _eval_poly(p: NCPoly, mat, conductor) -> CycRat:
+    val = CycRat.zero(conductor)
+    for w, c in p.terms.items():
+        val = val + _eval_word(w, mat, conductor) * c
+    return val
 
 
 def kernel_sigma_t(gamma: GroupSpec, parity: str,
@@ -240,15 +245,9 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
     if gamma.kind == "dihedral" and parity == "odd":
         raise QSL2Error("dihedral subgroups live on the PSL2 side")
     order = gamma.order
-    if parity == "odd":
-        w_order = order if gamma.kind == "cyclic" else 1
-        step = 1
-    else:
-        w_order = 2 * (gamma.n if gamma.kind == "cyclic" else
-                       gamma.m if gamma.kind == "dihedral" else 1)
-        step = 2
-    conductor = max(w_order, 1)
-    mats = _group_matrices(gamma, parity, exponent, conductor)
+    step = 1 if parity == "odd" else 2
+    conductor = gamma.root_order(parity)
+    mats = _group_matrices(gamma, exponent, conductor)
     max_deg = step * (order + 2)
     ambient = classical_sl2_presentation(conductor)
     ideal: list[NCPoly] = []
@@ -277,10 +276,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
     bad = None
     for g in ideal:
         for m in mats:
-            val = CycRat.zero(conductor)
-            for w, c in g.terms.items():
-                val = val + _eval_word(w, m, conductor) * c
-            if not val.is_zero():
+            if not _eval_poly(g, m, conductor).is_zero():
                 bad = g
     certs.append(CheckResult("kernel-vanishes", gamma.kind, bad is None,
                              None if bad is None else render_poly(bad)))
@@ -315,28 +311,27 @@ def lift_classical_poly(p: NCPoly, parity: str, alg: NamedAlgebra) -> NCPoly:
     return lift_even(p, phi_images(alg), alg)
 
 
-# catalog groups: kernel generators transcribed in the quantum letters,
-# as functions of the presentation (power = ell on the SL2 side, the
-# signed m-th power pairs on the PSL2 side)
-def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
-    p = alg.pres
+def _gamma_embedding(parity: str, alg: NamedAlgebra) -> tuple[dict, dict]:
+    """The generators of the distinguished commutative subalgebra that the
+    group is embedded through, with their counits: g -> g^ell on the SL2
+    side, the signed m-th power pairs (phi_images) on the PSL2 side."""
     if parity == "odd":
-        k = multiplicative_order(p.q)
-        apow = lambda g, s: NCPoly.monomial(ABCD, alg.ell, (g,) * k) - p.one() * s
-        if name in ("torus", "G_m"):
-            return [NCPoly.monomial(ABCD, alg.ell, (B,) * k),
-                    NCPoly.monomial(ABCD, alg.ell, (C,) * k)]
-        if name == "G_a":
-            return [apow(A, p.scalar(1)), apow(D, p.scalar(1))]
-        return []  # borel_plus, borel_minus, full: identity embedding
-    images, eps = phi_images(alg), _pair_counit(alg)
+        k = multiplicative_order(alg.pres.q)
+        return ({g: NCPoly.monomial(ABCD, alg.ell, (g,) * k) for g in range(4)},
+                alg.hopf.counit)
+    return phi_images(alg), _pair_counit(alg)
+
+
+# catalog groups: kernel generators transcribed in the quantum letters
+def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
+    images, eps = _gamma_embedding(parity, alg)
     if name in ("torus", "G_m"):
-        # the off-diagonal pairs, where the counit vanishes
-        return [img for pair, img in images.items() if eps[pair].is_zero()]
+        # the off-diagonal generators, where the counit vanishes
+        return [img for key, img in images.items() if eps[key].is_zero()]
     if name == "G_a":
-        return [img - p.one() * eps[pair] for pair, img in images.items()
-                if not eps[pair].is_zero()]
-    return []
+        return [img - alg.pres.one() * eps[key] for key, img in images.items()
+                if not eps[key].is_zero()]
+    return []  # borel_plus, borel_minus, full: identity embedding
 
 
 def _pair_counit(alg: NamedAlgebra) -> dict:
@@ -359,6 +354,7 @@ class Construction:
     gamma_image_dim: int | None
     transcript: dict
     certificates: list
+    kernel: KernelResult | None        # step 2's kernel of a finite group
 
     @property
     def consistent(self) -> bool:
@@ -374,14 +370,6 @@ def _parity_augmentation_ideal(parity: str, ell: int, alg: NamedAlgebra):
                               conductor=alg.ell)
     images, eps = phi_images(alg), _pair_counit(alg)
     return [images[pair] - alg.pres.one() * eps[pair] for pair in QUAD_PAIRS]
-
-
-def _gamma_subalgebra_gens(parity: str, alg: NamedAlgebra) -> list[NCPoly]:
-    if parity == "odd":
-        k = multiplicative_order(alg.pres.q)
-        return [NCPoly.monomial(ABCD, alg.ell, (g,) * k) for g in range(4)]
-    images = phi_images(alg)
-    return [images[pair] for pair in images]
 
 
 def construct_quotient(d: SubgroupDatum,
@@ -401,13 +389,7 @@ def construct_quotient(d: SubgroupDatum,
 
     # conductor: the base root of unity and the embedding root must coexist
     base_ell = 2 if parity == "minus_one" else d.ell
-    if gamma.kind == "cyclic":
-        w_order = gamma.n if parity == "odd" else 2 * gamma.n
-    elif gamma.kind == "dihedral":
-        w_order = 2 * gamma.m
-    else:
-        w_order = 1
-    conductor = lcm(base_ell, max(w_order, 1))
+    conductor = lcm(base_ell, gamma.root_order(parity))
 
     base = sl2_algebra(parity, d.ell, conductor=conductor)
     transcript: dict = {"parity": parity, "ell": d.ell, "conductor": conductor,
@@ -421,10 +403,9 @@ def construct_quotient(d: SubgroupDatum,
     transcript["steps"].append({
         "step": 1, "ideal": [render_poly(g) for g in step1]})
 
-    kernel_cert: list = []
+    kres = None
     if gamma.finite:
         kres = kernel_sigma_t(gamma, parity, d.sigma_exponent)
-        kernel_cert = kres.certificates
         step2 = [lift_classical_poly(g, parity, base) for g in kres.generators]
         transcript["kernel"] = [render_poly(g) for g in kres.generators]
     else:
@@ -463,7 +444,7 @@ def construct_quotient(d: SubgroupDatum,
     h = base.quotient(h_ideal, label=f"H({parity})")
     h_dim = dimension(h.pres, probe_bound)
 
-    certificates = list(kernel_cert)
+    certificates = list(kres.certificates if kres else [])
     # pipeline monotonicity: dimensions only shrink along the transcript
     if dim2.finite and dim_res.finite:
         certificates.append(CheckResult(
@@ -473,7 +454,7 @@ def construct_quotient(d: SubgroupDatum,
     gamma_image_dim = None
     if gamma.finite and dim_res.finite:
         gens = [normal_form(algebra.pres, g)
-                for g in _gamma_subalgebra_gens(parity, base)]
+                for g in _gamma_embedding(parity, base)[0].values()]
         gamma_image_dim = span_closure(
             algebra.pres.one(),
             lambda v: (normal_form(algebra.pres, v * g) for g in gens),
@@ -492,7 +473,7 @@ def construct_quotient(d: SubgroupDatum,
     transcript["gamma_image_dim"] = gamma_image_dim
 
     result = Construction(d, algebra, h, dim_res, h_dim,
-                          gamma_image_dim, transcript, certificates)
+                          gamma_image_dim, transcript, certificates, kres)
     if raise_on_inconsistent and not result.consistent:
         raise InconsistentDatum(
             f"certificates failed: "
@@ -568,48 +549,32 @@ def datum_equiv(d1: SubgroupDatum, d2: SubgroupDatum) -> EquivalenceResult:
 # -- q = -1 classification -----------------------------------------------------------
 
 
-@dataclass
-class DihedralModel:
-    """Function algebra on the dihedral group of order 2m, with the
-    generator images of the surjection from the q = -1 algebra."""
+def dihedral_model(m: int) -> list:
+    """The dihedral group of order 2m as 2m matrices over Q(zeta_2m),
+    rotations first: points of the q = -1 algebra, where ad + bc = 1.
 
-    m: int
-    conductor: int
-    elements: list              # (rotation exponent, is_reflection)
-    images: dict                # generator index -> list of values per element
-
-    def element_index(self, k: int, refl: bool) -> int:
-        return (k % self.m) + (self.m if refl else 0)
-
-    def multiply(self, x, y):
-        (k1, r1), (k2, r2) = x, y
-        # reflection acts by inversion on rotations: (k1,r1)(k2,r2)
-        k = (k1 + (-k2 if r1 else k2)) % self.m
-        return (k, r1 != r2)
-
-    def inverse(self, x):
-        k, r = x
-        return (k if r else (-k) % self.m, r)
-
-
-def dihedral_model(m: int) -> DihedralModel:
+    With z = q^2, a primitive m-th root, the rotations are diag(z^k, z^-k)
+    and the reflections have off-diagonal entries -z^k and -z^-k (det -1
+    as matrices); the group law is the matrix product."""
     if m < 1:
         raise ParamOutOfRange(f"the dihedral group of order 2m needs m >= 1, "
                               f"got {m}")
     conductor = 2 * m
-    qp = lambda k: CycRat.q_power(conductor, k % conductor)
+    z = lambda k: CycRat.q_power(conductor, (2 * k) % conductor)
     zero = CycRat.zero(conductor)
-    minus_one = CycRat.from_rational(conductor, -1)
-    elements = [(k, False) for k in range(m)] + [(k, True) for k in range(m)]
-    rot_val = lambda k: qp(2 * k)           # B = primitive m-th root
-    images = {
-        A: [rot_val(k) if not r else zero for (k, r) in elements],
-        B: [rot_val(k) * minus_one if r else zero for (k, r) in elements],
-        C: [rot_val(-k) * minus_one.inverse() if r else zero
-            for (k, r) in elements],
-        D: [rot_val(-k) if not r else zero for (k, r) in elements],
-    }
-    return DihedralModel(m, conductor, elements, images)
+    return ([((z(k), zero), (zero, z(-k))) for k in range(m)]
+            + [((zero, -z(k)), (-z(-k), zero)) for k in range(m)])
+
+
+def _mat_mul(x, y):
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2))
+                 for i in range(2))
+
+
+def _mat_inverse(x):
+    (a, b), (c, d) = x
+    r = (a * d - b * c).inverse()
+    return ((d * r, -b * r), (-c * r, a * r))
 
 
 def verify_dihedral_quotient(m: int) -> list[CheckResult]:
@@ -619,102 +584,74 @@ def verify_dihedral_quotient(m: int) -> list[CheckResult]:
     pointwise identities: products are componentwise, the coproduct is
     precomposition with group multiplication, the antipode with inversion.
     """
-    model = dihedral_model(m)
-    cond = model.conductor
+    mats = dihedral_model(m)
+    cond = 2 * m
     base = sl2_algebra("minus_one", 2, conductor=cond)
     results = []
     label = f"o-minus1-sl2 -> functions(D_{2 * m})"
-    zero = CycRat.zero(cond)
-    n_el = 2 * m
-
-    def vec_of_word(word):
-        out = [CycRat.one(cond)] * n_el
-        for g in word:
-            out = [a * b for a, b in zip(out, model.images[g])]
-        return out
-
-    def vec_of_poly(p: NCPoly):
-        out = [zero] * n_el
-        for w, c in p.terms.items():
-            vw = vec_of_word(w)
-            out = [a + c * b for a, b in zip(out, vw)]
-        return out
+    value = lambda w, x: _eval_word(w, x, cond)
 
     for rel in base.pres.defining:
-        v = vec_of_poly(rel)
-        results.append(CheckResult("morphism-relation", label,
-                                   all(x.is_zero() for x in v),
-                                   render_poly(rel, base.pres.order)))
+        results.append(CheckResult(
+            "morphism-relation", label,
+            all(_eval_poly(rel, x, cond).is_zero() for x in mats),
+            render_poly(rel, base.pres.order)))
 
-    idx = {el: i for i, el in enumerate(model.elements)}
+    def convolve(g, x, y):
+        out = CycRat.zero(cond)
+        for (u, v), c in base.hopf.delta[g].terms.items():
+            out = out + c * value(u, x) * value(v, y)
+        return out
+
+    table = {(i, j): _mat_mul(x, y)
+             for i, x in enumerate(mats) for j, y in enumerate(mats)}
     for g in range(4):
         gname = ABCD[g]
-        ok = True
-        for x in model.elements:
-            for y in model.elements:
-                lhs = model.images[g][idx[model.multiply(x, y)]]
-                rhs = zero
-                for (u, v), c in base.hopf.delta[g].terms.items():
-                    rhs = rhs + c * vec_of_word(u)[idx[x]] * vec_of_word(v)[idx[y]]
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = all(value((g,), xy) == convolve(g, mats[i], mats[j])
+                 for (i, j), xy in table.items())
         results.append(CheckResult("morphism-delta", label, ok, gname))
-        e_idx = idx[(0, False)]
         results.append(CheckResult(
             "morphism-counit", label,
-            model.images[g][e_idx] == base.hopf.counit[g], gname))
-        s_vec = vec_of_poly(base.hopf.antipode[g])
-        ok = all(s_vec[idx[x]] == model.images[g][idx[model.inverse(x)]]
-                 for x in model.elements)
+            value((g,), mats[0]) == base.hopf.counit[g], gname))
+        ok = all(_eval_poly(base.hopf.antipode[g], x, cond)
+                 == value((g,), _mat_inverse(x)) for x in mats)
         results.append(CheckResult("morphism-antipode", label, ok, gname))
 
     # surjectivity: products of the four image functions span everything
     ech = span_closure(
-        [CycRat.one(cond)] * n_el,
-        lambda v: ([a * b for a, b in zip(v, model.images[g])]
+        [CycRat.one(cond)] * len(mats),
+        lambda v: ([a * value((g,), x) for a, x in zip(v, mats)]
                    for g in range(4)),
         lambda v: {i: x for i, x in enumerate(v) if not x.is_zero()})
-    results.append(CheckResult("morphism-surjective", label, ech.dim == n_el,
-                               f"span {ech.dim} of {n_el}"))
+    results.append(CheckResult("morphism-surjective", label,
+                               ech.dim == len(mats),
+                               f"span {ech.dim} of {len(mats)}"))
 
     # the two evaluation maps: alpha at the rotation generator, beta at the
     # base reflection; their value tables and the dihedral relations
-    r_idx = idx[(1 % m, False)]
-    s_idx = idx[(0, True)]
-    Bval = model.images[A][r_idx]
-    Cval = model.images[B][s_idx]
-    table_ok = (model.images[B][r_idx].is_zero()
-                and model.images[C][r_idx].is_zero()
-                and model.images[D][r_idx] == (Bval ** (m - 1) if m > 1 else Bval)
-                and model.images[A][s_idx].is_zero()
-                and model.images[D][s_idx].is_zero()
-                and model.images[C][s_idx] == Cval.inverse())
+    r, s = mats[1 % m], mats[m]
+    Bval = r[0][0]
+    Cval = s[0][1]
+    table_ok = (r[0][1].is_zero() and r[1][0].is_zero()
+                and r[1][1] == (Bval ** (m - 1) if m > 1 else Bval)
+                and s[0][0].is_zero() and s[1][1].is_zero()
+                and s[1][0] == Cval.inverse())
     results.append(CheckResult("alpha-beta-tables", label, table_ok,
                                f"alpha(a) = {Bval.render()}, beta(b) = {Cval.render()}"))
     # beta is an involution: evaluation at s convolved with itself is the counit
-    ok = True
-    for g in range(4):
-        conv = zero
-        for (u, v), c in base.hopf.delta[g].terms.items():
-            conv = conv + c * vec_of_word(u)[s_idx] * vec_of_word(v)[s_idx]
-        if conv != base.hopf.counit[g]:
-            ok = False
+    ok = all(convolve(g, s, s) == base.hopf.counit[g] for g in range(4))
     results.append(CheckResult("beta-involution", label, ok))
-    # the evaluation group is dihedral of order 2m
-    el = model.elements
-    r, s = (1 % m, False), (0, True)
-    pow_r = (0, False)
+    # the evaluation points form a group, dihedral of order 2m
+    e, elements = mats[0], set(mats)
+    pow_r = e
     for _ in range(m):
-        pow_r = model.multiply(pow_r, r)
-    srs = model.multiply(model.multiply(s, r), model.inverse(s))
-    group_ok = (len(set(el)) == 2 * m and pow_r == (0, False)
-                and model.multiply(s, s) == (0, False)
-                and srs == model.inverse(r))
+        pow_r = _mat_mul(pow_r, r)
+    srs = _mat_mul(_mat_mul(s, r), _mat_inverse(s))
+    group_ok = (len(elements) == 2 * m and pow_r == e
+                and set(table.values()) <= elements
+                and _mat_mul(s, s) == e and srs == _mat_inverse(r))
     results.append(CheckResult("dihedral-relations", label, group_ok,
-                               f"order {len(set(el))}"))
+                               f"order {len(elements)}"))
     return results
 
 

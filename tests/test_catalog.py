@@ -49,6 +49,23 @@ def test_cz2n_entry():
     assert entry.expected["dimension"] == 4
 
 
+def test_cz2n_entry_computes_its_kernel_once(monkeypatch):
+    # the kernel-generators row reads the kernel that construction used
+    modules = [importlib.import_module(f"qsl2.{name}")
+               for name in ("catalog", "subgroups")]
+    real = modules[1].kernel_sigma_t
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "kernel_sigma_t", counting, raising=False)
+    assert verify_entry("cz2n", n=2).ok
+    assert len(calls) == 1
+
+
 def test_json_shape():
     entry = verify_entry("dihedral", m=2)
     doc = entry.to_json()

@@ -247,6 +247,23 @@ def test_catalog_grid_all_green(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_SHA256
 
 
+# the same pin for reports outside the grid, each at its defaults
+@pytest.mark.parametrize("argv, digest", [
+    (["grouplikes", "taft"],
+     "77fad43f5b96329205c8ae1f72f40b34a0f406342d5b123a0d92c31009a2c60a"),
+    (["grouplikes", "cz2n"],
+     "294495c2be570548576e782434624b1b5f1486d51c35da4b56d21b20cfd8acd7"),
+    (["grouplikes", "case-I-full"],
+     "dea88d565fb732803d66f3cfc24b6a31b7aec64e1f22f82594274be1e51698ff"),
+    (["verify", "morphism", "dihedral", "--m", "5"],
+     "f8546c37413304c39ab33754260f9a8f4b21e3ed7eed7c4d54f39719e96fcb8c"),
+], ids=["taft", "cz2n", "case-I-full", "dihedral-m5"])
+def test_reports_outside_the_grid_byte_identical(capsys, argv, digest):
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reports_byte_stable(capsys):
     _, out1 = run(capsys, "--format", "json", "verify", "central", "L",
                   "--ell", "3")
@@ -278,11 +295,11 @@ def test_options_nothing_reads_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("argv, keys", [
     (["catalog", "list"], set()),
     (["catalog", "verify", "cz2n", "--n", "2"], {"n"}),
-    (["dim", "widehat", "--ell", "3"], {"name", "ell", "probe_bound"}),
+    (["dim", "widehat", "--ell", "3"], {"name", "ell"}),
     (["verify", "axioms", "oq-sl2"], {"target", "subject", "ell"}),
     (["verify", "central", "L", "--ell", "3"], {"target", "subject", "ell"}),
     (["verify", "normal", "B"], {"target", "subject"}),
-    (["verify", "sequence", "cz2n"], {"target", "subject", "n", "probe_bound"}),
+    (["verify", "sequence", "cz2n"], {"target", "subject", "n"}),
     (["grouplikes", "taft", "--ell", "3"], {"name", "ell"}),
     (["grouplikes", "cz2n"], {"name", "n"}),
     (["construct", "--datum-json", TRIVIAL_ODD], {"datum", "probe_bound"}),
@@ -310,6 +327,9 @@ def test_config_lists_only_settings_read(capsys, monkeypatch, argv, keys):
     (["catalog", "verify", "--grid", "default", "--m", "3"], "m", "the grid"),
     (["grouplikes", "taft", "--n", "4", "--parity", "even"], "n", "taft"),
     (["grouplikes", "cz2n", "--ell", "3"], "ell", "cz2n"),
+    (["verify", "sequence", "cz2n", "--probe-bound", "12"], "probe-bound",
+     "cz2n"),
+    (["dim", "widehat", "--probe-bound", "12"], "probe-bound", "widehat"),
 ])
 def test_options_a_subject_does_not_read_are_usage_errors(capsys, argv,
                                                           option, subject):
@@ -338,7 +358,6 @@ def test_closed_stdout_is_not_an_internal_error():
 
 @pytest.mark.parametrize("argv", [
     ["construct", "--datum-json", TAFT_L5],
-    ["verify", "sequence", "cz2n"],
 ])
 @pytest.mark.parametrize("flag, bound", [([], 10), (["--probe-bound", "12"], 12)])
 def test_probe_bound_reaches_construct_quotient(capsys, monkeypatch, argv,

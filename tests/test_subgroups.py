@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import qsl2.subgroups
 from qsl2.errors import InconsistentDatum
 from qsl2.hopf import FiniteModel, all_ok, grouplikes
+from qsl2.ncalg import render_poly
 from qsl2.presentations import sl2_algebra
 from qsl2.rewrite import check_confluence, normal_form
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
@@ -85,7 +87,55 @@ def test_kernel_cyclic_sl2_odd():
         assert normal_form(quot, quot.poly(t)).is_zero()
 
 
+# (group, parity, the conductor kernel_sigma_t computed, the embedding root
+# order construct_quotient took the lcm of with the base ell); None where
+# no kernel is computed
+FORMER_CONDUCTORS = [
+    (GroupSpec("cyclic", n=3), "odd", 3, 3),
+    (GroupSpec("cyclic", n=3), "even", 6, 6),
+    (GroupSpec("cyclic", n=3), "minus_one", 6, 6),
+    (GroupSpec("dihedral", m=2), "odd", None, 4),
+    (GroupSpec("dihedral", m=2), "even", 4, 4),
+    (GroupSpec("dihedral", m=2), "minus_one", 4, 4),
+    (GroupSpec("trivial"), "odd", 1, 1),
+    (GroupSpec("trivial"), "even", 2, 1),
+    (GroupSpec("trivial"), "minus_one", 2, 1),
+    (GroupSpec("catalog", name="torus"), "odd", None, 1),
+    (GroupSpec("catalog", name="torus"), "even", None, 1),
+    (GroupSpec("catalog", name="torus"), "minus_one", None, 1),
+]
+
+
+@pytest.mark.parametrize("gamma, parity, kernel_conductor, construct_root",
+                         FORMER_CONDUCTORS)
+def test_root_order_is_every_former_conductor(gamma, parity, kernel_conductor,
+                                              construct_root):
+    root = gamma.root_order(parity)
+    if kernel_conductor is not None:
+        assert root == kernel_conductor
+        assert kernel_sigma_t(gamma, parity).conductor == root
+    base_ell = {"odd": 5, "even": 6, "minus_one": 2}[parity]
+    assert lcm(base_ell, root) == lcm(base_ell, construct_root)
+
+
 # -- construction ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("doc", [
+    {"parity": "minus_one", "ell": 2, "I_plus": [1], "I_minus": [1],
+     "gamma": {"kind": "dihedral", "m": 2}},
+    {"parity": "even", "ell": 4, "gamma": {"kind": "cyclic", "n": 2}},
+    {"parity": "odd", "ell": 3, "gamma": {"kind": "trivial"}},
+    {"parity": "odd", "ell": 3, "gamma": {"kind": "catalog", "name": "torus"}},
+])
+def test_construction_keeps_the_kernel_of_step_two(doc):
+    cons = construct_quotient(SubgroupDatum.from_json(doc))
+    if cons.kernel is None:
+        assert not cons.datum.gamma.finite
+        assert "kernel" not in cons.transcript
+    else:
+        assert ([render_poly(g) for g in cons.kernel.generators]
+                == cons.transcript["kernel"])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -292,18 +342,17 @@ def test_dihedral_quotient(m):
 
 
 def test_dihedral_value_tables():
-    model = dihedral_model(3)
-    # alpha: evaluation at the rotation r; beta: at the reflection s
-    r = model.element_index(1, False)
-    s = model.element_index(0, True)
-    Bval = model.images[0][r]
+    mats = dihedral_model(3)
+    # alpha: evaluation at the rotation r; beta: at the reflection s; the
+    # value of a generator x_ij at a matrix is its (i, j) entry
+    (ra, rb), (rc, rd) = mats[1]
+    (sa, sb), (sc, sd) = mats[3]
     from qsl2.cyclo import multiplicative_order
-    assert multiplicative_order(Bval) == 3
-    assert model.images[1][r].is_zero() and model.images[2][r].is_zero()
-    assert model.images[0][s].is_zero() and model.images[3][s].is_zero()
-    Cval = model.images[1][s]
-    assert (Cval * Cval).is_one()  # order-2 value
-    assert model.images[2][s] == Cval.inverse()
+    assert multiplicative_order(ra) == 3
+    assert rb.is_zero() and rc.is_zero()
+    assert sa.is_zero() and sd.is_zero()
+    assert (sb * sb).is_one()  # order-2 value
+    assert sc == sb.inverse()
 
 
 def test_minus_one_type_ii_routing():
