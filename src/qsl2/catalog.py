@@ -23,7 +23,8 @@ from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
 from .rewrite import (check_confluence, dimension, normal_form,
                       quotient_presentation, tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
-                        exact_sequence_shadow, verify_dihedral_quotient)
+                        exact_sequence_shadow, minus_one_case_i_datum,
+                        verify_dihedral_quotient)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -70,8 +71,7 @@ def taft_datum(ell: int) -> SubgroupDatum:
 
 def cz2n_datum(n: int) -> SubgroupDatum:
     """The cyclic group of order n at q = -1, with b and c kept."""
-    return SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,), I_minus=(1,),
-                         gamma=GroupSpec("cyclic", n=n))
+    return minus_one_case_i_datum(GroupSpec("cyclic", n=n))
 
 
 def cz2mn_datum(ell: int, n: int, p: int | None = None,

@@ -2,15 +2,15 @@
 
 JSON is the single source of truth; the text format is rendered from the
 JSON document.  --format and --output go before or after the subcommand;
---probe-bound (default 10) belongs to construct, verify and dim, and bounds
+--probe-bound (default 10) belongs to construct and dim, and bounds
 counting and completion where completion cannot finish: construct and dim
-on the unquotiented algebras read it; no verify subject, nor widehat or
-overline, whose answers are finite, does.  An option the chosen subject
-does not read is a usage error, and each report's config lists exactly
-the settings that produced it.  An option left out takes its default; an
-explicit value, 0 included, is range-checked.  Exit codes: 0 all green,
-1 internal error, 2 datum, parameter or check failure (a completion that
-hits its cap included), 64 usage error.
+on the unquotiented algebras read it; widehat and overline, whose answers
+are finite, do not.  An option the chosen subject does not read is a
+usage error, and each report's config lists exactly the settings that
+produced it.  An option left out takes its default; an explicit value, 0
+included, is range-checked.  Exit codes: 0 all green, 1 internal error,
+2 datum, parameter or check failure (a completion that hits its cap
+included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--datum", help="path to a datum JSON file")
     g.add_argument("--datum-json", help="inline datum JSON")
 
-    p = add_sub("verify", _cmd_verify, probe_bound=True,
-                help="run a named verification")
+    p = add_sub("verify", _cmd_verify, help="run a named verification")
     p.add_argument("target", choices=tuple(VERIFY_SUBJECTS))
     p.add_argument("subject", help="e.g. oq-sl2, L, B, N, widehat, cz2mn, dihedral")
     p.add_argument("--ell", type=int)
@@ -285,7 +284,7 @@ def _cmd_verify(args) -> dict:
         raise _UsageError(f"{target} subjects: "
                           f"{', '.join(VERIFY_SUBJECTS[target])}")
     cfg = _settings(args, subject, VERIFY_SUBJECTS[target][subject],
-                    ("ell", "n", "m", "probe_bound"))
+                    ("ell", "n", "m"))
     config = {"target": target, "subject": subject, **cfg}
     try:
         results = _verify_dispatch(target, subject, cfg)

@@ -33,6 +33,7 @@ ignore ``u``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -428,10 +429,7 @@ class CycRat:
                     parts.append(f"-{qpow}")
                 else:
                     parts.append(f"{coeff}*{qpow}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_signed(parts)
 
 
 def _reduce_vector(ctx: _Context, vec: list[int]) -> list[int]:
@@ -476,56 +474,117 @@ def embed_scalar(a: CycRat, target_ell: int) -> CycRat:
     return out
 
 
-def parse_scalar(ell: int, text: str) -> CycRat:
-    """Parse the render() syntax: sums of rational*q^k terms."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    result = CycRat.zero(ell)
-    for sign, term in _split_terms(text):
-        result = result + sign * _parse_scalar_term(ell, term)
-    return result
+# -- the expression grammar that render() and ncalg.render_poly write ----------
+
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
+_MAX_DEPTH = 32        # parenthesis nesting; render writes one level
+_MAX_POWER = 10_000    # k times the size of a power's base (letters or bits)
 
 
-def _split_terms(text: str):
-    terms, depth, cur, sign = [], 0, "", 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip() and not cur.rstrip().endswith(("*", "^", "/")):
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch == "-" and not cur.strip():
-            sign = -sign
-        elif depth == 0 and ch == "+" and not cur.strip():
-            pass
+def join_signed(parts) -> str:
+    """Join rendered terms into a sum, writing a leading "-" as " - "."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def parse_terms(ell: int, text: str, names=()) -> list:
+    """Read a signed sum of products over Q(zeta_ell) and the names:
+
+        expr   := [sign] term {sign term}
+        term   := factor {"*" factor}
+        factor := atom ["^" k]        k >= 0; "q^-k" also for q
+        atom   := n | n/m | "q" | name | "(" expr ")"
+
+    into its terms, as (word, coefficient) pairs, a word being a tuple of
+    indices into names.  A parenthesised expression holds no name and
+    nests at most _MAX_DEPTH deep; a power other than of q keeps k times
+    the size of its base (1 for a name, the coefficient bits of a scalar)
+    within _MAX_POWER.  Any other text raises ValueError naming the text.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    toks = _TOKEN.findall(text) + [""]
+    pos = 0
+
+    def fail(why):
+        raise ValueError(f"cannot parse {text!r}: {why}")
+
+    def take(tok):
+        nonlocal pos
+        if toks[pos] == tok:
+            pos += 1
+            return True
+        return False
+
+    def integer():
+        nonlocal pos
+        tok = toks[pos]
+        if not "0" <= tok[:1] <= "9":
+            fail(f"expected an integer, found {tok or 'the end'!r}")
+        pos += 1
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() reads
+            fail("integer too long")
+
+    def exponent(size, signed=False):
+        if not take("^"):
+            return 1
+        negative = signed and take("-")
+        k = integer()
+        if k * size > _MAX_POWER:
+            fail("power too large")
+        return -k if negative else k
+
+    def factor(depth):
+        nonlocal pos
+        tok = toks[pos]
+        if "0" <= tok[:1] <= "9":
+            num = integer()
+            den = integer() if take("/") else 1
+            if not den:
+                fail("division by zero")
+            value = CycRat.from_rational(ell, Fraction(num, den))
         else:
-            cur += ch
-        i += 1
-    if cur.strip():
-        terms.append((sign, cur.strip()))
+            pos += 1
+            if tok == "q":
+                return (), CycRat.q_power(ell, exponent(0, signed=True))
+            if tok in index:
+                return (index[tok],) * exponent(1), CycRat.one(ell)
+            if tok != "(":
+                fail(f"expected a factor, found {tok or 'the end'!r}")
+            if depth == _MAX_DEPTH:
+                fail("parentheses nested too deep")
+            terms = expr(depth + 1)
+            if any(word for word, _ in terms) or not take(")"):
+                fail("expected a scalar, then ')'")
+            value = sum((c for _, c in terms), CycRat.zero(ell))
+        if toks[pos] == "^":
+            value = value ** exponent(max(map(abs, value.num)).bit_length()
+                                      + value.den.bit_length()
+                                      + len(value.num).bit_length())
+        return (), value
+
+    def expr(depth):
+        nonlocal pos
+        terms = []
+        while not terms or toks[pos] in ("+", "-"):
+            negative = toks[pos] == "-"
+            pos += toks[pos] in ("+", "-")
+            word, coeff = factor(depth)
+            while take("*"):
+                w, c = factor(depth)
+                word, coeff = word + w, coeff * c
+            terms.append((word, -coeff if negative else coeff))
+        return terms
+
+    terms = expr(0)
+    if toks[pos]:
+        fail(f"unexpected {toks[pos]!r}")
     return terms
 
 
-def _parse_scalar_term(ell: int, term: str) -> CycRat:
-    coeff = Fraction(1)
-    qexp = None
-    for factor in term.split("*"):
-        factor = factor.strip()
-        if not factor:
-            continue
-        if factor == "q":
-            qexp = (qexp or 0) + 1
-        elif factor.startswith("q^"):
-            qexp = (qexp or 0) + int(factor[2:])
-        else:
-            coeff *= Fraction(factor)
-    out = CycRat.from_rational(ell, coeff)
-    if qexp:
-        out = out * CycRat.q_power(ell, qexp)
-    return out
+def parse_scalar(ell: int, text: str) -> CycRat:
+    """Parse the render() syntax: parse_terms with no names."""
+    return sum((c for _, c in parse_terms(ell, text)), CycRat.zero(ell))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 
-from .cyclo import CycRat, parse_scalar
+from .cyclo import CycRat, join_signed, parse_terms
 from .errors import MixedAlgebras
 from .exactla import addto
 
@@ -288,85 +288,9 @@ def render_poly(p: NCPoly, order: MonomialOrder | None = None) -> str:
         else:
             body = (f"({s})*{mono}" if composite else f"{s}*{mono}")
         parts.append(body)
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+    return join_signed(parts)
 
 
 def parse_poly(text: str, gens, ell: int) -> NCPoly:
-    """Parse the render_poly syntax back into an NCPoly."""
-    name_to_idx = {name: i for i, name in enumerate(gens)}
-    result = NCPoly.zero(gens, ell)
-    for sign, term in _split_top_terms(text):
-        word, coeff = _parse_term(term, name_to_idx, ell)
-        if sign < 0:
-            coeff = -coeff
-        result = result + NCPoly.monomial(gens, ell, word, coeff)
-    return result
-
-
-def _split_top_terms(text: str):
-    terms, depth, cur, sign = [], 0, "", 1
-    prev_op = True
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and not prev_op and cur.strip():
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-            prev_op = True
-            continue
-        if ch == "-" and prev_op and depth == 0:
-            sign = -sign
-            continue
-        if ch == "+" and prev_op and depth == 0:
-            continue
-        if ch.strip():
-            prev_op = ch in "*^/("
-        cur += ch
-    if cur.strip():
-        terms.append((sign, cur.strip()))
-    return terms
-
-
-def _parse_term(term: str, name_to_idx, ell: int):
-    word = []
-    scalar_parts = []
-    for factor in _split_factors(term):
-        factor = factor.strip()
-        if not factor:
-            continue
-        if factor.startswith("("):
-            scalar_parts.append(factor)
-            continue
-        base, _, exp = factor.partition("^")
-        base = base.strip()
-        if base in name_to_idx:
-            k = int(exp) if exp else 1
-            word.extend([name_to_idx[base]] * k)
-        else:
-            scalar_parts.append(factor)
-    coeff = CycRat.one(ell)
-    for s in scalar_parts:
-        coeff = coeff * parse_scalar(ell, s)
-    return tuple(word), coeff
-
-
-def _split_factors(term: str):
-    factors, depth, cur = [], 0, ""
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            factors.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    factors.append(cur)
-    return factors
+    """Parse the render_poly syntax: cyclo.parse_terms with gens as names."""
+    return NCPoly.from_terms(gens, ell, parse_terms(ell, text, gens))

@@ -655,10 +655,14 @@ def verify_dihedral_quotient(m: int) -> list[CheckResult]:
     return results
 
 
+def minus_one_case_i_datum(gamma: GroupSpec) -> SubgroupDatum:
+    """The q = -1 datum of case I (b and c kept) with the subgroup gamma."""
+    return SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,), I_minus=(1,),
+                         gamma=gamma)
+
+
 def minus_one_classify(gamma: GroupSpec):
     """Route a q = -1 subgroup: kernel quotient or dihedral function algebra."""
     if gamma.kind == "dihedral":
         return ("II", verify_dihedral_quotient(gamma.m))
-    datum = SubgroupDatum(parity="minus_one", ell=2, I_plus=(1,), I_minus=(1,),
-                          gamma=gamma)
-    return ("I", construct_quotient(datum))
+    return ("I", construct_quotient(minus_one_case_i_datum(gamma)))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsl2.cyclo import CycRat
+from qsl2.cyclo import CycRat, parse_scalar
 from qsl2.errors import MixedAlgebras
 from qsl2.ncalg import MonomialOrder, NCPoly, TensorPoly, parse_poly, render_poly
 
@@ -116,3 +116,46 @@ def test_render_example():
     p = NCPoly.monomial(GENS, ELL, (0, 1), q2) - NCPoly.one(GENS, ELL)
     assert render_poly(p) == "q^2*a*b - 1"
     assert parse_poly("q^2*a*b - 1", GENS, ELL) == p
+
+
+# -- the one grammar of scalar and polynomial text -----------------------------
+
+MALFORMED = ["a^-1", "a^", "*a", "a*", "a+*b", "-", "a - ", "", "1/0",
+             "(" * 1000 + "a" + ")" * 1000, "(" * 1000 + "1" + ")" * 1000,
+             "a - -b", "--a", "1.5", "1e3", "a^2^3", "(a)*b", "2q", "e",
+             "(1 + q", "1 + q)", "a^10001"]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_text_raises_value_error(text):
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, GENS, ELL)
+    assert repr(text) in str(err.value)
+
+
+def test_q_inverse_reads_alike_in_both_parsers():
+    a = NCPoly.generator(GENS, ELL, 0)
+    assert parse_poly("q^-1*a", GENS, ELL) == parse_scalar(ELL, "q^-1") * a
+    assert parse_scalar(ELL, "q^-1") == CycRat.q_power(ELL, -1)
+
+
+def test_grammar_examples():
+    q = CycRat.q_power(ELL, 1)
+    a, b = gen(0), gen(1)
+    assert parse_poly("((1 + q))*a", GENS, ELL) == (1 + q) * a
+    assert (parse_poly("(1 + q)^2*a^3*b - 3/2*q^2 + 4", GENS, ELL)
+            == (1 + q) ** 2 * a * a * a * b
+            + NCPoly.one(GENS, ELL).scale(4 - CycRat.from_rational(ELL, "3/2") * q * q))
+    assert parse_poly("a^0 + 0^0", GENS, ELL) == NCPoly.one(GENS, ELL).scale(
+        CycRat.from_rational(ELL, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/qabcd^*+-() ", max_size=40))
+def test_any_text_parses_or_raises_value_error(text):
+    for parse in (lambda t: parse_poly(t, GENS, ELL),
+                  lambda t: parse_scalar(ELL, t)):
+        try:
+            parse(text)
+        except ValueError:
+            pass
