@@ -382,12 +382,13 @@ class CycRat:
             return self.inverse() ** (-k)
         result = CycRat.one(self.ell)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- comparison / hashing ----------------------------------------------
 

@@ -17,16 +17,19 @@ Presentation and the completer share one reduction engine, Reducer:
   restart.  It returns the leftmost position with the longest lhs there.
   The rule sets of completion and of every completed presentation are
   factor-free (no lhs is a factor of another), and then the first lhs to
-  end in the scan is already that answer.  Any change to the rules drops
-  the automaton; the next search rebuilds it.  Basis enumeration walks the
-  same table.
+  end in the scan is already that answer.  Completion updates the
+  automaton in place as rules come and go (Meyer 1985): a new lhs is
+  inserted into the table and a retired one loses its outputs, so one full
+  build serves a whole completion.  Basis enumeration walks the same table.
 * Normal forms are computed merged and largest-first, as in Buchberger's
   and Mora's reductions: pending terms live in a coefficient map, and the
   largest pending word under the monomial order is always expanded next.
-  Every rewrite produces strictly smaller words, so each word is rewritten
-  once, with the sum of the coefficients of all paths that reach it.
+  Every rewrite produces strictly smaller words, so each word taken from
+  the map is rewritten once, with the sum of the coefficients of all paths
+  that reach it.  A rule with a one-term rhs (a unit times a word, as in
+  the q-commutations) is followed on the word itself, without the map.
 * Normal forms of single words are cached.  Any change to the rules drops
-  the cache along with the automaton.
+  the cache.
 
 Overlaps are found through an index, never by testing every pair of rules:
 each proper prefix of a left-hand side maps to the left-hand sides that
@@ -95,15 +98,16 @@ class Reducer:
 
     Rules map an lhs word to rhs terms that are strictly smaller under the
     order.  find_redex scans a word through an Aho-Corasick automaton over
-    the left-hand sides, built lazily after each rule change; nf_word_terms
-    reduces one word merged and largest-first, so each word it reaches is
-    rewritten once whatever the number of paths that lead to it.
+    the left-hand sides, built on first use; nf_word_terms reduces one word
+    merged and largest-first (see _reduce).
 
     Completion keeps its rule set factor-free: _add_rule retires every lhs
     that contains the new one, and a new lhs is irreducible, so it contains
     no old one.  In a factor-free set the first lhs the scan sees end is
-    the leftmost, longest redex (see find_redex).  A hand-made set that is
-    not factor-free costs the scan at most maxlhs - 1 more letters.
+    the leftmost, longest redex (see find_redex), and completion updates
+    the automaton in place.  A hand-made set that is not factor-free costs
+    the scan at most maxlhs - 1 more letters, and a change to it drops the
+    automaton for the next scan to rebuild.
 
     The cache maps a word to its normal form under the current rules; a
     rule change drops it.
@@ -118,6 +122,7 @@ class Reducer:
         self._one = CycRat.one(ell)
         self._key = _descending_key(order)
         self._automaton = None      # built by the next find_redex
+        self._trie = None           # the trie under it, from the same build
 
     # -- redex automaton --------------------------------------------------------
 
@@ -130,9 +135,15 @@ class Reducer:
         of the string of s, or None.  slack is 0 when no lhs is a factor of
         another, and otherwise the maxlhs - 1 letters find_redex reads past
         the first redex end, since a redex that starts further left may end
-        there."""
+        there.
+
+        The trie it is built from is kept too, as (kids, depth, fail, tree):
+        the trie children, the string length of each state, its failure link
+        (the state of the longest proper suffix in the trie) and the states
+        whose failure link it is.  Completion inserts into them."""
         kids = [{}]                 # the trie: letter -> child, per state
         own = [None]                # the lhs each trie state spells, if any
+        depth = [0]
         for lhs in self.rules:
             if not lhs:
                 continue
@@ -143,12 +154,14 @@ class Reducer:
                     t = kids[s][g] = len(kids)
                     kids.append({})
                     own.append(None)
+                    depth.append(depth[s] + 1)
                 s = t
             own[s] = lhs
-        # breadth first, so the row of each failure state (the state of the
-        # longest proper suffix in the trie) is complete before it is copied
+        # breadth first, so the row of each failure state is complete before
+        # it is copied
         delta = [None] * len(kids)
         fail = [0] * len(kids)
+        tree = [[] for _ in kids]
         out = own[:]
         factor_free = True
         delta[0] = [0] * self.order.ngens
@@ -162,6 +175,7 @@ class Reducer:
                 row[g] = t
                 queue.append(t)
                 f = fail[t] = back[g]
+                tree[f].append(t)
                 if out[f] is not None:
                     # an lhs ends strictly inside t's prefix of another lhs
                     factor_free = False
@@ -169,6 +183,7 @@ class Reducer:
                         out[t] = out[f]
         slack = 0 if factor_free else max(map(len, self.rules)) - 1
         self._automaton = delta, out, slack
+        self._trie = kids, depth, fail, tree
         return self._automaton
 
     def find_redex(self, word):
@@ -219,9 +234,16 @@ class Reducer:
     def _reduce(self, pending: dict) -> dict:
         """Reduce pending terms, always expanding the largest pending word.
 
-        Rewriting only produces smaller words, so a word that has been
-        expanded never comes back and each is expanded once, with its merged
-        coefficient."""
+        Each word is rewritten at its leftmost redex.  A redex whose rhs is
+        one term (a unit times a word, as in a q-commutation) is followed on
+        the word itself: the popped word and its coefficient are rewritten in
+        place until the word is pending (its coefficient merges there),
+        cached, irreducible, or has a redex of another number of terms,
+        which is expanded into pending.  Rewriting only produces smaller
+        words, so a popped word never comes back and is expanded once, with
+        the coefficients of all paths that reach it merged; a word passed
+        through inside such a chain is not merged with other paths to it.
+        The result is the same linear expansion either way."""
         cache, rules = self.cache, self.rules
         key, find = self._key, self.find_redex
         heap = [(key(w), w) for w in pending]
@@ -232,25 +254,36 @@ class Reducer:
             c = pending.pop(w)
             if c.is_zero():
                 continue
-            known = cache.get(w)
-            if known is not None:
-                for u, cu in known.items():
-                    addto(out, u, cu * c)
-                continue
-            redex = find(w)
-            if redex is None:
-                addto(out, w, c)
-                continue
-            i, L, lhs = redex
-            prefix, suffix = w[:i], w[i + L:]
-            for t, ct in rules[lhs].items():
-                u = prefix + t + suffix
-                acc = pending.get(u)
-                if acc is None:
-                    pending[u] = ct * c
-                    heapq.heappush(heap, (key(u), u))
-                else:
-                    pending[u] = acc + ct * c
+            while True:
+                known = cache.get(w)
+                if known is not None:
+                    for u, cu in known.items():
+                        addto(out, u, cu * c)
+                    break
+                redex = find(w)
+                if redex is None:
+                    addto(out, w, c)
+                    break
+                i, L, lhs = redex
+                rhs = rules[lhs]
+                if len(rhs) == 1:
+                    (t, ct), = rhs.items()
+                    w, c = w[:i] + t + w[i + L:], ct * c
+                    acc = pending.get(w)
+                    if acc is None:
+                        continue
+                    pending[w] = acc + c
+                    break
+                prefix, suffix = w[:i], w[i + L:]
+                for t, ct in rhs.items():
+                    u = prefix + t + suffix
+                    acc = pending.get(u)
+                    if acc is None:
+                        pending[u] = ct * c
+                        heapq.heappush(heap, (key(u), u))
+                    else:
+                        pending[u] = acc + ct * c
+                break
         return out
 
     def nf_terms(self, terms: dict) -> dict:
@@ -511,7 +544,7 @@ class _Completer(Reducer):
             self.collapsed = True
             self.rules = {}
             self.cache = {}
-            self._automaton = None
+            self._automaton = self._trie = None
             self.starts, self.ends = {}, {}
             return
         lead = max(terms, key=self.order.key)
@@ -523,12 +556,18 @@ class _Completer(Reducer):
     def _add_rule(self, lead, rhs):
         if len(self.rules) >= self.max_rules:
             raise self._cap_failure()
+        # a built, factor-free table stays so when lead has no redex (the
+        # lead of an oriented equation never has): update it in place
+        in_place = (self._automaton is not None and not self._automaton[2]
+                    and self.find_redex(lead) is None)
         # retire rules whose lhs contains the new lhs; their content re-enters
         # the equation queue and gets re-oriented against the tighter system
         doomed = [L for L in self.rules
                   if len(L) >= len(lead) and _contains(L, lead)]
         for L in doomed:
             self._unindex(L)
+            if in_place:
+                self._retire_lhs(L)
             eq = {L: self._one}
             for w, x in self.rules.pop(L).items():
                 addto(eq, w, -x)
@@ -536,9 +575,79 @@ class _Completer(Reducer):
         self.rules[lead] = rhs
         self._index(lead)
         self.cache = {}
-        self._automaton = None
+        if in_place:
+            self._insert_lhs(lead)
+        else:
+            self._automaton = None
         self.retired += len(doomed)
         self._schedule_rule(lead)
+
+    # -- the automaton, updated in place ------------------------------------------
+    #
+    # Insertion into an Aho-Corasick automaton (Meyer 1985), specialised to
+    # a factor-free set.  The trie may hold dead states, the prefixes of
+    # retired left-hand sides, until the next full build; delta and the
+    # failure links range over all of its states, and out marks the current
+    # left-hand sides, so find_redex and _covered read the table unchanged.
+
+    def _failure_subtree(self, s) -> list:
+        """s and every state whose failure chain passes through s: the
+        states whose string ends with the string of s."""
+        tree = self._trie[3]
+        states = [s]
+        for x in states:
+            states.extend(tree[x])
+        return states
+
+    def _retire_lhs(self, lhs):
+        out, kids = self._automaton[1], self._trie[0]
+        s = 0
+        for g in lhs:
+            s = kids[s][g]
+        for x in self._failure_subtree(s):
+            out[x] = None
+
+    def _insert_lhs(self, lhs):
+        """Add lhs to the table: walk it down the trie to the deepest state
+        there, then create the missing states one letter at a time.  S holds
+        the states whose string ends with the prefix read so far."""
+        delta, out, _ = self._automaton
+        kids, depth, fail, tree = self._trie
+        prev, m = 0, 0
+        while m < len(lhs) and lhs[m] in kids[prev]:
+            prev = kids[prev][lhs[m]]
+            m += 1
+        S = self._failure_subtree(prev)
+        for k in range(m, len(lhs)):
+            g, n, d = lhs[k], len(delta), k + 1
+            # n spells lhs[:d], now the longest suffix in the trie of x + g
+            # for every x in S that had a shorter one
+            for x in S:
+                if depth[delta[x][g]] < d:
+                    delta[x][g] = n
+            f = delta[fail[prev]][g] if k else 0
+            delta.append(delta[f][:])
+            out.append(None)
+            kids.append({})
+            depth.append(d)
+            fail.append(f)
+            tree[f].append(n)
+            tree.append([])
+            # the children of S on g end with lhs[:d]: they are the next S,
+            # and n is their longest proper suffix unless they had a longer
+            nxt = [n]
+            for x in S:
+                y = kids[x].get(g)
+                if y is not None:
+                    nxt.append(y)
+                    if depth[fail[y]] < d:
+                        tree[fail[y]].remove(y)
+                        fail[y] = n
+                        tree[n].append(y)
+            kids[prev][g] = n
+            S, prev = nxt, n
+        for x in S:
+            out[x] = lhs
 
     def _index(self, lhs):
         self.rank += 1

@@ -369,3 +369,27 @@ def test_copies_keep_the_unit_slot():
         assert a.u is cyclo._UNKNOWN and q.u == CycRat.q_power(5, 1).u
         assert a * q == -CycRat.q_power(5, 3)
         assert multiplicative_order(a) == 10
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_powers_equal_repeated_products(ell, monkeypatch):
+    q = CycRat.q_power(ell, 1)
+    for x in (-q ** 3, q + CycRat.from_rational(ell, 2),
+              CycRat.from_rational(ell, Fraction(3, 2))):
+        expect = CycRat.one(ell)
+        for k in range(41):
+            assert x ** k == expect
+            expect = expect * x
+        expect = CycRat.one(ell)
+        for k in range(-1, -6, -1):
+            expect = expect * x.inverse()
+            assert x ** k == expect
+    # square-and-multiply: one product per set bit, one square per later bit
+    calls = []
+    mul = CycRat.__mul__
+    monkeypatch.setattr(CycRat, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for k in range(1, 41):
+        calls.clear()
+        q ** k
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1

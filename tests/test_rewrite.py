@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -8,9 +9,10 @@ from hypothesis import (HealthCheck, assume, example, find, given, settings,
 from qsl2 import rewrite
 from qsl2.cyclo import CycRat
 from qsl2.errors import CompletionFailure
+from qsl2.exactla import addto
 from qsl2.ncalg import MonomialOrder, NCPoly
 from qsl2.presentations import (classical_sl2, oq_sl2, o_minus1_sl2,
-                                quotient_ideal)
+                                quotient_ideal, sl2_algebra)
 from qsl2.rewrite import (OverlapReport, Presentation, Reducer, _Completer,
                           _descending_key, build_presentation, check_confluence,
                           dimension, enumerate_basis, normal_form,
@@ -935,3 +937,211 @@ def test_rule_cap_failure_names_its_context():
     context = info.value.context
     assert context["bound"] == 8 and context["rules"] == 3
     assert context["agenda"] >= 0
+
+
+# -- the automaton, updated in place ---------------------------------------------
+
+
+def live_states(comp):
+    """Trie states on a path to a current lhs; the rest are dead."""
+    return {lhs[:k] for lhs in comp.rules for k in range(len(lhs) + 1)}
+
+
+def check_table(comp):
+    """Every state of the table, dead ones included, against its string:
+    its depth, failure link, failure-tree children, transitions, and the
+    current lhs that is a suffix of it."""
+    delta, out, slack = comp._automaton
+    kids, depth, fail, tree = comp._trie
+    assert slack == 0
+    spell = [()] * len(kids)
+    for s in range(len(kids)):
+        for g, t in kids[s].items():
+            spell[t] = spell[s] + (g,)
+    state = {w: s for s, w in enumerate(spell)}
+    assert len(state) == len(kids) == len(delta) == len(out)
+
+    def longest_suffix(w):
+        return next(state[w[i:]] for i in range(len(w) + 1) if w[i:] in state)
+
+    children = {s: [] for s in state.values()}
+    for s, w in enumerate(spell):
+        assert depth[s] == len(w)
+        assert out[s] == next((w[i:] for i in range(len(w))
+                               if w[i:] in comp.rules), None)
+        assert delta[s] == [longest_suffix(w + (g,))
+                            for g in range(comp.order.ngens)]
+        if s:
+            assert fail[s] == longest_suffix(w[1:])
+            children[fail[s]].append(s)
+    assert all(sorted(tree[s]) == kids_of for s, kids_of in children.items())
+
+
+def check_against_fresh_build(comp, rng, stats):
+    """find_redex and _covered of comp's table, updated in place, agree with
+    a completer that builds its table from scratch over the same rules."""
+    fresh = _Completer(comp.gens, comp.order, comp.ell, None, 10 ** 6)
+    fresh.rules = dict(comp.rules)
+    lhss = list(comp.rules)
+    words = [u + v for u in lhss for v in lhss]
+    words += [tuple(rng.randrange(comp.order.ngens)
+                    for _ in range(rng.randrange(16))) for _ in range(200)]
+    for word in words:
+        assert comp.find_redex(word) == fresh.find_redex(word)
+        assert comp._covered(word) == fresh._covered(word)
+    check_table(comp)
+    stats["dead"] = max(stats["dead"],
+                        len(comp._trie[0]) - len(live_states(comp)))
+
+
+def completion_checked_after_every_rule(monkeypatch, build):
+    """Run build with every _add_rule followed by the check; return the
+    result with counts of the completer's full builds and of the rules added
+    with the table updated in place, the most dead trie states seen, and
+    whether the completer collapsed."""
+    rng = random.Random(18)
+    stats = {"builds": 0, "in_place": 0, "dead": 0, "collapsed": False}
+    build_automaton = Reducer._build_automaton
+
+    def counted(self):
+        stats["builds"] += isinstance(self, Checked)
+        return build_automaton(self)
+
+    class Checked(_Completer):
+        def _add_rule(self, lead, rhs):
+            super()._add_rule(lead, rhs)
+            stats["in_place"] += self._automaton is not None
+            check_against_fresh_build(self, rng, stats)
+
+        def _orient(self, terms):
+            super()._orient(terms)
+            if self.collapsed:
+                stats["collapsed"] = True
+                assert self._automaton is None and self._trie is None
+                assert self.find_redex((0, 1, 0)) is None
+
+    monkeypatch.setattr(Reducer, "_build_automaton", counted)
+    monkeypatch.setattr(rewrite, "_Completer", Checked)
+    pres = build()
+    monkeypatch.undo()
+    return pres, stats
+
+
+@pytest.mark.parametrize("make_base, kind, ell", [
+    (oq_sl2, "widehat", 3), (oq_sl2, "widehat", 5), (oq_sl2, "overline", 4),
+    (lambda ell: sl2_algebra("odd", ell), "widehat", 5),
+], ids=["widehat-3", "widehat-5", "overline-4", "sl2-algebra-widehat-5"])
+def test_automaton_updated_in_place_matches_a_fresh_build(monkeypatch,
+                                                          make_base, kind, ell):
+    base = make_base(ell).pres
+    pres, stats = completion_checked_after_every_rule(
+        monkeypatch, lambda: quotient_presentation(base,
+                                                   quotient_ideal(kind, ell)))
+    # retirements leave dead trie states behind, and nothing rebuilds
+    assert not pres.collapsed and stats["in_place"] > 0 and stats["dead"] > 0
+    assert stats["builds"] == 1
+
+
+def test_automaton_in_place_through_dead_states_and_a_collapse(monkeypatch):
+    # xy = 1 and yx = 0 give x = xyx = 0, which retires xy (its state stays
+    # in the trie, dead), and then xy = 1 reduces to 0 = 1
+    gens = ("x", "y")
+    x, y = (NCPoly.generator(gens, 1, g) for g in range(2))
+    pres, stats = completion_checked_after_every_rule(
+        monkeypatch, lambda: build_presentation(
+            gens, MonomialOrder(2), [x * y - NCPoly.one(gens, 1), y * x], 1))
+    assert pres.collapsed and stats["collapsed"]
+    assert stats["in_place"] > 0 and stats["dead"] > 0
+
+
+def test_widehat_7_completion_builds_its_automaton_at_most_three_times(
+        monkeypatch):
+    base = oq_sl2(7).pres
+    builds, runs = [], []
+    build_automaton = Reducer._build_automaton
+
+    def counted(self):
+        builds.append(self)
+        return build_automaton(self)
+
+    class Recording(_Completer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(Reducer, "_build_automaton", counted)
+    monkeypatch.setattr(rewrite, "_Completer", Recording)
+    pres = quotient_presentation(base, quotient_ideal("widehat", 7),
+                                 complete_to=21)
+    assert len(builds) <= 3
+    comp, = runs
+    assert (len(comp.rules), comp.retired, comp.skipped, comp.counter,
+            len(comp.cut)) == (110, 64, 1298, 4405, 59)
+    assert len(pres.rules) == 110 and pres.confluence == "complete"
+
+
+# -- one-term chains ---------------------------------------------------------------
+
+
+class HeapOnlyPresentation(Presentation):
+    """Presentation whose _reduce pushes every rewritten word onto the heap,
+    one-term right-hand sides included."""
+
+    def _reduce(self, pending):
+        cache, rules = self.cache, self.rules
+        key, find = self._key, self.find_redex
+        heap = [(key(w), w) for w in pending]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = pending.pop(w)
+            if c.is_zero():
+                continue
+            known = cache.get(w)
+            if known is not None:
+                for u, cu in known.items():
+                    addto(out, u, cu * c)
+                continue
+            redex = find(w)
+            if redex is None:
+                addto(out, w, c)
+                continue
+            i, L, lhs = redex
+            prefix, suffix = w[:i], w[i + L:]
+            for t, ct in rules[lhs].items():
+                u = prefix + t + suffix
+                acc = pending.get(u)
+                if acc is None:
+                    pending[u] = ct * c
+                    heapq.heappush(heap, (key(u), u))
+                else:
+                    pending[u] = acc + ct * c
+        return out
+
+
+def copies(pres, cls):
+    return cls(pres.gens, pres.order, pres.ell, pres.rules, pres.defining,
+               pres.parity, pres.q, pres.completion_bound, pres.collapsed,
+               pres.label)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: oq_sl2(5).pres,
+    lambda: quotient_presentation(sl2_algebra("odd", 3).pres,
+                                  quotient_ideal("widehat", 3)),
+], ids=["bounded-oq-sl2-5", "complete-widehat-3"])
+def test_one_term_chains_match_heap_only_reduction(make):
+    pres = make()
+    chained = copies(pres, Presentation)
+    reference = copies(pres, HeapOnlyPresentation)
+    ngens = pres.order.ngens
+    rng = random.Random(6)
+    words = [w for n in range(7)
+             for w in itertools.product(range(ngens), repeat=n)]
+    words += [tuple(rng.randrange(ngens) for _ in range(rng.randrange(12, 21)))
+              for _ in range(300)]
+    one_term = sum(len(rhs) == 1 for rhs in pres.rules.values())
+    assert one_term > 0
+    for word in words:
+        assert chained.nf_word_terms(word) == reference.nf_word_terms(word)
