@@ -28,6 +28,11 @@ Presentation and the completer share one reduction engine, Reducer:
   the map is rewritten once, with the sum of the coefficients of all paths
   that reach it.  A rule with a one-term rhs (a unit times a word, as in
   the q-commutations) is followed on the word itself, without the map.
+* A critical pair, the two rewrites of one overlap word, is reduced as one
+  polynomial, as Buchberger reduces an S-polynomial: both sides go into
+  one pending map, and a word they both reach cancels there.  Normal forms
+  rewrite every word at its leftmost redex, so they are one linear map and
+  the difference is the same as that of the two normal forms.
 * Normal forms of single words are cached.  Any change to the rules drops
   the cache.
 
@@ -243,7 +248,9 @@ class Reducer:
         words, so a popped word never comes back and is expanded once, with
         the coefficients of all paths that reach it merged; a word passed
         through inside such a chain is not merged with other paths to it.
-        The result is the same linear expansion either way."""
+        The result is the same linear expansion either way.
+
+        pending is consumed: its words are popped as they are expanded."""
         cache, rules = self.cache, self.rules
         key, find = self._key, self.find_redex
         heap = [(key(w), w) for w in pending]
@@ -294,15 +301,24 @@ class Reducer:
         return out
 
     def overlap_difference(self, l1, l2, k) -> dict:
-        """Critical pair nf(rhs(l1) * suffix) - nf(prefix * rhs(l2)) of the
+        """Critical pair nf(rhs(l1) * suffix - prefix * rhs(l2)) of the
         overlap prefix + l2 = l1 + suffix, where the last k letters of l1
-        are the first k of l2; empty when the ambiguity resolves."""
+        are the first k of l2; empty when the ambiguity resolves.
+
+        Both sides go into one pending map and are reduced in one merged
+        pass, as Buchberger and Mora reduce an S-polynomial.  Every word is
+        rewritten at its leftmost redex, so the normal form is one fixed
+        linear map, on bounded and complete rule sets alike, and this equals
+        nf(rhs(l1) * suffix) - nf(prefix * rhs(l2)).  A word that both sides
+        reach cancels when they first meet there, so an overlap that
+        resolves stops early."""
+        if self.collapsed:
+            return {}
         prefix, suffix = l1[:-k], l2[k:]
-        diff = self.nf_terms({t + suffix: c for t, c in self.rules[l1].items()})
-        for u, cu in self.nf_terms({prefix + t: c
-                                    for t, c in self.rules[l2].items()}).items():
-            addto(diff, u, -cu)
-        return diff
+        pending = {t + suffix: c for t, c in self.rules[l1].items()}
+        for t, c in self.rules[l2].items():
+            addto(pending, prefix + t, -c)
+        return self._reduce(pending)
 
 
 class Presentation(Reducer):

@@ -393,3 +393,87 @@ def test_powers_equal_repeated_products(ell, monkeypatch):
         calls.clear()
         q ** k
         assert len(calls) == bin(k).count("1") + k.bit_length() - 1
+
+
+# -- the product table -----------------------------------------------------------
+
+
+@st.composite
+def product_operand(draw, ell):
+    """A +-q^k, an integral non-unit, a rational, or a non-integral
+    element, with its Fraction coefficients."""
+    phi = euler_phi(ell)
+    kind = draw(st.sampled_from(["unit", "integral", "rational",
+                                 "non-integral"]))
+    if kind == "unit":
+        coeffs = oracle_unit(ell, draw(st.sampled_from([1, -1])),
+                             draw(st.integers(0, 2 * ell)))
+    elif kind == "rational":
+        coeffs = [draw(st.fractions(min_value=-6, max_value=6,
+                                    max_denominator=4))] + [Fraction(0)] * (phi - 1)
+    else:
+        rats = st.fractions(min_value=-6, max_value=6,
+                            max_denominator=1 if kind == "integral" else 4)
+        coeffs = [Fraction(c) for c in draw(
+            st.lists(rats, min_size=phi, max_size=phi))]
+    return CycRat.from_coeffs(ell, coeffs), coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda ell: st.tuples(
+    st.just(ell), st.lists(product_operand(ell), min_size=2, max_size=4))))
+def test_product_table_matches_convolution(case):
+    ell, operands = case
+    # halving keeps num (when its content is odd) but not den: an operand
+    # pair that differs only in den must not share an entry
+    half = CycRat.from_rational(ell, Fraction(1, 2))
+    operands += [(a * half, [c / 2 for c in ca]) for a, ca in operands]
+    # the second round reads what the first stored
+    for _ in range(2):
+        for a, ca in operands:
+            for b, cb in operands:
+                got = a * b
+                assert_matches(got, ell, oracle_mul(ell, ca, cb))
+                units = (a.unit_exp() is not None) + (b.unit_exp() is not None)
+                if units == 1:
+                    assert got.u is None
+
+
+def test_repeated_products_are_read_from_the_table():
+    ell = 7
+    products = cyclo._context(ell).products
+    products.clear()
+    q = CycRat.q_power(ell, 2)
+    x = CycRat.from_coeffs(ell, [2, 1])         # 2 + q
+    y = CycRat.from_coeffs(ell, [1, 0, -3])     # 1 - 3q^2
+    half = CycRat.from_rational(ell, Fraction(1, 2))
+    stored = {(q.unit_exp(), x.num): q * x, (x.num, y.num): x * y}
+    assert products == stored
+    assert q * x is stored[q.unit_exp(), x.num] and x * y is stored[x.num, y.num]
+    assert stored[q.unit_exp(), x.num].u is None
+    # rationals, non-integral operands and two units bypass it
+    cx, cy, cq = [2, 1], [1, 0, -3], oracle_unit(ell, 1, 2)
+    for got, a, b in [(x * 3, cx, [3]), (x * half, cx, [Fraction(1, 2)]),
+                      (x * (y * half), cx, [c / 2 for c in cy]),
+                      (q * q, cq, cq), (q * half, cq, [Fraction(1, 2)])]:
+        assert_matches(got, ell, oracle_mul(ell, a, b))
+    assert products == stored
+
+
+def test_product_table_stays_within_its_bound():
+    ell = 5
+    products = cyclo._context(ell).products
+    bound = cyclo._PRODUCTS_MAX
+    q = CycRat.q_power(ell, 1)
+    y = CycRat.from_coeffs(ell, [1, -1, 2])
+    xs = [([Fraction(n), Fraction(1)], CycRat.from_coeffs(ell, [n, 1]))
+          for n in range(2, bound // 2 + 200)]
+    sizes = []
+    for _ in range(2):
+        for cx, x in xs:
+            assert_matches(q * x, ell, oracle_mul(ell, [0, 1], cx))
+            assert_matches(x * y, ell, oracle_mul(ell, cx, [1, -1, 2]))
+            sizes.append(len(products))
+    assert max(sizes) <= bound
+    # it was cleared on the way, and the products after that are right too
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))

@@ -351,11 +351,28 @@ def reference_nf(order, rules, word, ell):
     return out
 
 
+def two_sided_difference(reducer, l1, l2, k):
+    """The critical pair of the overlap l1 + l2[k:] as two normal forms
+    subtracted: nf(rhs(l1) * suffix) - nf(prefix * rhs(l2))."""
+    prefix, suffix = l1[:-k], l2[k:]
+    diff = reducer.nf_terms({t + suffix: c
+                             for t, c in reducer.rules[l1].items()})
+    for u, cu in reducer.nf_terms({prefix + t: c
+                                   for t, c in reducer.rules[l2].items()}).items():
+        addto(diff, u, -cu)
+    return diff
+
+
 class CacheFreeCompleter(_Completer):
-    """Completion whose normal forms never consult or fill the cache."""
+    """Completion whose normal forms never consult or fill the cache, and
+    whose critical pairs are two such normal forms subtracted, so that none
+    of it runs through Reducer._reduce."""
 
     def nf_word_terms(self, word):
         return reference_nf(self.order, self.rules, word, self.ell)
+
+    def overlap_difference(self, l1, l2, k):
+        return two_sided_difference(self, l1, l2, k)
 
 
 class NoSkipCompleter(_Completer):
@@ -1145,3 +1162,72 @@ def test_one_term_chains_match_heap_only_reduction(make):
     assert one_term > 0
     for word in words:
         assert chained.nf_word_terms(word) == reference.nf_word_terms(word)
+
+
+# -- merged critical pairs ---------------------------------------------------------
+
+
+def every_overlap_triple(pres):
+    """(l1, l2, k) for every overlap of two rules, k ascending."""
+    return [(l1, l2, k) for l1 in pres.rules for l2 in pres.rules
+            for k in pairwise_overlaps(l1, l2)]
+
+
+def merged_pairs_unresolved(pres):
+    """Check overlap_difference against the two-sided formula on every
+    overlap of pres, each side on its own copy (so neither reads a normal
+    form the other cached); return how many overlaps are unresolved."""
+    merged = copies(pres, Presentation)
+    reference = copies(pres, Presentation)
+    unresolved = 0
+    for l1, l2, k in every_overlap_triple(pres):
+        diff = merged.overlap_difference(l1, l2, k)
+        assert diff == two_sided_difference(reference, l1, l2, k)
+        unresolved += bool(diff)
+    return unresolved
+
+
+def test_merged_critical_pairs_on_the_bounded_base():
+    # past its bound the normal forms of oq_sl2(5) depend on the rewrite
+    # path, and overlaps up to 2 maxlhs - 1 reach past it
+    pres = oq_sl2(5).pres
+    assert pres.confluence == "bounded(8)"
+    assert max(map(len, (l1 + l2[k:] for l1, l2, k
+                         in every_overlap_triple(pres)))) > 8
+    assert merged_pairs_unresolved(pres) > 0
+
+
+@pytest.mark.parametrize("kind,ell", [("widehat", 5), ("overline", 8)])
+def test_merged_critical_pairs_on_complete_quotients(finite_quotients, kind,
+                                                     ell):
+    pres = finite_quotients[kind, ell]
+    assert every_overlap_triple(pres)
+    assert merged_pairs_unresolved(pres) == 0
+
+
+def test_merged_critical_pairs_on_an_sl2_algebra_quotient():
+    pres = quotient_presentation(sl2_algebra("odd", 5).pres,
+                                 quotient_ideal("widehat", 5), complete_to=9)
+    assert pres.confluence == "bounded(9)"
+    merged_pairs_unresolved(pres)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations=small_relation_sets(), bound=st.integers(3, 6))
+def test_merged_critical_pairs_random(relations, bound):
+    try:
+        pres = build_small(relations, complete_to=bound)
+    except CompletionFailure:
+        assume(False)
+    merged_pairs_unresolved(pres)
+
+
+def test_merged_critical_pair_of_a_collapsed_reducer_is_empty():
+    # {ab -> a, ba -> b}: the overlap aba gives aa - a until the collapse
+    one = CycRat.one(1)
+    red = Reducer(MonomialOrder(2), 1, {(0, 1): {(0,): one},
+                                        (1, 0): {(1,): one}})
+    assert red.overlap_difference((0, 1), (1, 0), 1) == {(0, 0): one,
+                                                         (0,): -one}
+    red.collapsed = True
+    assert red.overlap_difference((0, 1), (1, 0), 1) == {}
