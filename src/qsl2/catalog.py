@@ -15,7 +15,7 @@ from .errors import ParamOutOfRange, UnknownEntry
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    check_central, check_normal, grouplikes, is_hopf_ideal,
                    run_battery, verify_hopf_morphism)
-from .ncalg import NCPoly, TensorPoly
+from .ncalg import TensorPoly
 from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                             phi_even_images, phi_images, psl2_model,
                             quotient_ideal, sl2_algebra, sl2_parity,
@@ -23,8 +23,8 @@ from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
 from .rewrite import (check_confluence, dimension, normal_form,
                       quotient_presentation, tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
-                        exact_sequence_shadow, minus_one_case_i_datum,
-                        verify_dihedral_quotient)
+                        exact_sequence_shadow, gamma_embedding,
+                        minus_one_case_i_datum, verify_dihedral_quotient)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -58,6 +58,24 @@ def _confluence(subject: str, pres) -> CheckResult:
     longest = max(map(len, pres.rules))
     return CheckResult("confluence", subject,
                        check_confluence(pres, 2 * longest - 1) == [])
+
+
+def _dimension_row(check: str, label: str, res, expected,
+                   note: str = "") -> CheckResult:
+    """res is finite of dimension expected, or infinite if expected is
+    None."""
+    if expected is None:
+        return CheckResult(check, label, not res.finite, repr(res))
+    return CheckResult(check, label, res.finite and res.value == expected,
+                       f"{res!r}, expected {expected}{note}")
+
+
+def _grouplikes_row(alg: NamedAlgebra, expected: int) -> CheckResult:
+    """alg has expected grouplikes, with a completeness certificate."""
+    rep = grouplikes(FiniteModel(alg))
+    return CheckResult("grouplikes", alg.label,
+                       rep.count() == expected and rep.complete,
+                       f"{rep.count()} found ({rep.method})")
 
 
 # the subgroup data of the catalog entries, shared with the CLI
@@ -99,10 +117,8 @@ def _verify_dual(kind: str, ell: int) -> CatalogEntry:
     alg = sl2_algebra(sl2_parity(ell), ell)
     ideal = quotient_ideal(kind, ell)
     quot = quotient_presentation(alg.pres, ideal, label=f"{kind}-{ell}")
-    res = dimension(quot)
-    entry.results.append(CheckResult(
-        "dimension", quot.label, res.finite and res.value == dim,
-        f"{res!r}, expected {dim}"))
+    entry.results.append(
+        _dimension_row("dimension", quot.label, dimension(quot), dim))
     entry.results.append(_confluence(quot.label, quot))
     entry.results.extend(is_hopf_ideal(alg, ideal, quot))
     return entry
@@ -115,20 +131,13 @@ def _verify_taft(ell: int) -> CatalogEntry:
                           "claim": "unipotent-line quotient: dim ell^2, "
                                    "cyclic grouplikes, skew-primitive b*a"})
     cons = construct_quotient(taft_datum(ell))
-    entry.results.append(CheckResult(
-        "ambient-infinite", cons.algebra.label, not cons.dim.finite,
-        repr(cons.dim)))
-    entry.results.append(CheckResult(
-        "dimension", cons.h.pres.label,
-        cons.h_dim.finite and cons.h_dim.value == ell ** 2,
-        f"{cons.h_dim!r}, expected {ell ** 2}"))
+    entry.results.append(_dimension_row(
+        "ambient-infinite", cons.algebra.label, cons.dim, None))
+    entry.results.append(_dimension_row(
+        "dimension", cons.h.pres.label, cons.h_dim, ell ** 2))
     entry.results.append(_confluence(cons.h.pres.label, cons.h.pres))
     taft = NamedAlgebra(cons.h.pres, cons.h.hopf, f"taft-{ell}")
-    model = FiniteModel(taft)
-    rep = grouplikes(model)
-    entry.results.append(CheckResult(
-        "grouplikes", taft.label, rep.count() == ell and rep.complete,
-        f"{rep.count()} found ({rep.method})"))
+    entry.results.append(_grouplikes_row(taft, ell))
     # skew-primitive witness: Delta(b a) = a^2 (x) b a + b a (x) 1
     x = normal_form(taft.pres, taft.pres.poly("b*a"))
     lhs = taft.delta(x)
@@ -150,10 +159,8 @@ def _verify_cz2n(n: int) -> CatalogEntry:
                          {"dimension": 2 * n,
                           "claim": "cyclic subgroup at q = -1: dim 2n"})
     cons = construct_quotient(cz2n_datum(n))
-    entry.results.append(CheckResult(
-        "dimension", cons.algebra.label,
-        cons.dim.finite and cons.dim.value == 2 * n,
-        f"{cons.dim!r}, expected {2 * n}"))
+    entry.results.append(_dimension_row(
+        "dimension", cons.algebra.label, cons.dim, 2 * n))
     entry.results.append(_confluence(cons.algebra.label, cons.algebra.pres))
     entry.results.extend(cons.certificates)
     entry.results.extend(exact_sequence_shadow(cons))
@@ -166,12 +173,7 @@ def _verify_cz2n(n: int) -> CatalogEntry:
     entry.results.append(CheckResult(
         "kernel-generators-recovered", f"cyclic({n}) in PSL2", member,
         "; ".join(expected[:3]) + "; all off-diagonal quadratics"))
-    model = FiniteModel(cons.algebra)
-    rep = grouplikes(model)
-    entry.results.append(CheckResult(
-        "grouplikes", cons.algebra.label,
-        rep.count() == 2 * n and rep.complete,
-        f"{rep.count()} found ({rep.method})"))
+    entry.results.append(_grouplikes_row(cons.algebra, 2 * n))
     return entry
 
 
@@ -183,14 +185,10 @@ def _verify_cz2mn(ell: int, n: int) -> CatalogEntry:
                          {"dimension": 2 * m * n,
                           "claim": "cyclic subgroup at even order: dim 2mn"})
     cons = construct_quotient(cz2mn_datum(ell, n))
-    entry.results.append(CheckResult(
-        "dimension", cons.algebra.label,
-        cons.dim.finite and cons.dim.value == 2 * m * n,
-        f"{cons.dim!r}, expected {2 * m * n}"))
-    entry.results.append(CheckResult(
-        "h-dimension", cons.h.pres.label,
-        cons.h_dim.finite and cons.h_dim.value == 2 * m,
-        f"{cons.h_dim!r}, expected {2 * m}"))
+    entry.results.append(_dimension_row(
+        "dimension", cons.algebra.label, cons.dim, 2 * m * n))
+    entry.results.append(_dimension_row(
+        "h-dimension", cons.h.pres.label, cons.h_dim, 2 * m))
     entry.results.append(_confluence(cons.algebra.label, cons.algebra.pres))
     entry.results.extend(cons.certificates)
     entry.results.extend(exact_sequence_shadow(cons))
@@ -205,10 +203,9 @@ def _verify_jdelta(ell: int, n: int, p: int, r: int) -> CatalogEntry:
         {"dimension": 2 * n,
          "claim": "twist by a^p = chi^r collapses 2mn to 2n when r m = 1 mod n"})
     cons = construct_quotient(cz2mn_datum(ell, n, p, r))
-    entry.results.append(CheckResult(
-        "dimension", cons.algebra.label,
-        cons.dim.finite and cons.dim.value == 2 * n,
-        f"{cons.dim!r}, expected {2 * n} (down from {2 * m * n})"))
+    entry.results.append(_dimension_row(
+        "dimension", cons.algebra.label, cons.dim, 2 * n,
+        f" (down from {2 * m * n})"))
     entry.results.extend(cons.certificates)
     entry.results.extend(exact_sequence_shadow(cons))
     return entry
@@ -238,18 +235,12 @@ def _verify_case_i_full(parity: str, ell: int) -> CatalogEntry:
                          {"h_dimension": h_expect,
                           "claim": "torus quotient: group-algebra top"})
     cons = construct_quotient(torus_datum(parity, ell))
-    entry.results.append(CheckResult(
-        "ambient-infinite", cons.algebra.label, not cons.dim.finite,
-        repr(cons.dim)))
-    entry.results.append(CheckResult(
-        "h-dimension", cons.h.pres.label,
-        cons.h_dim.finite and cons.h_dim.value == h_expect,
-        f"{cons.h_dim!r}, expected {h_expect}"))
+    entry.results.append(_dimension_row(
+        "ambient-infinite", cons.algebra.label, cons.dim, None))
+    entry.results.append(_dimension_row(
+        "h-dimension", cons.h.pres.label, cons.h_dim, h_expect))
     h_alg = NamedAlgebra(cons.h.pres, cons.h.hopf, f"case-I-top({parity})")
-    rep = grouplikes(FiniteModel(h_alg))
-    entry.results.append(CheckResult(
-        "grouplikes", h_alg.label, rep.count() == h_expect and rep.complete,
-        f"{rep.count()} found ({rep.method})"))
+    entry.results.append(_grouplikes_row(h_alg, h_expect))
     return entry
 
 
@@ -261,7 +252,7 @@ def _verify_central_l(ell: int) -> CatalogEntry:
     alg = sl2_algebra("odd", ell)
     L = distinguished_subalgebra("L_odd", ell)
     entry.results.extend(check_central(alg, L))
-    images = {g: NCPoly.monomial(ABCD, ell, (g,) * ell) for g in range(4)}
+    images = gamma_embedding("odd", alg)[0]
     entry.results.extend(verify_hopf_morphism(classical_sl2(), alg, images))
     return entry
 

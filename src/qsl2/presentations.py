@@ -17,8 +17,8 @@ from itertools import combinations_with_replacement
 from .cyclo import CycRat, embed_scalar, multiplicative_order
 from .errors import ParamOutOfRange, ParityMismatch, QSL2Error
 from .exactla import Echelon, kernel_of_columns, span_dim
-from .hopf import (CheckResult, NamedAlgebra, map_tensor, named_algebra,
-                   substitute)
+from .hopf import (CheckResult, NamedAlgebra, map_poly, map_tensor,
+                   named_algebra)
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
 from .rewrite import (DEFAULT_COMPLETION_BOUND, Presentation,
                       build_presentation, enumerate_basis, normal_form)
@@ -212,13 +212,6 @@ class PSL2Model:
                 self.alg.pres, NCPoly.monomial(XGENS, self.alg.ell, word))))
         return out
 
-    def dependencies(self, count: int):
-        """Exact linear dependencies among degree-`count` generator products."""
-        prods = self.products(count)
-        cols = [p.terms for _, p in prods]
-        kernel = kernel_of_columns(cols, self.alg.ell)
-        return [(combo_vec, prods) for combo_vec in kernel]
-
 
 def psl2_model(max_deg: int = 8) -> PSL2Model:
     return PSL2Model(max_deg)
@@ -273,17 +266,16 @@ def phi_even_images(alg: NamedAlgebra) -> dict:
     return phi_images(alg)
 
 
-def lift_even(p: NCPoly, images: dict, target: NamedAlgebra) -> NCPoly:
-    """Image in target of a classical polynomial in even words, mapped pair
-    by pair through images (sorted coordinate pair -> NCPoly over target)."""
-    out = target.pres.zero()
-    for w, c in p.terms.items():
-        if len(w) % 2:
+def pair_factors(images: dict):
+    """The factors of map_poly for a map given on sorted coordinate pairs
+    (images: pair -> NCPoly over the target): a classical word of even
+    length splits into its pairs."""
+    def factors(word):
+        if len(word) % 2:
             raise QSL2Error("PSL2-side lift needs even words")
-        out = out + substitute(target.pres, c,
-                               (images[tuple(sorted(w[i:i + 2]))]
-                                for i in range(0, len(w), 2)))
-    return out
+        return (images[tuple(sorted(word[i:i + 2]))]
+                for i in range(0, len(word), 2))
+    return factors
 
 
 def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
@@ -295,33 +287,35 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
     the nine quadratic generators maps to zero, and that Delta, counit and
     antipode match on the generators.  The source values are the classical
     maps on the free products x_a x_b, unreduced, so that every word maps
-    through exactly one pair.
+    through exactly one pair.  Each product is lifted once per degree, and
+    the image of a dependency is summed from those lifts.
     """
     results = []
     label = f"psl2-model -> {target.label}"
     src = model.alg
-    lift = lambda p: lift_even(p, images, target)
-
-    def img_product(pairs, coeff=None) -> NCPoly:
-        return lift(NCPoly.monomial(XGENS, src.ell, sum(pairs, ()), coeff))
+    factors = pair_factors(images)
+    lift = lambda p: map_poly(p, factors, target)
 
     for count in range(1, max_product_degree + 1):
+        prods = model.products(count)
+        lifts = [lift(NCPoly.monomial(XGENS, src.ell, sum(combo, ())))
+                 for combo, _ in prods]
+        deps = kernel_of_columns([p.terms for _, p in prods], src.ell)
         all_dead = True
-        deps = model.dependencies(count)
-        for combo_vec, prods in deps:
+        for combo_vec in deps:
             image = target.pres.zero()
             for idx, coeff in combo_vec.items():
-                image = image + img_product(prods[idx][0], coeff)
-            if not normal_form(target.pres, image).is_zero():
+                image = image + lifts[idx] * embed_scalar(coeff, target.ell)
+            if not image.is_zero():
                 all_dead = False
                 break
         results.append(CheckResult(
             "psl2-map-dependencies", label, all_dead,
             f"degree {2 * count}: {len(deps)} dependencies"))
-        # equal ranks of sources and images certify degreewise injectivity
-        prods = model.products(count)
-        src_rank = span_dim(p.terms for _, p in prods)
-        img_rank = span_dim(img_product(combo).terms for combo, _ in prods)
+        # equal ranks of sources and images certify degreewise injectivity;
+        # the kernel has one vector per dependent product (rank-nullity)
+        src_rank = len(prods) - len(deps)
+        img_rank = span_dim(img.terms for img in lifts)
         results.append(CheckResult(
             "psl2-map-degreewise-injective", label, src_rank == img_rank,
             f"degree {2 * count}: rank {src_rank} vs {img_rank}"))

@@ -14,15 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .cyclo import CycRat, embed_scalar, multiplicative_order
+from .cyclo import CycRat, multiplicative_order
 from .errors import (CertificateFailed, InconsistentDatum, ParamOutOfRange,
                      QSL2Error)
 from .exactla import kernel_of_columns, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
-                   coinvariants)
+                   coinvariants, map_poly)
 from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
-                            classical_sl2_presentation, lift_even,
+                            classical_sl2_presentation, pair_factors,
                             phi_images, quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, quotient_presentation)
@@ -297,21 +297,18 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
 # -- lifting through the distinguished subalgebra -------------------------------
 
 
-def lift_classical_poly(p: NCPoly, parity: str, alg: NamedAlgebra) -> NCPoly:
-    """Image of a classical polynomial under the subalgebra embedding."""
-    ell = alg.ell
-    out = alg.pres.zero()
-    if parity == "odd":
-        q = alg.pres.q
-        power = multiplicative_order(q)
-        for w, c in p.terms.items():
-            word = tuple(g for g in w for _ in range(power))
-            out = out + NCPoly.monomial(ABCD, ell, word, embed_scalar(c, ell))
-        return out
-    return lift_even(p, phi_images(alg), alg)
+def lift_classical_polys(polys, parity: str,
+                         alg: NamedAlgebra) -> list[NCPoly]:
+    """Normal forms in alg of the images of classical polynomials under the
+    subalgebra embedding (gamma_embedding, built once for all of them):
+    letter by letter on the SL2 side, pair by pair on the PSL2 side."""
+    images = gamma_embedding(parity, alg)[0]
+    factors = ((lambda w: (images[g] for g in w)) if parity == "odd"
+               else pair_factors(images))
+    return [map_poly(p, factors, alg) for p in polys]
 
 
-def _gamma_embedding(parity: str, alg: NamedAlgebra) -> tuple[dict, dict]:
+def gamma_embedding(parity: str, alg: NamedAlgebra) -> tuple[dict, dict]:
     """The generators of the distinguished commutative subalgebra that the
     group is embedded through, with their counits: g -> g^ell on the SL2
     side, the signed m-th power pairs (phi_images) on the PSL2 side."""
@@ -324,7 +321,7 @@ def _gamma_embedding(parity: str, alg: NamedAlgebra) -> tuple[dict, dict]:
 
 # catalog groups: kernel generators transcribed in the quantum letters
 def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
-    images, eps = _gamma_embedding(parity, alg)
+    images, eps = gamma_embedding(parity, alg)
     if name in ("torus", "G_m"):
         # the off-diagonal generators, where the counit vanishes
         return [img for key, img in images.items() if eps[key].is_zero()]
@@ -406,7 +403,7 @@ def construct_quotient(d: SubgroupDatum,
     kres = None
     if gamma.finite:
         kres = kernel_sigma_t(gamma, parity, d.sigma_exponent)
-        step2 = [lift_classical_poly(g, parity, base) for g in kres.generators]
+        step2 = lift_classical_polys(kres.generators, parity, base)
         transcript["kernel"] = [render_poly(g) for g in kres.generators]
     else:
         step2 = _catalog_kernel(gamma.name, parity, base)
@@ -454,7 +451,7 @@ def construct_quotient(d: SubgroupDatum,
     gamma_image_dim = None
     if gamma.finite and dim_res.finite:
         gens = [normal_form(algebra.pres, g)
-                for g in _gamma_embedding(parity, base)[0].values()]
+                for g in gamma_embedding(parity, base)[0].values()]
         gamma_image_dim = span_closure(
             algebra.pres.one(),
             lambda v: (normal_form(algebra.pres, v * g) for g in gens),

@@ -293,7 +293,20 @@ def test_catalog_grid_all_green(capsys):
      "dea88d565fb732803d66f3cfc24b6a31b7aec64e1f22f82594274be1e51698ff"),
     (["verify", "morphism", "dihedral", "--m", "5"],
      "f8546c37413304c39ab33754260f9a8f4b21e3ed7eed7c4d54f39719e96fcb8c"),
-], ids=["taft", "cz2n", "case-I-full", "dihedral-m5"])
+    (["construct", "--datum-json", json.dumps({
+        "parity": "odd", "ell": 5, "gamma": {"kind": "cyclic", "n": 3},
+        "sigma": {"exponent": 2}})],
+     "e46b83c6eb39b8c732eca44cca464e291027e4d7281149811930d26a36896269"),
+    (["construct", "--datum-json", json.dumps({
+        "parity": "even", "ell": 6, "gamma": {"kind": "cyclic", "n": 5},
+        "sigma": {"exponent": 2}})],
+     "03ce641a1e49e638783ecfe56143f94ec1f17412a9c641003a46f10edac1c7ee"),
+    (["verify", "morphism", "N", "--ell", "8"],
+     "30bfd5be148d51ddd3f60f168bade9964b69c909721cdbc67e3a0ffbb7a4d772"),
+    (["verify", "central", "L", "--ell", "7"],
+     "ed05271bc6c762044b3c0a235c8ab6644a452031c431ef599885b54e85041d53"),
+], ids=["taft", "cz2n", "case-I-full", "dihedral-m5", "construct-odd-cyclic",
+        "construct-even-cyclic", "morphism-N-8", "central-L-7"])
 def test_reports_outside_the_grid_byte_identical(capsys, argv, digest):
     code, out = run(capsys, "--format", "json", *argv)
     assert code == 0

@@ -7,14 +7,15 @@ from qsl2.errors import NotFiniteDimensional, QSL2Error
 from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        check_axioms, check_central, check_normal,
                        check_structure_well_defined, coinvariants, grouplikes,
-                       is_hopf_ideal, named_algebra, verify_hopf_morphism,
-                       _first_failure)
+                       is_hopf_ideal, map_poly, named_algebra,
+                       verify_hopf_morphism, _first_failure)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                                 o_minus1_sl2, oq_sl2, quotient_ideal,
                                 sl2_algebra, _sl2_order, _sl2_relations)
 from qsl2.rewrite import (build_presentation, dimension, enumerate_basis,
                           quotient_presentation, tensor_normal_form)
+from qsl2.subgroups import gamma_embedding
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -387,6 +388,30 @@ def test_identity_morphism(oq5):
     images = {g: oq5.pres.gen(g) for g in range(4)}
     rep = verify_hopf_morphism(oq5, oq5, images)
     assert all_ok(rep)
+
+
+def test_collapsed_targets_send_constants_to_zero():
+    # the maps reduce where they are made, the empty word's image included,
+    # so nothing downstream reduces a constant of a collapsed target again
+    alg = sl2_algebra("odd", 3)
+    one = alg.pres.one()
+    quot = quotient_presentation(alg.pres, [one])
+    assert quot.collapsed
+    assert [(r.check, r.ok) for r in is_hopf_ideal(alg, [one], quot)] == [
+        ("hopf-ideal-counit", False), ("hopf-ideal-delta", True),
+        ("hopf-ideal-antipode", True)]
+    target = NamedAlgebra(quot, alg.hopf, "collapsed")
+    assert target.delta_word(()).is_zero()
+    assert target.antipode_word(()).is_zero()
+    source = classical_sl2()
+    images = gamma_embedding("odd", alg)[0]
+    assert map_poly(source.pres.one(), lambda w: (images[g] for g in w),
+                    target).is_zero()
+    rows = verify_hopf_morphism(source, target, images)
+    assert {r.check for r in rows} == {
+        "morphism-relation", "morphism-delta", "morphism-counit",
+        "morphism-antipode"}
+    assert all_ok(rows)
 
 
 def test_coinvariants_identity_and_counit():

@@ -1,21 +1,23 @@
 import importlib.util
 import sys
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsl2.subgroups
+from qsl2.cyclo import embed_scalar
 from qsl2.errors import InconsistentDatum
 from qsl2.hopf import FiniteModel, all_ok, grouplikes
-from qsl2.ncalg import render_poly
-from qsl2.presentations import sl2_algebra
+from qsl2.ncalg import NCPoly, render_poly
+from qsl2.presentations import ABCD, sl2_algebra
 from qsl2.rewrite import check_confluence, normal_form
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                             datum_equiv, dihedral_model, exact_sequence_shadow,
-                            kernel_sigma_t, minus_one_classify,
-                            validate_datum, verify_dihedral_quotient)
+                            kernel_sigma_t, lift_classical_polys,
+                            minus_one_classify, validate_datum,
+                            verify_dihedral_quotient)
 
 
 # -- datum validation ---------------------------------------------------------
@@ -85,6 +87,26 @@ def test_kernel_cyclic_sl2_odd():
     quot = kres.quotient
     for t in ("x12", "x21", "x11^3 - 1", "x11*x22 - 1"):
         assert normal_form(quot, quot.poly(t)).is_zero()
+
+
+def test_odd_lift_is_letter_repetition():
+    # g -> g^ell through map_poly, reduced after every factor, equals the
+    # words written out letter by letter: the lifted generators of every
+    # odd cyclic datum are already normal forms in the base
+    lifted = 0
+    for ell in (3, 5, 7):
+        for n in range(1, 7):
+            base = sl2_algebra("odd", ell, conductor=lcm(ell, n))
+            for sigma in (u for u in range(1, n + 1) if gcd(u, n) == 1):
+                gens = kernel_sigma_t(GroupSpec("cyclic", n=n), "odd",
+                                      sigma).generators
+                want = [NCPoly.from_terms(ABCD, base.ell, [
+                    (tuple(x for x in w for _ in range(ell)),
+                     embed_scalar(c, base.ell)) for w, c in g.terms.items()])
+                    for g in gens]
+                assert lift_classical_polys(gens, "odd", base) == want
+                lifted += len(gens)
+    assert lifted == 129
 
 
 # (group, parity, the conductor kernel_sigma_t computed, the embedding root
