@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .cyclo import CycRat
 from .errors import ParamOutOfRange, UnknownEntry
+from .exactla import addto
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
-                   check_central, check_normal, grouplikes, is_hopf_ideal,
+                   check_central, check_normal, grouplikes, hopf_quotient,
                    run_battery, verify_hopf_morphism)
 from .ncalg import TensorPoly
 from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
@@ -21,7 +21,7 @@ from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                             quotient_ideal, sl2_algebra, sl2_parity,
                             verify_psl2_embedding)
 from .rewrite import (check_confluence, dimension, normal_form,
-                      quotient_presentation, tensor_normal_form)
+                      tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                         exact_sequence_shadow, gamma_embedding,
                         minus_one_case_i_datum, verify_dihedral_quotient)
@@ -115,12 +115,12 @@ def _verify_dual(kind: str, ell: int) -> CatalogEntry:
     entry = CatalogEntry(f"{kind}-dual", {"ell": ell},
                          {"dimension": dim, "claim": claim})
     alg = sl2_algebra(sl2_parity(ell), ell)
-    ideal = quotient_ideal(kind, ell)
-    quot = quotient_presentation(alg.pres, ideal, label=f"{kind}-{ell}")
+    quot, rows = hopf_quotient(alg, quotient_ideal(kind, ell),
+                               label=f"{kind}-{ell}")
     entry.results.append(
-        _dimension_row("dimension", quot.label, dimension(quot), dim))
-    entry.results.append(_confluence(quot.label, quot))
-    entry.results.extend(is_hopf_ideal(alg, ideal, quot))
+        _dimension_row("dimension", quot.label, dimension(quot.pres), dim))
+    entry.results.append(_confluence(quot.label, quot.pres))
+    entry.results.extend(rows)
     return entry
 
 
@@ -136,17 +136,17 @@ def _verify_taft(ell: int) -> CatalogEntry:
     entry.results.append(_dimension_row(
         "dimension", cons.h.pres.label, cons.h_dim, ell ** 2))
     entry.results.append(_confluence(cons.h.pres.label, cons.h.pres))
-    taft = NamedAlgebra(cons.h.pres, cons.h.hopf, f"taft-{ell}")
+    taft = cons.h
+    taft.label = f"taft-{ell}"
     entry.results.append(_grouplikes_row(taft, ell))
     # skew-primitive witness: Delta(b a) = a^2 (x) b a + b a (x) 1
     x = normal_form(taft.pres, taft.pres.poly("b*a"))
     lhs = taft.delta(x)
-    one = CycRat.one(taft.ell)
-    rhs = TensorPoly.zero(ABCD, taft.ell)
+    terms: dict = {}
     for w, c in x.terms.items():
-        rhs = rhs + TensorPoly.monomial(ABCD, taft.ell, ((A, A), w), c)
-        rhs = rhs + TensorPoly.monomial(ABCD, taft.ell, (w, ()), c)
-    rhs = tensor_normal_form(taft.pres, rhs)
+        addto(terms, ((A, A), w), c)
+        addto(terms, (w, ()), c)
+    rhs = tensor_normal_form(taft.pres, TensorPoly(ABCD, taft.ell, 2, terms))
     entry.results.append(CheckResult(
         "skew-primitive-witness", taft.label, (lhs - rhs).is_zero(),
         "Delta(b*a) = a^2 (x) b*a + b*a (x) 1"))
@@ -239,8 +239,8 @@ def _verify_case_i_full(parity: str, ell: int) -> CatalogEntry:
         "ambient-infinite", cons.algebra.label, cons.dim, None))
     entry.results.append(_dimension_row(
         "h-dimension", cons.h.pres.label, cons.h_dim, h_expect))
-    h_alg = NamedAlgebra(cons.h.pres, cons.h.hopf, f"case-I-top({parity})")
-    entry.results.append(_grouplikes_row(h_alg, h_expect))
+    cons.h.label = f"case-I-top({parity})"
+    entry.results.append(_grouplikes_row(cons.h, h_expect))
     return entry
 
 

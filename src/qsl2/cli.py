@@ -26,7 +26,7 @@ from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
                      ParityMismatch, QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
-                   is_hopf_ideal)
+                   hopf_quotient)
 from .ncalg import render_poly
 from .presentations import (classical_sl2, distinguished_subalgebra,
                             o_minus1_sl2, oq_sl2, phi_even_images, phi_images,
@@ -258,9 +258,8 @@ def _verify_dispatch(target, subject, cfg) -> list:
         return check_normal(alg, distinguished_subalgebra("N_even", ell))
     if target == "hopf-ideal":
         alg = sl2_algebra(sl2_parity(ell), ell)
-        ideal = quotient_ideal(subject, ell)
-        quot = quotient_presentation(alg.pres, ideal, label=f"{alg.label}/J")
-        return is_hopf_ideal(alg, ideal, quot)
+        return hopf_quotient(alg, quotient_ideal(subject, ell),
+                             label=f"{alg.label}/J")[1]
     if target == "sequence":
         # both quotients are finite, so no probe bound can change them
         cons = construct_quotient(cz2n_datum(cfg["n"]) if subject == "cz2n"

@@ -13,6 +13,11 @@ sum of their images is normal as summed.  Generator images extend to a
 polynomial in one place, map_poly; the Hopf-morphism check, the PSL2
 embedding check and the lifts of a subgroup's vanishing ideal all go
 through it.
+
+Each Hopf quotient is one NamedAlgebra, built in hopf_quotient alone and
+checked there on the instance it returns, so the coproducts and antipodes of
+the check stay in that instance's caches; a caller that reports a quotient
+under another subject renames it.
 """
 
 from __future__ import annotations
@@ -134,15 +139,14 @@ class NamedAlgebra:
         return normal_form(self.pres, p)
 
     def quotient(self, relations, label="", complete_to=None) -> NamedAlgebra:
-        """The quotient by the ideal the relations generate, completed once
-        (see quotient_presentation), with the structure maps of this algebra.
-        Raises QSL2Error at the first Hopf-ideal check the relations fail."""
-        pres = quotient_presentation(self.pres, relations, complete_to, label)
-        for r in is_hopf_ideal(self, relations, pres):
+        """The Hopf quotient by the relations (see hopf_quotient).  Raises
+        QSL2Error at the first Hopf-ideal check the relations fail."""
+        quot, rows = hopf_quotient(self, relations, label, complete_to)
+        for r in rows:
             if not r.ok:
                 raise QSL2Error(f"not a Hopf ideal of {self.label}: "
                                 f"{r.check} at {r.witness}")
-        return NamedAlgebra(pres, self.hopf, label or self.label)
+        return quot
 
 
 def named_algebra(pres, delta, counit, antipode, label) -> NamedAlgebra:
@@ -365,23 +369,26 @@ def grouplikes(model: FiniteModel) -> GrouplikeReport:
 # -- Hopf ideals ------------------------------------------------------------------
 
 
-def is_hopf_ideal(alg: NamedAlgebra, gens: list[NCPoly],
-                  quot: Presentation) -> list[CheckResult]:
-    """Counit kills each generator; Delta and S land in the induced ideal.
-    quot is the completed quotient of alg by gens: projecting onto it is an
-    algebra map, so Delta and S extend there from the generator images and
-    vanish exactly on the ideal."""
-    image = NamedAlgebra(quot, alg.hopf, alg.label)
+def hopf_quotient(alg: NamedAlgebra, gens: list[NCPoly], label="",
+                  complete_to=None) -> tuple[NamedAlgebra, list[CheckResult]]:
+    """The quotient of alg by the ideal gens generate, completed once (see
+    quotient_presentation), with alg's structure maps, and its Hopf-ideal
+    rows: the counit kills each generator, and Delta and S land in the
+    ideal.  Projecting onto the quotient is an algebra map, so Delta and S
+    extend there from the generator images and vanish exactly on the ideal;
+    they are checked on the instance returned, which keeps their caches."""
+    pres = quotient_presentation(alg.pres, gens, complete_to, label)
+    quot = NamedAlgebra(pres, alg.hopf, label or alg.label)
     results = []
     for j in gens:
         text = render_poly(j, alg.pres.order)
         results.append(CheckResult("hopf-ideal-counit", alg.label,
                                    alg.counit(j).is_zero(), text))
         results.append(CheckResult("hopf-ideal-delta", alg.label,
-                                   image.delta(j).is_zero(), text))
+                                   quot.delta(j).is_zero(), text))
         results.append(CheckResult("hopf-ideal-antipode", alg.label,
-                                   image.antipode(j).is_zero(), text))
-    return results
+                                   quot.antipode(j).is_zero(), text))
+    return quot, results
 
 
 # -- centrality and normality ------------------------------------------------------

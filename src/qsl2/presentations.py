@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 from .cyclo import CycRat, embed_scalar, multiplicative_order
 from .errors import ParamOutOfRange, ParityMismatch, QSL2Error
-from .exactla import Echelon, kernel_of_columns, span_dim
+from .exactla import Echelon, addto, kernel_of_columns, span_dim
 from .hopf import (CheckResult, NamedAlgebra, map_poly, map_tensor,
                    named_algebra)
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
@@ -303,10 +303,12 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
         deps = kernel_of_columns([p.terms for _, p in prods], src.ell)
         all_dead = True
         for combo_vec in deps:
-            image = target.pres.zero()
+            image: dict = {}
             for idx, coeff in combo_vec.items():
-                image = image + lifts[idx] * embed_scalar(coeff, target.ell)
-            if not image.is_zero():
+                scale = embed_scalar(coeff, target.ell)
+                for w, c in lifts[idx].terms.items():
+                    addto(image, w, c * scale)
+            if image:
                 all_dead = False
                 break
         results.append(CheckResult(

@@ -273,11 +273,9 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
             break
 
     certs = []
-    bad = None
-    for g in ideal:
-        for m in mats:
-            if not _eval_poly(g, m, conductor).is_zero():
-                bad = g
+    bad = next((g for g in ideal
+                if any(not _eval_poly(g, m, conductor).is_zero()
+                       for m in mats)), None)
     certs.append(CheckResult("kernel-vanishes", gamma.kind, bad is None,
                              None if bad is None else render_poly(bad)))
     if parity == "odd":
@@ -358,7 +356,7 @@ class Construction:
         return all_ok(self.certificates)
 
 
-def _parity_augmentation_ideal(parity: str, ell: int, alg: NamedAlgebra):
+def _parity_augmentation_ideal(parity: str, alg: NamedAlgebra):
     if parity == "odd":
         return quotient_ideal("widehat", multiplicative_order(alg.pres.q),
                               conductor=alg.ell)
@@ -423,17 +421,17 @@ def construct_quotient(d: SubgroupDatum,
                - NCPoly.monomial(ABCD, conductor,
                                  (A,) * (chi_exp * d.delta_exponent)))
         step3 = [rel]
-        a_d = a2.quotient(step3, label=f"A_D[{parity}]")
+        algebra = a2.quotient(step3, label=f"A_D[{parity}]")
     else:
-        a_d = a2
+        algebra = a2
     transcript["steps"].append({
         "step": 3, "ideal": [render_poly(g, base.pres.order) for g in step3]})
 
-    algebra = NamedAlgebra(a_d.pres, a_d.hopf, f"A_D({parity}, ell={d.ell}, "
-                                               f"gamma={gamma.to_json()})")
+    # reports name A_D by its datum; its presentation keeps the short label
+    algebra.label = f"A_D({parity}, ell={d.ell}, gamma={gamma.to_json()})"
     dim_res = dimension(algebra.pres, probe_bound) if step3 else dim2
 
-    h_ideal = step1 + _parity_augmentation_ideal(parity, d.ell, base)
+    h_ideal = step1 + _parity_augmentation_ideal(parity, base)
     if d.N_generator is not None:
         h_ideal = h_ideal + [NCPoly.monomial(ABCD, conductor,
                                              (A,) * d.N_generator)

@@ -15,7 +15,7 @@ from qsl2.errors import InconsistentDatum
 from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        check_axioms, check_central, check_normal,
                        check_structure_well_defined, grouplikes,
-                       is_hopf_ideal)
+                       hopf_quotient)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                                 o_minus1_sl2, oq_sl2, phi_images,
@@ -160,10 +160,10 @@ def test_criterion_05_subalgebra_lemma():
     for ell in (4, 6):
         alg = oq_sl2(ell)
         assert all_ok(check_normal(alg, distinguished_subalgebra("N_even", ell)))
-    alg3, quot3 = _finite_quotient(3, "widehat", None)
-    assert all_ok(is_hopf_ideal(alg3, quotient_ideal("widehat", 3), quot3))
-    alg6, quot6 = _finite_quotient(6, "overline", None)
-    assert all_ok(is_hopf_ideal(alg6, quotient_ideal("overline", 6), quot6))
+    alg3 = oq_sl2(3)
+    assert all_ok(hopf_quotient(alg3, quotient_ideal("widehat", 3))[1])
+    alg6 = oq_sl2(6)
+    assert all_ok(hopf_quotient(alg6, quotient_ideal("overline", 6))[1])
     print("ACCEPTANCE 5 subalgebra-lemma (L central 3,5; B normal + "
           "embedding to degree 4; N normal 4,6; quotient ideals are Hopf "
           "ideals): PASS")

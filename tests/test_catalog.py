@@ -2,8 +2,10 @@ import importlib
 
 import pytest
 
-from qsl2.catalog import entry_names, verify_entry
+from qsl2.catalog import cz2mn_datum, entry_names, verify_entry
 from qsl2.errors import ParamOutOfRange, UnknownEntry
+from qsl2.hopf import NamedAlgebra
+from qsl2.subgroups import construct_quotient, exact_sequence_shadow
 
 
 def test_entry_names():
@@ -78,8 +80,8 @@ def test_json_shape():
 def test_dual_entry_completes_one_quotient(monkeypatch):
     # the Hopf-ideal rows read the quotient the dimension row completed
     modules = [importlib.import_module(f"qsl2.{name}")
-               for name in ("catalog", "cli", "hopf", "rewrite", "subgroups")]
-    real = modules[3].quotient_presentation
+               for name in ("cli", "hopf", "rewrite", "subgroups")]
+    real = modules[2].quotient_presentation
     calls = []
 
     def counting(*args, **kwargs):
@@ -90,3 +92,28 @@ def test_dual_entry_completes_one_quotient(monkeypatch):
         monkeypatch.setattr(module, "quotient_presentation", counting)
     assert verify_entry("widehat-dual", ell=3).ok
     assert len(calls) == 1
+
+
+def test_no_word_misses_the_cache_on_two_instances(monkeypatch):
+    # a quotient is one instance, the one its Hopf-ideal rows were checked
+    # on: neither the construction, the catalog nor the shadow recomputes a
+    # coproduct or antipode on another instance over the same presentation
+    misses, alive = {}, []
+    for name, cache in (("delta_word", "_delta_cache"),
+                        ("antipode_word", "_antipode_cache")):
+        real = vars(NamedAlgebra)[name]
+
+        def wrapped(self, word, real=real, name=name, cache=cache):
+            if word not in getattr(self, cache):
+                alive.append(self)          # keeps the ids below unique
+                misses.setdefault((name, id(self.pres), word),
+                                  set()).add(id(self))
+            return real(self, word)
+
+        monkeypatch.setattr(NamedAlgebra, name, wrapped)
+    cons = construct_quotient(cz2mn_datum(4, 3))
+    assert all(r.ok for r in exact_sequence_shadow(cons))
+    assert verify_entry("taft", ell=3).ok
+    assert verify_entry("case-I-full", parity="odd", ell=3).ok
+    assert len(misses) > 100
+    assert [key for key, owners in misses.items() if len(owners) > 1] == []

@@ -305,8 +305,13 @@ def test_catalog_grid_all_green(capsys):
      "30bfd5be148d51ddd3f60f168bade9964b69c909721cdbc67e3a0ffbb7a4d772"),
     (["verify", "central", "L", "--ell", "7"],
      "ed05271bc6c762044b3c0a235c8ab6644a452031c431ef599885b54e85041d53"),
+    (["verify", "hopf-ideal", "widehat", "--ell", "3"],
+     "b98e50642a90b0757213e7eae947dbc7722eece96701eba21e516d7d5c2de637"),
+    (["verify", "hopf-ideal", "overline", "--ell", "6"],
+     "ff5bb395209ee8d2428896ba82ec40b5c84278a0fa4e4481401a28c0b3047e10"),
 ], ids=["taft", "cz2n", "case-I-full", "dihedral-m5", "construct-odd-cyclic",
-        "construct-even-cyclic", "morphism-N-8", "central-L-7"])
+        "construct-even-cyclic", "morphism-N-8", "central-L-7",
+        "hopf-ideal-widehat-3", "hopf-ideal-overline-6"])
 def test_reports_outside_the_grid_byte_identical(capsys, argv, digest):
     code, out = run(capsys, "--format", "json", *argv)
     assert code == 0

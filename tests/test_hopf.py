@@ -7,7 +7,7 @@ from qsl2.errors import NotFiniteDimensional, QSL2Error
 from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        check_axioms, check_central, check_normal,
                        check_structure_well_defined, coinvariants, grouplikes,
-                       is_hopf_ideal, map_poly, named_algebra,
+                       hopf_quotient, map_poly, named_algebra,
                        verify_hopf_morphism, _first_failure)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
@@ -343,7 +343,7 @@ def test_grouplikes_group_algebra():
 
 
 def hopf_ideal_rows(alg, gens):
-    return is_hopf_ideal(alg, gens, quotient_presentation(alg.pres, gens))
+    return hopf_quotient(alg, gens)[1]
 
 
 def test_hopf_ideals():
@@ -363,6 +363,32 @@ def test_quotient_shares_the_structure_maps():
     assert quot.hopf is alg.hopf
     assert quot.label == quot.pres.label == "widehat-3"
     assert quot.pres.confluence == "complete"
+
+
+def test_quotient_is_the_instance_its_hopf_ideal_rows_were_checked_on(
+        monkeypatch):
+    alg = oq_sl2(3)
+    ideal = quotient_ideal("widehat", 3)
+    checked = []
+    real_delta, real_antipode = NamedAlgebra.delta, NamedAlgebra.antipode
+
+    def delta(self, p):
+        checked.append(self)
+        return real_delta(self, p)
+
+    def antipode(self, p):
+        checked.append(self)
+        return real_antipode(self, p)
+
+    monkeypatch.setattr(NamedAlgebra, "delta", delta)
+    monkeypatch.setattr(NamedAlgebra, "antipode", antipode)
+    quot = alg.quotient(ideal, label="widehat-3")
+    assert len(checked) == 2 * len(ideal)
+    assert all(a is quot for a in checked)
+    # so the words of the relations are already in its caches
+    words = {w for j in ideal for w in j.terms}
+    assert words <= quot._delta_cache.keys()
+    assert words <= quot._antipode_cache.keys()
 
 
 def test_quotient_by_a_non_hopf_ideal_raises():
@@ -395,12 +421,11 @@ def test_collapsed_targets_send_constants_to_zero():
     # so nothing downstream reduces a constant of a collapsed target again
     alg = sl2_algebra("odd", 3)
     one = alg.pres.one()
-    quot = quotient_presentation(alg.pres, [one])
-    assert quot.collapsed
-    assert [(r.check, r.ok) for r in is_hopf_ideal(alg, [one], quot)] == [
+    target, rows = hopf_quotient(alg, [one], label="collapsed")
+    assert target.pres.collapsed
+    assert [(r.check, r.ok) for r in rows] == [
         ("hopf-ideal-counit", False), ("hopf-ideal-delta", True),
         ("hopf-ideal-antipode", True)]
-    target = NamedAlgebra(quot, alg.hopf, "collapsed")
     assert target.delta_word(()).is_zero()
     assert target.antipode_word(()).is_zero()
     source = classical_sl2()

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsl2.subgroups
-from qsl2.cyclo import embed_scalar
-from qsl2.errors import InconsistentDatum
+from qsl2.cyclo import CycRat, embed_scalar
+from qsl2.errors import CertificateFailed, InconsistentDatum
 from qsl2.hopf import FiniteModel, all_ok, grouplikes
 from qsl2.ncalg import NCPoly, render_poly
 from qsl2.presentations import ABCD, sl2_algebra
@@ -87,6 +87,19 @@ def test_kernel_cyclic_sl2_odd():
     quot = kres.quotient
     for t in ("x12", "x21", "x11^3 - 1", "x11*x22 - 1"):
         assert normal_form(quot, quot.poly(t)).is_zero()
+
+
+def test_kernel_certificate_names_the_first_failing_generator(monkeypatch):
+    gamma = GroupSpec("cyclic", n=3)
+    ideal = kernel_sigma_t(gamma, "odd").generators
+    assert len(ideal) > 1
+    # every generator now fails to vanish: the witness is the first one
+    monkeypatch.setattr(qsl2.subgroups, "_eval_poly",
+                        lambda p, mat, conductor: CycRat.one(conductor))
+    with pytest.raises(CertificateFailed) as info:
+        kernel_sigma_t(gamma, "odd")
+    assert f"witness='{render_poly(ideal[0])}'" in str(info.value)
+    assert f"witness='{render_poly(ideal[-1])}'" not in str(info.value)
 
 
 def test_odd_lift_is_letter_repetition():

@@ -2,11 +2,13 @@
 
 The tracer finds a method in its class's own ``__dict__`` and a function
 as a module attribute; a refactor that moves either breaks ``--trace 1``.
-This checks the targets without running a traced pass.
+This checks the targets without running a traced pass, then runs the
+benchmark tooling's own self-test, traced passes included.
 """
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,3 +58,12 @@ def test_tracer_counts_the_package_units(monkeypatch):
     for ell in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24, 28, 30, 35]:
         words = tracer._unit_words(cyclo.CycRat.one(ell))
         assert words == set(cyclo._context(ell).unit_index)
+
+
+def test_benchmark_selftest_passes():
+    """A refactor of a traced class fails here, not in a later traced run;
+    the self-test makes and removes its scratch tree under .bench_out/."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
