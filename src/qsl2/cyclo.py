@@ -38,9 +38,9 @@ x, a and b are integral (den 1) and irrational.  A miss computes the
 product by rotation or convolution and stores it; rational and
 non-integral operands, and two units, bypass the table.  It is cleared
 when it holds _PRODUCTS_MAX entries.  Set-up and one pass of the
-benchmark workloads leave 463 (grid) to 2,129 (ladder) entries over all
+benchmark workloads leave 233 (grid) to 2,129 (ladder) entries over all
 fields, at most 1,770 in one field, and a second pass adds none; ``qsl2
-dim widehat --ell 13`` leaves 7,585.  An entry takes about 330 bytes at
+dim widehat --ell 13`` leaves 525.  An entry takes about 330 bytes at
 ell = 13 (12 coefficients) while its coefficients fit in 30 bits, so a
 full table holds about 2.7 MB, plus 4 bytes for every 30 bits of any
 larger coefficient.

@@ -1,13 +1,16 @@
 """Canonical constructors for every algebra in the catalog.
 
-The SL2-type presentations weight a, d by 2 and b, c by 1, which orients
-the determinant relation as ad -> 1 + q bc.  The public oq_sl2 and
-o_minus1_sl2 add the precedence a < b < c < d: their irreducible words are
-the PBW monomials a^l b^m c^s and b^m c^s d^t, every word a b^m c^s d is an
+The public oq_sl2 and o_minus1_sl2 weight a, d by 2 and b, c by 1, which
+orients the determinant relation as ad -> 1 + q bc, and take the
+precedence a < b < c < d (the PBW order): their irreducible words are the
+PBW monomials a^l b^m c^s and b^m c^s d^t, every word a b^m c^s d is an
 obstruction, and so they complete only to a bound.  sl2_algebra, the base
-of all quotient work, takes d < a < c < b instead: there the same algebra
-completes to seven quadratic rules, with irreducible words a^l c^s b^m and
-d^t c^s b^m.  The classical coordinate ring uses plain deglex.
+of all quotient work, takes d < a < c < b with weights (1, 1, 1, ell + 2)
+instead, ell the order of q: there the same algebra completes to seven
+quadratic rules, with irreducible words a^l c^s b^m and d^t c^s b^m.  In a
+quotient where a^ell = 1, a is a unit and d = a^(ell-1) (1 + q bc), whose
+right side weighs ell + 1 < ell + 2, so d itself becomes an lhs and no
+normal word contains it.  The classical coordinate ring uses plain deglex.
 """
 
 from __future__ import annotations
@@ -32,10 +35,14 @@ A, B, C, D = 0, 1, 2, 3
 _FINITE_PRECEDENCE = (1, 3, 2, 0)
 
 
-def _sl2_order(precedence=None) -> MonomialOrder:
-    """Letter weights (2, 1, 1, 2); precedence a < b < c < d (the PBW
-    order) unless given."""
-    return MonomialOrder(4, precedence, weights=(2, 1, 1, 2))
+def _sl2_order(ell: int | None = None) -> MonomialOrder:
+    """The PBW order: letter weights (2, 1, 1, 2), precedence a < b < c < d.
+    Given ell, the order of q, the finite order instead: weights
+    (1, 1, 1, ell + 2), precedence d < a < c < b; d outweighs a^(ell-1) bc,
+    so a quotient with a^ell = 1 rewrites d away."""
+    if ell is None:
+        return MonomialOrder(4, weights=(2, 1, 1, 2))
+    return MonomialOrder(4, _FINITE_PRECEDENCE, weights=(1, 1, 1, ell + 2))
 
 
 def _sl2_relations(ell: int, q: CycRat) -> list[NCPoly]:
@@ -83,11 +90,11 @@ def sl2_parity(ell: int) -> str:
     return "minus_one" if ell == 2 else ("odd" if ell % 2 else "even")
 
 
-def _sl2(ell: int, conductor: int | None, precedence,
+def _sl2(ell: int, conductor: int | None, order: MonomialOrder,
          complete_to: int | None) -> NamedAlgebra:
     """O_q(SL2) at a primitive ell-th root q, ell >= 2, over the cyclotomic
-    field of the conductor (doubled if odd at q = -1), in the order with
-    the given precedence, completed to complete_to (None: to the end)."""
+    field of the conductor (doubled if odd at q = -1), in the given order,
+    completed to complete_to (None: to the end)."""
     cond = conductor or ell
     if ell == 2 and cond % 2:
         cond *= 2
@@ -97,7 +104,7 @@ def _sl2(ell: int, conductor: int | None, precedence,
     q = CycRat.q_power(cond, cond // ell)
     parity = sl2_parity(ell)
     label = "o-minus1-sl2" if ell == 2 else f"oq-sl2(ell={ell})"
-    pres = build_presentation(ABCD, _sl2_order(precedence),
+    pres = build_presentation(ABCD, order,
                               _sl2_relations(cond, q), cond, q, parity,
                               complete_to, label=label)
     delta, counit, antipode = _sl2_hopf(cond, q)
@@ -115,27 +122,29 @@ def oq_sl2(ell: int, conductor: int | None = None,
     """The q-deformed coordinate algebra at a primitive ell-th root, ell >= 3,
     in the PBW order, whose completion is infinite: bounded by complete_to."""
     _require_generic(ell)
-    return _sl2(ell, conductor, None, complete_to)
+    return _sl2(ell, conductor, _sl2_order(), complete_to)
 
 
 def o_minus1_sl2(conductor: int = 2,
                  complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
     """The q = -1 coordinate algebra in the PBW order; relations specialize
     the generic ones."""
-    return _sl2(2, conductor, None, complete_to)
+    return _sl2(2, conductor, _sl2_order(), complete_to)
 
 
 def sl2_algebra(parity: str, ell: int,
                 conductor: int | None = None) -> NamedAlgebra:
     """The base of all quotient work: the algebra of oq_sl2 (of o_minus1_sl2
-    for parity minus_one) in the finite order, complete with seven rules.
-    Raises ParityMismatch unless parity is sl2_parity(ell)."""
+    for parity minus_one) in the finite order _sl2_order(ell), complete
+    with seven rules.  Its widehat and overline quotients complete to seven
+    rules too, d among their left sides.  Raises ParityMismatch unless
+    parity is sl2_parity(ell)."""
     if parity != "minus_one":
         _require_generic(ell)
     if parity != sl2_parity(ell):
         raise ParityMismatch(f"{parity} parity does not fit ell = {ell}, "
                              f"which is {sl2_parity(ell)}")
-    return _sl2(ell, conductor, _FINITE_PRECEDENCE, None)
+    return _sl2(ell, conductor, _sl2_order(ell), None)
 
 
 def classical_sl2_presentation(conductor: int = 1) -> Presentation:

@@ -8,7 +8,8 @@ from qsl2.presentations import (ABCD, XGENS, classical_sl2,
                                 oq_sl2, phi_images, psl2_model,
                                 quotient_ideal, sl2_algebra, sl2_parity,
                                 verify_psl2_embedding, phi_even_images)
-from qsl2.rewrite import check_confluence, enumerate_basis, normal_form
+from qsl2.rewrite import (check_confluence, dimension, enumerate_basis,
+                          normal_form, quotient_presentation)
 
 
 def test_oq_relations_hold():
@@ -246,3 +247,31 @@ def test_finite_base_is_totally_confluent(ell):
     levels = enumerate_basis(pres, 12)
     assert [len(level) for level in levels] == [(n + 1) ** 2
                                                 for n in range(13)]
+
+
+def _series(*runs):
+    """Coefficients of prod (1 - t^r)/(1 - t) over the runs r."""
+    coeffs = [1]
+    for r in runs:
+        out = [0] * (len(coeffs) + r - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(r):
+                out[i + j] += c
+        coeffs = out
+    return coeffs
+
+
+def test_finite_quotients_complete_to_seven_rules_in_closed_form():
+    # once a^ell = 1, d -> a^(ell-1) (1 + q bc) is a rule, so the normal
+    # words are a^i c^k b^j: i < ell and j, k below the power of b and c
+    # that the ideal kills (ell for widehat, ell/2 for overline)
+    cases = [("widehat", ell, (ell, ell, ell)) for ell in range(3, 22, 2)]
+    cases += [("overline", ell, (ell, ell // 2, ell // 2))
+              for ell in range(4, 21, 2)]
+    for kind, ell, runs in cases:
+        base = sl2_algebra(sl2_parity(ell), ell)
+        quot = quotient_presentation(base.pres, quotient_ideal(kind, ell))
+        assert quot.confluence == "complete", (kind, ell)
+        assert len(quot.rules) == 7, (kind, ell)
+        assert (3,) in quot.rules, (kind, ell)
+        assert dimension(quot).counts == _series(*runs) + [0], (kind, ell)

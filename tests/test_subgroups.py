@@ -12,7 +12,7 @@ from qsl2.errors import CertificateFailed, InconsistentDatum
 from qsl2.hopf import FiniteModel, all_ok, grouplikes
 from qsl2.ncalg import NCPoly, render_poly
 from qsl2.presentations import ABCD, sl2_algebra
-from qsl2.rewrite import check_confluence, normal_form
+from qsl2.rewrite import DEFAULT_PROBE_BOUND, check_confluence, normal_form
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                             datum_equiv, dihedral_model, exact_sequence_shadow,
                             kernel_sigma_t, lift_classical_polys,
@@ -294,7 +294,24 @@ CATALOG_CASES = {"torus": ((), ()), "G_m": ((), ()),
                  "G_a": ((1,), ()), "full": ((1,), (1,))}
 CATALOG_WORDS = {"torus": 21, "G_m": 21, "borel_plus": 121,
                  "borel_minus": 121, "full": 506}
-G_A_WORDS = {3: 31, 7: 65, 4: 40, 8: 72, 2: 21}
+# InfiniteAtLeast(n) counts the normal words of length <= 10, and which
+# words are normal depends on the letter weights: under sl2_algebra's
+# (1, 1, 1, ell + 2) the G_a ambient rewrites d and c away, leaving the
+# words a^i b^j with a^i short of the first power of a that is an lhs
+G_A_WORDS = {3: 30, 7: 56, 4: 38, 8: 60, 2: 21}
+
+
+def normal_word_count(rules, ngens, max_len):
+    """Words of length <= max_len with no lhs as a factor, grown letter by
+    letter: a word with an lhs factor has one in every extension too."""
+    lengths = {len(u) for u in rules}
+    level, total = [()], 1
+    for _ in range(max_len):
+        level = [w + (g,) for w in level for g in range(ngens)
+                 if not any((w + (g,))[-k:] in rules for k in lengths
+                            if k <= len(w) + 1)]
+        total += len(level)
+    return total
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_CASES))
@@ -311,6 +328,7 @@ def test_catalog_ambients_are_complete(name, parity, ell):
     longest = 2 * max(map(len, pres.rules)) - 1
     assert check_confluence(pres, longest) == []
     words = G_A_WORDS[ell] if name == "G_a" else CATALOG_WORDS[name]
+    assert normal_word_count(pres.rules, 4, DEFAULT_PROBE_BOUND) == words
     assert repr(cons.dim) == f"InfiniteAtLeast({words})"
     # the top H: the group algebra of the roots, times the unipotent line
     # (ell^2 on SL2, 2m^2 on PSL2) for each of b, c kept
