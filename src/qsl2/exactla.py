@@ -6,6 +6,8 @@ module is the one home of that arithmetic:
 
 * ``addto(terms, key, c)`` adds c to one entry and drops the entry when
   the sum is zero; polynomials, tensors and rewriting accumulate through it.
+  ``addto_all(terms, keys, coeffs)`` is the same for parallel iterables of
+  keys and coefficients: a tensor's multiplied-out terms, added at once.
 * ``Echelon`` keeps pivot-normalized rows; ``kernel_of_columns`` runs its
   reduction on vectors augmented with their column combination.
 * ``span_closure`` grows an ``Echelon`` breadth-first from a start element
@@ -25,6 +27,18 @@ def addto(terms: dict, key, c):
         terms.pop(key, None)
     else:
         terms[key] = v
+
+
+def addto_all(terms: dict, keys, coeffs):
+    """addto(terms, key, c) for each key and c of the parallel iterables."""
+    get, pop = terms.get, terms.pop
+    for key, c in zip(keys, coeffs):
+        acc = get(key)
+        v = acc + c if acc is not None else c
+        if v.is_zero():
+            pop(key, None)
+        else:
+            terms[key] = v
 
 
 def _normalized(vec: dict):

@@ -11,7 +11,7 @@ import operator
 
 from .cyclo import CycRat, join_signed, parse_terms
 from .errors import MixedAlgebras
-from .exactla import addto
+from .exactla import addto, addto_all
 
 Word = tuple  # tuple[int, ...]
 
@@ -235,17 +235,23 @@ class TensorPoly(_SparsePoly):
 
         The image tensor's legs are spliced in place, so the result has
         self.legs + images_legs - 1 legs.  Used for (Delta x id) style maps.
+        Each term multiplies out over its image once, and the products of
+        all terms are added in one accumulation, which drops keys that
+        cancel.
         """
-        out_terms = {}
-        out_legs = None
-        for key, coeff in self.terms.items():
-            img = images(key[leg])
-            if out_legs is None:
-                out_legs = self.legs + img.legs - 1
-            for ikey, icoeff in img.terms.items():
-                addto(out_terms, key[:leg] + ikey + key[leg + 1:], coeff * icoeff)
-        if out_legs is None:
+        spliced = [(key[:leg], key[leg + 1:], coeff, images(key[leg]))
+                   for key, coeff in self.terms.items()]
+        if spliced:
+            out_legs = self.legs + spliced[0][3].legs - 1
+        else:
             out_legs = self.legs + 1  # zero tensor; leg count of Delta-expansion
+        out_terms = {}
+        addto_all(out_terms,
+                  [head + ikey + tail
+                   for head, tail, _, img in spliced for ikey in img.terms],
+                  [coeff * icoeff
+                   for _, _, coeff, img in spliced
+                   for icoeff in img.terms.values()])
         return TensorPoly(self.gens, self.ell, out_legs, out_terms)
 
 

@@ -59,10 +59,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 from .cyclo import CycRat, parse_scalar
 from .errors import CompletionFailure, NotFiniteDimensional
-from .exactla import addto
+from .exactla import addto, addto_all
 from .ncalg import (EMPTY_WORD, MonomialOrder, NCPoly, TensorPoly, parse_poly,
                     render_poly, _render_word_named)
 
@@ -430,22 +431,23 @@ def normal_form(pres: Presentation, p):
 
 
 def tensor_normal_form(pres: Presentation, t: TensorPoly) -> TensorPoly:
+    """Legwise normal form: each term multiplies out over the normal forms
+    of its legs once, its keys the product of their words and its
+    coefficients the matching products, for any number of legs; the
+    products of all terms are added in one accumulation."""
     if pres.collapsed:
         return TensorPoly.zero(pres.gens, pres.ell, t.legs)
-    out: dict = {}
+    keys, coeffs = [], []
     for key, c in t.terms.items():
         parts = [pres.nf_word_terms(w) for w in key]
-        keys = [key[:0]]
-        coeffs = [c]
+        keys += product(*parts)
+        term_coeffs = [c]
         for part in parts:
-            nkeys, ncoeffs = [], []
-            for k0, c0 in zip(keys, coeffs):
-                for u, cu in part.items():
-                    nkeys.append(k0 + (u,))
-                    ncoeffs.append(c0 * cu)
-            keys, coeffs = nkeys, ncoeffs
-        for k0, c0 in zip(keys, coeffs):
-            addto(out, k0, c0)
+            term_coeffs = [c0 * cu for c0 in term_coeffs
+                           for cu in part.values()]
+        coeffs += term_coeffs
+    out: dict = {}
+    addto_all(out, keys, coeffs)
     return TensorPoly(pres.gens, pres.ell, t.legs, out)
 
 

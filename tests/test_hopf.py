@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -7,14 +10,15 @@ from qsl2.errors import NotFiniteDimensional, QSL2Error
 from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        check_axioms, check_central, check_normal,
                        check_structure_well_defined, coinvariants, grouplikes,
-                       hopf_quotient, map_poly, named_algebra,
+                       hopf_quotient, map_poly, named_algebra, run_battery,
                        verify_hopf_morphism, _first_failure)
 from qsl2.ncalg import NCPoly, TensorPoly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                                 o_minus1_sl2, oq_sl2, quotient_ideal,
                                 sl2_algebra, _sl2_order, _sl2_relations)
 from qsl2.rewrite import (build_presentation, dimension, enumerate_basis,
-                          quotient_presentation, tensor_normal_form)
+                          normal_form, quotient_presentation,
+                          tensor_normal_form)
 from qsl2.subgroups import gamma_embedding
 
 A, B, C, D = 0, 1, 2, 3
@@ -94,6 +98,20 @@ def test_axioms_to_degree_four(oq5):
     assert all_ok(check_axioms(oq5, 4))
 
 
+# sha256 of the JSON rows the verify benchmark's batteries return
+BATTERY_ROWS_SHA256 = \
+    "14ccfcf3e9c9eb10c426bb7b156937daf6ebd5ad61de4b69ae41fa5f0cc54824"
+
+
+def test_battery_rows_byte_identical():
+    rows = []
+    for alg in [oq_sl2(ell) for ell in range(3, 10)] + [o_minus1_sl2()]:
+        rows += [r.to_json() for r in run_battery(alg, 4)]
+    assert len(rows) == 192
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == BATTERY_ROWS_SHA256
+
+
 def _mutant_drop_bc(ell):
     alg = oq_sl2(ell)
     d = dict(alg.hopf.delta)
@@ -132,43 +150,84 @@ def test_mutants_caught():
     assert not all_ok(check_axioms(m3, 2))           # antipode law fails
 
 
+def _sum_terms(items):
+    """Plain sums of (key, coefficient) items with zero sums dropped."""
+    out = {}
+    for k, c in items:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def legwise_reference(pres, terms):
+    """Tensor normal form by brute force: each leg word reduced alone with
+    normal_form, and the legs' normal forms multiplied out as an explicit
+    Cartesian product."""
+    def leg(word):
+        mono = NCPoly.monomial(pres.gens, pres.ell, word)
+        return list(normal_form(pres, mono).terms.items())
+
+    items = []
+    for key, c in terms.items():
+        for combo in itertools.product(*(leg(w) for w in key)):
+            x = c
+            for _, cu in combo:
+                x = x * cu
+            items.append((tuple(u for u, _ in combo), x))
+    return _sum_terms(items)
+
+
 def reference_check_axioms(alg, sample_deg=3):
-    """The battery's three laws with every side reduced to normal form
-    before comparing: check_axioms must give the same rows."""
-    words = [w for level in enumerate_basis(alg.pres, sample_deg)
+    """The battery's three laws from the generator images alone: Delta(w)
+    multiplied out from alg.hopf.delta, counits as products of
+    alg.hopf.counit, and every side reduced to normal form before
+    comparing.  check_axioms must give the same rows."""
+    pres, gens, ell = alg.pres, alg.gens, alg.ell
+    words = [w for level in enumerate_basis(pres, sample_deg)
              for w in level]
-    for g in range(len(alg.gens)):
+    for g in range(len(gens)):
         w = (g,)
-        if alg.pres.is_irreducible(w) and w not in words:
+        if pres.is_irreducible(w) and w not in words:
             words.append(w)
 
+    def delta(w):
+        t = TensorPoly.one(gens, ell)
+        for g in w:
+            t = t * alg.hopf.delta[g]
+        return legwise_reference(pres, t.terms)
+
+    def counit(w):
+        out = CycRat.one(ell)
+        for g in w:
+            out = out * alg.hopf.counit[g]
+        return out
+
     def coassociative(w):
-        dw = alg.delta_word(w)
-        left = tensor_normal_form(alg.pres, dw.expand_leg(0, alg.delta_word))
-        right = tensor_normal_form(alg.pres, dw.expand_leg(1, alg.delta_word))
-        return (left - right).is_zero()
+        left, right = [], []
+        for (u, v), c in delta(w).items():
+            left += [((u1, u2, v), c * x) for (u1, u2), x in delta(u).items()]
+            right += [((u, v1, v2), c * x) for (v1, v2), x in delta(v).items()]
+        return (legwise_reference(pres, _sum_terms(left))
+                == legwise_reference(pres, _sum_terms(right)))
 
     def counit_law(w):
         lhs = alg.pres.zero()
         rhs = alg.pres.zero()
-        for (u, v), c in alg.delta_word(w).terms.items():
-            lhs = lhs + NCPoly.monomial(alg.gens, alg.ell, v,
-                                        c * alg.counit_word(u))
-            rhs = rhs + NCPoly.monomial(alg.gens, alg.ell, u,
-                                        c * alg.counit_word(v))
-        target = NCPoly.monomial(alg.gens, alg.ell, w)
+        for (u, v), c in delta(w).items():
+            lhs = lhs + NCPoly.monomial(gens, ell, v, c * counit(u))
+            rhs = rhs + NCPoly.monomial(gens, ell, u, c * counit(v))
+        target = NCPoly.monomial(gens, ell, w)
         return (alg.nf(lhs - target).is_zero()
                 and alg.nf(rhs - target).is_zero())
 
     def antipode_law(w):
         left = alg.pres.zero()
         right = alg.pres.zero()
-        for (u, v), c in alg.delta_word(w).terms.items():
+        for (u, v), c in delta(w).items():
             left = left + (alg.antipode_word(u)
-                           * NCPoly.monomial(alg.gens, alg.ell, v)) * c
-            right = right + (NCPoly.monomial(alg.gens, alg.ell, u)
+                           * NCPoly.monomial(gens, ell, v)) * c
+            right = right + (NCPoly.monomial(gens, ell, u)
                              * alg.antipode_word(v)) * c
-        target = alg.pres.one() * alg.counit_word(w)
+        target = alg.pres.one() * counit(w)
         return (alg.nf(left - target).is_zero()
                 and alg.nf(right - target).is_zero())
 
@@ -245,6 +304,125 @@ def test_coproducts_of_basis_words_are_leg_normal(battery_bases):
                       dw.expand_leg(1, alg.delta_word)):
                 assert all(alg.pres.is_irreducible(leg)
                            for key in t.terms for leg in key), (alg.label, w)
+
+
+@pytest.fixture(scope="module")
+def tensor_bases():
+    """A bounded PBW base, a complete base and a collapsed quotient."""
+    bounded, complete = oq_sl2(4), sl2_algebra("odd", 3)
+    collapsed = quotient_presentation(complete.pres, [complete.pres.one()])
+    return [bounded, complete,
+            NamedAlgebra(collapsed, complete.hopf, "collapsed")]
+
+
+def _random_tensor(alg, rng, legs, nterms):
+    n, p = len(alg.gens), alg.pres
+    scalars = [p.scalar(1), p.scalar(-2), p.q, p.q.inverse()]
+    out = TensorPoly.zero(alg.gens, alg.ell, legs)
+    for _ in range(nterms):
+        key = [tuple(rng.randrange(n) for _ in range(rng.randrange(4)))
+               for _ in range(legs)]
+        out = out + TensorPoly.monomial(alg.gens, alg.ell, key,
+                                        rng.choice(scalars))
+    return out
+
+
+def test_tensor_normal_form_matches_legwise_reference(tensor_bases):
+    # t - nf(t) is a sum of unreduced and normal terms whose normal forms
+    # cancel key by key; adding s to it leaves the normal form of s
+    rng = random.Random(23)
+    cancelled = 0
+    for alg in tensor_bases:
+        gens, ell = alg.gens, alg.ell
+        for legs in (1, 2, 3):
+            for _ in range(12):
+                t = _random_tensor(alg, rng, legs, 4)
+                s = _random_tensor(alg, rng, legs, 3)
+                nf_t = TensorPoly(gens, ell, legs,
+                                  legwise_reference(alg.pres, t.terms))
+                for x in (t, s, t - nf_t, t - nf_t + s):
+                    got = tensor_normal_form(alg.pres, x)
+                    assert got.legs == legs
+                    assert got.terms == legwise_reference(alg.pres, x.terms)
+                zero = tensor_normal_form(alg.pres, t - nf_t)
+                assert zero.is_zero() and zero.legs == legs
+                cancelled += not (t - nf_t).is_zero()
+                assert (tensor_normal_form(alg.pres, t - nf_t + s).terms
+                        == tensor_normal_form(alg.pres, s).terms)
+    assert cancelled > 40
+
+
+def _splice_reference(t, leg, images):
+    return _sum_terms((key[:leg] + ikey + key[leg + 1:], c * ic)
+                      for key, c in t.terms.items()
+                      for ikey, ic in images(key[leg]).terms.items())
+
+
+def test_expand_leg_matches_splice_reference(tensor_bases):
+    for alg in tensor_bases:
+        for w in (w for level in enumerate_basis(alg.pres, 3) for w in level):
+            dw = alg.delta_word(w)
+            for leg in (0, 1):
+                got = dw.expand_leg(leg, alg.delta_word)
+                assert got.legs == 3
+                assert got.terms == _splice_reference(dw, leg, alg.delta_word)
+    # a zero tensor expands to a zero tensor of one more leg
+    collapsed = tensor_bases[2]
+    zero = collapsed.delta_word((A,))
+    assert zero.is_zero() and zero.expand_leg(0, collapsed.delta_word).legs == 3
+
+
+def test_expand_leg_drops_cancelled_keys(tensor_bases):
+    # a map that reads only a word's letters as a multiset sends a*b and
+    # b*a to the same image, so their difference expands to zero
+    alg = tensor_bases[1]
+    gens, ell = alg.gens, alg.ell
+    one = CycRat.one(ell)
+
+    def sym(legs):
+        def images(w):
+            keys = [(tuple(sorted(w)),) + ((),) * (legs - 1),
+                    ((),) * (legs - 1) + (tuple(sorted(w)),)]
+            return TensorPoly(gens, ell, legs,
+                              _sum_terms((k, one) for k in keys))
+        return images
+
+    mono = lambda key, c=one: TensorPoly.monomial(gens, ell, key, c)
+    for legs in (1, 2, 3):
+        images = sym(legs)
+        t = mono(((A, B), (C,))) - mono(((B, A), (C,)))
+        got = t.expand_leg(0, images)
+        assert got.is_zero() and got.legs == legs + 1
+        s = mono(((A,), (D,)), alg.pres.q)
+        got = (t + s).expand_leg(0, images)
+        assert got.legs == legs + 1
+        assert got.terms == _splice_reference(t + s, 0, images)
+        assert got.terms == _splice_reference(s, 0, images) != {}
+    assert TensorPoly.zero(gens, ell, 2).expand_leg(1, sym(3)).legs == 3
+
+
+def test_counit_cache_is_per_instance_and_exact(battery_bases):
+    def product_of_counits(alg, w):
+        out = CycRat.one(alg.ell)
+        for g in w:
+            out = out * alg.hopf.counit[g]
+        return out
+
+    rng = random.Random(424)
+    differs = 0
+    for alg in battery_bases:
+        words = [w for level in enumerate_basis(alg.pres, 4) for w in level]
+        words += [(g,) for g in range(len(alg.gens))]
+        for _ in range(2):          # cold, then warm
+            for w in words:
+                assert alg.counit_word(w) == product_of_counits(alg, w)
+        for _ in range(6):
+            mutant = _random_mutant(alg, rng)
+            assert mutant.pres is alg.pres
+            for w in words:
+                assert mutant.counit_word(w) == product_of_counits(mutant, w)
+                differs += mutant.counit_word(w) != alg.counit_word(w)
+    assert differs > 0
 
 
 def test_validation_rejects_mutant():
