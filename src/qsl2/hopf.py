@@ -80,6 +80,11 @@ class NamedAlgebra:
         self._antipode_cache: dict = {}
         self._counit_cache: dict = {}
 
+    def fresh(self) -> NamedAlgebra:
+        """A new instance over a fresh copy of the presentation (see
+        Presentation.fresh) and the same structure maps, with empty caches."""
+        return NamedAlgebra(self.pres.fresh(), self.hopf, self.label)
+
     @property
     def gens(self):
         return self.pres.gens

@@ -11,6 +11,15 @@ quadratic rules, with irreducible words a^l c^s b^m and d^t c^s b^m.  In a
 quotient where a^ell = 1, a is a unit and d = a^(ell-1) (1 + q bc), whose
 right side weighs ell + 1 < ell + 2, so d itself becomes an lhs and no
 normal word contains it.  The classical coordinate ring uses plain deglex.
+
+The bases every quotient divides, sl2_algebra and the classical ring
+(classical_sl2_presentation, classical_sl2), are completed and have their
+Hopf maps checked once per process, keyed by ell and the resolved
+conductor.  Each call returns a fresh instance of that one checked build:
+it shares the rules, defining relations, order, q, structure maps and
+redex automaton, and has its own normal-form and structure-map caches.
+Bad input raises on every call.  oq_sl2 and o_minus1_sl2, whose bound is
+the caller's, build anew each time.
 """
 
 from __future__ import annotations
@@ -90,17 +99,23 @@ def sl2_parity(ell: int) -> str:
     return "minus_one" if ell == 2 else ("odd" if ell % 2 else "even")
 
 
-def _sl2(ell: int, conductor: int | None, order: MonomialOrder,
-         complete_to: int | None) -> NamedAlgebra:
-    """O_q(SL2) at a primitive ell-th root q, ell >= 2, over the cyclotomic
-    field of the conductor (doubled if odd at q = -1), in the given order,
-    completed to complete_to (None: to the end)."""
+def _sl2_conductor(ell: int, conductor: int | None) -> int:
+    """The conductor of O_q(SL2) at a primitive ell-th root q: the given
+    one, ell by default, doubled if odd at q = -1."""
     cond = conductor or ell
     if ell == 2 and cond % 2:
         cond *= 2
     if cond % ell:
         raise ParamOutOfRange(f"conductor {cond} does not contain an "
                               f"order-{ell} root")
+    return cond
+
+
+def _sl2(ell: int, cond: int, order: MonomialOrder,
+         complete_to: int | None) -> NamedAlgebra:
+    """O_q(SL2) at a primitive ell-th root q, ell >= 2, over the cyclotomic
+    field of the resolved conductor cond, in the given order, completed to
+    complete_to (None: to the end)."""
     q = CycRat.q_power(cond, cond // ell)
     parity = sl2_parity(ell)
     label = "o-minus1-sl2" if ell == 2 else f"oq-sl2(ell={ell})"
@@ -122,14 +137,15 @@ def oq_sl2(ell: int, conductor: int | None = None,
     """The q-deformed coordinate algebra at a primitive ell-th root, ell >= 3,
     in the PBW order, whose completion is infinite: bounded by complete_to."""
     _require_generic(ell)
-    return _sl2(ell, conductor, _sl2_order(), complete_to)
+    return _sl2(ell, _sl2_conductor(ell, conductor), _sl2_order(),
+                complete_to)
 
 
 def o_minus1_sl2(conductor: int = 2,
                  complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
     """The q = -1 coordinate algebra in the PBW order; relations specialize
     the generic ones."""
-    return _sl2(2, conductor, _sl2_order(), complete_to)
+    return _sl2(2, _sl2_conductor(2, conductor), _sl2_order(), complete_to)
 
 
 def sl2_algebra(parity: str, ell: int,
@@ -138,34 +154,65 @@ def sl2_algebra(parity: str, ell: int,
     for parity minus_one) in the finite order _sl2_order(ell), complete
     with seven rules.  Its widehat and overline quotients complete to seven
     rules too, d among their left sides.  Raises ParityMismatch unless
-    parity is sl2_parity(ell)."""
+    parity is sl2_parity(ell).
+
+    Each call returns a fresh instance of one checked build per ell and
+    resolved conductor (see _memoized): conductor=None and conductor=ell
+    share it."""
     if parity != "minus_one":
         _require_generic(ell)
     if parity != sl2_parity(ell):
         raise ParityMismatch(f"{parity} parity does not fit ell = {ell}, "
                              f"which is {sl2_parity(ell)}")
-    return _sl2(ell, conductor, _sl2_order(ell), None)
+    cond = _sl2_conductor(ell, conductor)
+    return _memoized(("sl2", ell, cond),
+                     lambda: _sl2(ell, cond, _sl2_order(ell), None))
 
 
 def classical_sl2_presentation(conductor: int = 1) -> Presentation:
     """Commutative coordinate ring of SL2, without its Hopf maps; its
-    completion is finite (seven rules) and runs to the end."""
-    ell = conductor
-    mono = lambda w, c=None: NCPoly.monomial(XGENS, ell, w, c)
-    rels = [mono((j, i)) - mono((i, j))
-            for i in range(4) for j in range(i + 1, 4)]
-    rels.append(mono((0, 3)) - mono((1, 2)) - NCPoly.one(XGENS, ell))
-    return build_presentation(XGENS, MonomialOrder(4), rels, ell, None,
-                              "classical", None, label="classical-sl2")
+    completion is finite (seven rules) and runs to the end.  Each call
+    returns a fresh instance of one build per conductor."""
+    def build():
+        mono = lambda w, c=None: NCPoly.monomial(XGENS, conductor, w, c)
+        rels = [mono((j, i)) - mono((i, j))
+                for i in range(4) for j in range(i + 1, 4)]
+        rels.append(mono((0, 3)) - mono((1, 2)) - NCPoly.one(XGENS, conductor))
+        return build_presentation(XGENS, MonomialOrder(4), rels, conductor,
+                                  None, "classical", None,
+                                  label="classical-sl2")
+    return _memoized(("classical", conductor), build)
 
 
 def classical_sl2(conductor: int = 1) -> NamedAlgebra:
     """classical_sl2_presentation with its standard Hopf maps, checked well
-    defined on the defining relations."""
-    pres = classical_sl2_presentation(conductor)
-    delta, counit, antipode = _sl2_hopf(conductor, CycRat.one(conductor),
-                                        XGENS)
-    return named_algebra(pres, delta, counit, antipode, pres.label)
+    defined on the defining relations.  Each call returns a fresh instance
+    of one checked build per conductor."""
+    def build():
+        pres = classical_sl2_presentation(conductor)
+        delta, counit, antipode = _sl2_hopf(conductor, CycRat.one(conductor),
+                                            XGENS)
+        return named_algebra(pres, delta, counit, antipode, pres.label)
+    return _memoized(("classical-hopf", conductor), build)
+
+
+# resolved constructor arguments -> a cache-free copy of the checked build;
+# unbounded, like cyclo._CONTEXTS: a process uses a handful of bases
+_BASES: dict = {}
+
+
+def _memoized(key, build):
+    """A fresh instance (Presentation.fresh, NamedAlgebra.fresh) of the base
+    under key.  The first call in a process runs build(), which completes
+    the base and checks its Hopf maps if it has them, and keeps a copy
+    without the caches that filled.  Every call, that one included, gets
+    its own instance, so no caller reads normal forms or coproducts that
+    another computed, and a relabelled instance does not reach the next
+    call."""
+    base = _BASES.get(key)
+    if base is None:
+        base = _BASES[key] = build().fresh()
+    return base.fresh()
 
 
 # all ten unordered products of two coordinates; the nine below generate

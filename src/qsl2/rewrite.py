@@ -362,6 +362,17 @@ class Presentation(Reducer):
     def scalar(self, value) -> CycRat:
         return CycRat.from_rational(self.ell, value)
 
+    def fresh(self) -> Presentation:
+        """A new instance over the same rules, defining relations, order, q
+        and redex automaton, with an empty normal-form cache of its own.
+        The trie under the automaton, which only completion reads, stays
+        behind."""
+        out = Presentation(self.gens, self.order, self.ell, self.rules,
+                           self.defining, self.parity, self.q,
+                           self.completion_bound, self.collapsed, self.label)
+        out._automaton = self._automaton
+        return out
+
     def rule_list(self):
         return [RewriteRule(lhs, NCPoly(self.gens, self.ell, dict(rhs)))
                 for lhs, rhs in sorted(self.rules.items(),
@@ -458,7 +469,9 @@ class _Completer(Reducer):
     """Overlap completion over an evolving, interreduced rule set; overlaps
     longer than the bound (if any) are cut and their lhs pairs kept in cut.
     Processed overlaps stay resolved, so the result is complete when no cut
-    pair survives: no confluence pass is needed.
+    pair survives, or when the cut overlaps of those that do resolve under
+    the final rules (build_presentation reduces them once): no confluence
+    pass is needed.
 
     The agenda pops overlaps shortest first.  An overlap w = l1 + l2[k:]
     popped with both rules current is skipped, and counted in skipped, when
@@ -766,7 +779,11 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
                        base: Presentation | None = None) -> Presentation:
     """Orient relations, interreduce, and complete overlaps up to the bound
     complete_to, or until none is left when it is None; over a base, from its
-    rules, skipping their overlaps up to its bound, which resolve already."""
+    rules, skipping their overlaps up to its bound, which resolve already.
+
+    The result is complete, not bounded, when every overlap that was cut
+    resolves under the final rules: all shorter ones resolve already, so
+    the diamond lemma applies to the whole rule set."""
     comp = _Completer(tuple(gens), order, ell, complete_to, max_rules)
     if base is not None:
         comp.resume(base)
@@ -777,9 +794,10 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
         # canonicalize right-hand sides against the final rule set
         for lhs in sorted(comp.rules, key=order.key):
             rules[lhs] = comp.nf_terms(comp.rules[lhs])
-    cut = any(l1 in rules and l2 in rules for l1, l2 in comp.cut)
+    cut = sorted((l1, l2) for l1, l2 in comp.cut
+                 if l1 in rules and l2 in rules)
     pres = Presentation(gens, order, ell, rules, defining, parity, q,
-                        complete_to if cut else None, comp.collapsed, label)
+                        None, comp.collapsed, label)
     # the automaton of the final rules has slack exactly when some lhs is a
     # factor of another; only then are the pairs scanned, to name one
     if pres._build_automaton()[2]:
@@ -791,7 +809,20 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
             f"occurs in left-hand side {_word_name(gens, other)}, "
             f"{len(rules)} rules",
             bound=complete_to, rules=len(rules), lhs=lhs, occurs_in=other)
+    if not _overlaps_past_resolve(pres, cut, complete_to):
+        pres.completion_bound = complete_to
     return pres
+
+
+def _overlaps_past_resolve(pres: Presentation, pairs, bound) -> bool:
+    """Whether every overlap of the lhs pairs (l1, l2) longer than bound
+    resolves under the rules of pres; stops at the first that does not."""
+    for l1, l2 in pairs:
+        for k in range(1, min(len(l1), len(l2))):
+            if (l1[-k:] == l2[:k] and len(l1) + len(l2) - k > bound
+                    and pres.overlap_difference(l1, l2, k)):
+                return False
+    return True
 
 
 def quotient_presentation(pres: Presentation, extra_relations, complete_to=None,

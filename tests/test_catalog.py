@@ -1,8 +1,10 @@
 import importlib
+from collections import Counter
 
 import pytest
 
-from qsl2.catalog import cz2mn_datum, entry_names, verify_entry
+from qsl2 import presentations
+from qsl2.catalog import DEFAULT_GRID, cz2mn_datum, entry_names, verify_entry
 from qsl2.errors import ParamOutOfRange, UnknownEntry
 from qsl2.hopf import NamedAlgebra
 from qsl2.subgroups import construct_quotient, exact_sequence_shadow
@@ -117,3 +119,43 @@ def test_no_word_misses_the_cache_on_two_instances(monkeypatch):
     assert verify_entry("case-I-full", parity="odd", ell=3).ok
     assert len(misses) > 100
     assert [key for key, owners in misses.items() if len(owners) > 1] == []
+
+
+def test_one_grid_pass_builds_each_base_once(monkeypatch):
+    # every grid entry asks for its base anew, yet each distinct base is
+    # completed and checked once in the process
+    monkeypatch.setattr(presentations, "_BASES", {})
+    calls, builds, checks = Counter(), Counter(), Counter()
+    for name in ("sl2_algebra", "classical_sl2",
+                 "classical_sl2_presentation"):
+        real = getattr(presentations, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in ("catalog", "subgroups", "presentations"):
+            monkeypatch.setattr(importlib.import_module(f"qsl2.{module}"),
+                                name, counting, raising=False)
+    build, check = (presentations.build_presentation,
+                    presentations.named_algebra)
+
+    def counting_build(*args, **kwargs):
+        builds[kwargs["label"] == "classical-sl2"] += 1
+        return build(*args, **kwargs)
+
+    def counting_check(*args):
+        checks[args[-1]] += 1
+        return check(*args)
+
+    monkeypatch.setattr(presentations, "build_presentation", counting_build)
+    monkeypatch.setattr(presentations, "named_algebra", counting_check)
+    for name, params in DEFAULT_GRID:
+        assert verify_entry(name, **params).ok
+    # 7 classical presentations are asked for by the kernel, and 1 by the
+    # one build of classical_sl2
+    assert calls == {"sl2_algebra": 29, "classical_sl2": 5,
+                     "classical_sl2_presentation": 8}
+    # 9 distinct O_q(SL2) bases, and the classical ring at 4 conductors
+    assert builds == {False: 9, True: 4}
+    assert sum(checks.values()) == 10 and checks["classical-sl2"] == 1

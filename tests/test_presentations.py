@@ -1,9 +1,11 @@
 import pytest
 
+from qsl2 import presentations
 from qsl2.cyclo import CycRat, multiplicative_order
 from qsl2.errors import ParamOutOfRange, ParityMismatch, QSL2Error
 from qsl2.ncalg import NCPoly, TensorPoly, render_poly
 from qsl2.presentations import (ABCD, XGENS, classical_sl2,
+                                classical_sl2_presentation,
                                 distinguished_subalgebra, o_minus1_sl2,
                                 oq_sl2, phi_images, psl2_model,
                                 quotient_ideal, sl2_algebra, sl2_parity,
@@ -275,3 +277,152 @@ def test_finite_quotients_complete_to_seven_rules_in_closed_form():
         assert len(quot.rules) == 7, (kind, ell)
         assert (3,) in quot.rules, (kind, ell)
         assert dimension(quot).counts == _series(*runs) + [0], (kind, ell)
+
+
+# -- one checked build per base, a fresh instance per call --------------------
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """The base memo emptied for one test, and restored after it."""
+    memo: dict = {}
+    monkeypatch.setattr(presentations, "_BASES", memo)
+    return memo
+
+
+def _caches(x):
+    """The caches a base instance fills: its presentation's normal forms
+    and, for a NamedAlgebra, its three structure-map caches."""
+    if hasattr(x, "pres"):
+        return [x.pres.cache, x._delta_cache, x._antipode_cache,
+                x._counit_cache]
+    return [x.cache]
+
+
+def _pres(x):
+    return x.pres if hasattr(x, "pres") else x
+
+
+BASE_CALLS = [lambda: sl2_algebra("odd", 3), lambda: sl2_algebra("even", 4),
+              lambda: sl2_algebra("minus_one", 2), lambda: classical_sl2(),
+              lambda: classical_sl2_presentation(4)]
+BASE_IDS = ["odd-3", "even-4", "minus-one", "classical", "classical-pres-4"]
+
+
+@pytest.mark.parametrize("make", BASE_CALLS, ids=BASE_IDS)
+def test_each_call_returns_a_fresh_instance(empty_memo, make):
+    first, second = make(), make()
+    assert first is not second
+    assert _pres(first) is not _pres(second)
+    for c1, c2 in zip(_caches(first), _caches(second)):
+        assert c1 is not c2
+    # the immutable parts are shared, the automaton included
+    assert _pres(first).rules is _pres(second).rules
+    assert _pres(first)._automaton is _pres(second)._automaton is not None
+    if hasattr(first, "hopf"):
+        assert first.hopf is second.hopf
+    # the memo keeps one copy per base, without the caches its check filled
+    for kept in empty_memo.values():
+        assert all(c == {} for c in _caches(kept))
+
+
+def _same_base(x, y):
+    px, py = _pres(x), _pres(y)
+    assert px.rules == py.rules
+    assert px.defining == py.defining
+    assert (px.gens, px.ell, px.q, px.parity, px.label, px.confluence,
+            px.order.precedence, px.order.weights) == \
+        (py.gens, py.ell, py.q, py.parity, py.label, py.confluence,
+         py.order.precedence, py.order.weights)
+    if hasattr(x, "hopf"):
+        assert x.label == y.label
+        assert x.hopf.delta == y.hopf.delta
+        assert x.hopf.counit == y.hopf.counit
+        assert x.hopf.antipode == y.hopf.antipode
+
+
+@pytest.mark.parametrize("parity,ell,conductors", [
+    ("odd", 3, (3, 6)), ("even", 4, (4, 8)), ("minus_one", 2, (2, 4))])
+def test_memoized_base_equals_an_uncached_build(empty_memo, parity, ell,
+                                                conductors):
+    for cond in conductors:
+        uncached = presentations._sl2(ell, cond,
+                                      presentations._sl2_order(ell), None)
+        sl2_algebra(parity, ell, conductor=cond)
+        hit = sl2_algebra(parity, ell, conductor=cond)
+        assert ("sl2", ell, cond) in empty_memo
+        _same_base(hit, uncached)
+
+
+@pytest.mark.parametrize("conductor", [1, 4])
+def test_memoized_classical_ring_equals_an_uncached_build(monkeypatch,
+                                                          conductor):
+    monkeypatch.setattr(presentations, "_BASES", {})
+    built = classical_sl2(conductor)
+    hit = classical_sl2(conductor)
+    _same_base(hit, built)
+    _same_base(classical_sl2_presentation(conductor), built)
+    monkeypatch.setattr(presentations, "_BASES", {})
+    _same_base(classical_sl2_presentation(conductor), built)
+
+
+def _count_builds(monkeypatch):
+    """Patch the base builds: each completion of a base appends its label."""
+    labels = []
+    real = presentations.build_presentation
+
+    def counting(*args, **kwargs):
+        labels.append(kwargs.get("label"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "build_presentation", counting)
+    return labels
+
+
+def test_a_defaulted_and_the_resolved_conductor_share_one_build(
+        empty_memo, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    sl2_algebra("odd", 3)
+    sl2_algebra("odd", 3, conductor=3)
+    assert len(builds) == 1
+    # at q = -1 an odd conductor is doubled: None, 1 and 2 resolve to 2
+    sl2_algebra("minus_one", 2)
+    sl2_algebra("minus_one", 2, conductor=1)
+    sl2_algebra("minus_one", 2, conductor=2)
+    assert len(builds) == 2
+    sl2_algebra("odd", 3, conductor=6)
+    assert len(builds) == 3
+    assert sorted(empty_memo) == [("sl2", 2, 2), ("sl2", 3, 3), ("sl2", 3, 6)]
+
+
+def test_bad_input_raises_on_every_call(empty_memo):
+    sl2_algebra("odd", 3)
+    for _ in range(2):
+        with pytest.raises(ParityMismatch):
+            sl2_algebra("even", 3)
+        with pytest.raises(ParityMismatch):
+            sl2_algebra("minus_one", 3)
+        with pytest.raises(ParamOutOfRange):
+            sl2_algebra("odd", 3, conductor=4)
+        with pytest.raises(ParamOutOfRange):
+            sl2_algebra("odd", 1)
+        with pytest.raises(ParamOutOfRange):
+            sl2_algebra("odd", 2)
+    assert list(empty_memo) == [("sl2", 3, 3)]
+
+
+@pytest.mark.parametrize("make", BASE_CALLS[:4], ids=BASE_IDS[:4])
+def test_relabelling_or_filling_an_instance_stays_in_it(empty_memo, make):
+    first = make()
+    label, pres_label = first.label, first.pres.label
+    first.label = first.pres.label = "relabelled"
+    gens = range(len(first.gens))
+    for g in gens:
+        for h in gens:
+            first.delta_word((g, h))
+            first.antipode_word((g, h))
+            first.counit_word((g, h))
+    assert all(_caches(first))
+    second = make()
+    assert (second.label, second.pres.label) == (label, pres_label)
+    assert all(c == {} for c in _caches(second))

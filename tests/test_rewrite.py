@@ -1206,11 +1206,39 @@ def test_merged_critical_pairs_on_complete_quotients(finite_quotients, kind,
 
 
 def test_merged_critical_pairs_on_an_sl2_algebra_quotient():
-    # widehat-5 completes by length 9 in the finite order; widehat-7 does not
-    pres = quotient_presentation(sl2_algebra("odd", 7).pres,
-                                 quotient_ideal("widehat", 7), complete_to=9)
+    # widehat-7 completes within length 9 in the finite order, but its cut
+    # overlaps resolve; widehat-9 is cut short for real
+    pres = quotient_presentation(sl2_algebra("odd", 9).pres,
+                                 quotient_ideal("widehat", 9), complete_to=9)
     assert pres.confluence == "bounded(9)"
     merged_pairs_unresolved(pres)
+
+
+def widehat_at_bound(ell, bound):
+    return quotient_presentation(sl2_algebra("odd", ell).pres,
+                                 quotient_ideal("widehat", ell),
+                                 complete_to=bound)
+
+
+def test_a_cut_completion_whose_cut_overlaps_resolve_is_complete():
+    # widehat-7 cut at 9 ends with the 7 rules of the complete quotient,
+    # and every overlap past the bound resolves under them
+    pres = widehat_at_bound(7, 9)
+    assert pres.confluence == "complete"
+    assert pres.rules == widehat_at_bound(7, None).rules
+    assert len(pres.rules) == 7
+    assert check_confluence(pres, 2 * max(map(len, pres.rules)) - 1) == []
+    assert repr(dimension(pres)) == "Finite(343)"
+
+
+def test_a_cut_completion_with_an_unresolved_cut_overlap_stays_bounded():
+    pres = widehat_at_bound(9, 9)
+    assert pres.confluence == "bounded(9)"
+    assert len(pres.rules) == 11
+    assert check_confluence(pres, 2 * max(map(len, pres.rules)) - 1)
+    base = oq_sl2(5).pres
+    assert base.confluence == "bounded(8)"
+    assert check_confluence(base, 2 * max(map(len, base.rules)) - 1)
 
 
 @settings(max_examples=60, deadline=None)
