@@ -259,11 +259,9 @@ def run_battery(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
 
 
 class FiniteModel:
-    """Basis-indexed tables for a finite-dimensional algebra.
-
-    Tables are computed lazily straight from normal forms, so they agree
-    with normal_form recomputation by construction; a spot check is kept in
-    the test suite anyway.
+    """The basis of a finite-dimensional algebra, indexed, with its
+    coproduct and counit on basis words.  Coproducts are read from
+    delta_word on first use and kept by index.
     """
 
     def __init__(self, alg: NamedAlgebra):
@@ -271,20 +269,7 @@ class FiniteModel:
         self.basis = basis_words(alg.pres)
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._mult: dict = {}
         self._delta: dict = {}
-
-    def word_vector(self, word) -> dict:
-        return {self.index[w]: c
-                for w, c in self.alg.pres.nf_word_terms(word).items()}
-
-    def product(self, i: int, j: int) -> dict:
-        key = (i, j)
-        hit = self._mult.get(key)
-        if hit is None:
-            hit = self.word_vector(self.basis[i] + self.basis[j])
-            self._mult[key] = hit
-        return hit
 
     def delta(self, i: int) -> dict:
         hit = self._delta.get(i)

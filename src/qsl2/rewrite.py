@@ -14,13 +14,13 @@ Presentation and the completer share one reduction engine, Reducer:
 * Redex search runs an Aho-Corasick automaton over the left-hand sides
   (Aho & Corasick 1975), compiled to a full transition table, one row per
   state and one entry per generator: one table step per letter, never a
-  restart.  It returns the leftmost position with the longest lhs there.
-  The rule sets of completion and of every completed presentation are
-  factor-free (no lhs is a factor of another), and then the first lhs to
-  end in the scan is already that answer.  Completion updates the
-  automaton in place as rules come and go (Meyer 1985): a new lhs is
-  inserted into the table and a retired one loses its outputs, so one full
-  build serves a whole completion.  Basis enumeration walks the same table.
+  restart.  Every rule set is factor-free (no lhs is empty or a factor of
+  another), as a reduced one is (Bergman 1978); the build refuses any
+  other.  The first lhs to end in the scan is then the leftmost redex,
+  and the only lhs there.  Completion updates the automaton in place as
+  rules come and go (Meyer 1985): a new lhs is inserted into the table
+  and a retired one loses its outputs, so one full build serves a whole
+  completion.  Basis enumeration walks the same table.
 * Normal forms are computed merged and largest-first, as in Buchberger's
   and Mora's reductions: pending terms live in a coefficient map, and the
   largest pending word under the monomial order is always expanded next.
@@ -107,13 +107,11 @@ class Reducer:
     the left-hand sides, built on first use; nf_word_terms reduces one word
     merged and largest-first (see _reduce).
 
-    Completion keeps its rule set factor-free: _add_rule retires every lhs
-    that contains the new one, and a new lhs is irreducible, so it contains
-    no old one.  In a factor-free set the first lhs the scan sees end is
-    the leftmost, longest redex (see find_redex), and completion updates
-    the automaton in place.  A hand-made set that is not factor-free costs
-    the scan at most maxlhs - 1 more letters, and a change to it drops the
-    automaton for the next scan to rebuild.
+    The rule set must be factor-free: no lhs is empty or a factor of
+    another.  The automaton build checks it and raises ValueError, naming
+    the offending left-hand sides, on a set that is not.  Completion keeps
+    its set so: _add_rule retires every lhs that contains the new one, and
+    a new lhs is irreducible, so it contains no old one.
 
     The cache maps a word to its normal form under the current rules; a
     rule change drops it.
@@ -128,54 +126,54 @@ class Reducer:
         self._one = CycRat.one(ell)
         self._key = _descending_key(order)
         self._automaton = None      # built by the next find_redex
-        self._trie = None           # the trie under it, from the same build
 
     # -- redex automaton --------------------------------------------------------
 
+    keeps_trie = False              # whether builds keep the trie (completion)
+
     def _build_automaton(self):
-        """(delta, out, slack) over the current left-hand sides, built on
-        first use after a rule change.
+        """(delta, out) over the current left-hand sides, built on first use
+        after a rule change; ValueError, naming the offending left-hand
+        sides, when the set is not factor-free.
 
         delta[s][g] is the state after reading letter g in state s, state 0
-        being the empty string; out[s] is the longest lhs that is a suffix
-        of the string of s, or None.  slack is 0 when no lhs is a factor of
-        another, and otherwise the maxlhs - 1 letters find_redex reads past
-        the first redex end, since a redex that starts further left may end
-        there.
+        being the empty string; out[s] is the lhs that is a suffix of the
+        string of s, or None; after a full build, the lhs that s spells.
 
-        The trie it is built from is kept too, as (kids, depth, fail, tree):
-        the trie children, the string length of each state, its failure link
-        (the state of the longest proper suffix in the trie) and the states
-        whose failure link it is.  Completion inserts into them."""
+        A class that keeps_trie also keeps the trie it is built from, as
+        (kids, depth, fail, tree): the trie children, the string length of
+        each state, its failure link (the state of the longest proper suffix
+        in the trie) and the states whose failure link it is.  Completion
+        inserts into them."""
+        if EMPTY_WORD in self.rules:
+            raise ValueError("the empty word is a left-hand side: "
+                             "the rule set is not factor-free")
         kids = [{}]                 # the trie: letter -> child, per state
-        own = [None]                # the lhs each trie state spells, if any
+        out = [None]                # the lhs each trie state spells, if any
         depth = [0]
         for lhs in self.rules:
-            if not lhs:
-                continue
             s = 0
             for g in lhs:
                 t = kids[s].get(g)
                 if t is None:
                     t = kids[s][g] = len(kids)
                     kids.append({})
-                    own.append(None)
+                    out.append(None)
                     depth.append(depth[s] + 1)
                 s = t
-            own[s] = lhs
+            out[s] = lhs
         # breadth first, so the row of each failure state is complete before
         # it is copied
         delta = [None] * len(kids)
         fail = [0] * len(kids)
         tree = [[] for _ in kids]
-        out = own[:]
         factor_free = True
         delta[0] = [0] * self.order.ngens
         queue = [0]
         for s in queue:
             back = delta[fail[s]]       # the root's own all-zero row at first
             row = delta[s] = back[:]
-            if own[s] is not None and kids[s]:
+            if out[s] is not None and kids[s]:
                 factor_free = False         # the lhs of s is a proper prefix
             for g, t in kids[s].items():
                 row[g] = t
@@ -185,36 +183,30 @@ class Reducer:
                 if out[f] is not None:
                     # an lhs ends strictly inside t's prefix of another lhs
                     factor_free = False
-                    if out[t] is None:
-                        out[t] = out[f]
-        slack = 0 if factor_free else max(map(len, self.rules)) - 1
-        self._automaton = delta, out, slack
-        self._trie = kids, depth, fail, tree
+        if not factor_free:
+            lhs, other = _factor_pair(self.rules)
+            raise ValueError(f"left-hand side {lhs} occurs in left-hand side "
+                             f"{other}: the rule set is not factor-free")
+        self._automaton = delta, out
+        if self.keeps_trie:
+            self._trie = kids, depth, fail, tree
         return self._automaton
 
     def find_redex(self, word):
-        """Leftmost position, longest lhs there; None when irreducible.
+        """(position, length, lhs) of the leftmost redex; None when
+        irreducible.
 
-        One automaton transition per letter.  When no lhs is a factor of
-        another, the first lhs to end is the answer: an lhs starting further
-        left would end later and contain it, and no other lhs ends or starts
-        where it does.  Otherwise up to slack more letters are read, keeping
-        the smallest start and then the longest lhs."""
-        delta, out, slack = self._automaton or self._build_automaton()
+        One automaton transition per letter, and the first lhs to end is
+        the answer: in a factor-free set an lhs starting further left would
+        end later and contain it, and no other lhs ends or starts where it
+        does."""
+        delta, out = self._automaton or self._build_automaton()
         s = 0
         for j, g in enumerate(word):
             s = delta[s][g]
             lhs = out[s]
             if lhs is not None:
-                start, best = j + 1 - len(lhs), lhs
-                for e in range(j + 1, min(len(word), j + 1 + slack)):
-                    s = delta[s][word[e]]
-                    lhs = out[s]
-                    if lhs is not None:
-                        i = e + 1 - len(lhs)
-                        if i < start or (i == start and len(lhs) > len(best)):
-                            start, best = i, lhs
-                return start, len(best), best
+                return j + 1 - len(lhs), len(lhs), lhs
         return None
 
     # -- normal forms ------------------------------------------------------------
@@ -364,9 +356,7 @@ class Presentation(Reducer):
 
     def fresh(self) -> Presentation:
         """A new instance over the same rules, defining relations, order, q
-        and redex automaton, with an empty normal-form cache of its own.
-        The trie under the automaton, which only completion reads, stays
-        behind."""
+        and redex automaton, with an empty normal-form cache of its own."""
         out = Presentation(self.gens, self.order, self.ell, self.rules,
                            self.defining, self.parity, self.q,
                            self.completion_bound, self.collapsed, self.label)
@@ -513,8 +503,11 @@ class _Completer(Reducer):
     skips and cuts are those of the scan, bounded completions included.
     """
 
+    keeps_trie = True
+
     def __init__(self, gens, order, ell, bound, max_rules):
         super().__init__(order, ell, {})
+        self._trie = None           # built with the automaton
         self.gens = gens
         self.bound = bound
         self.max_rules = max_rules
@@ -545,15 +538,13 @@ class _Completer(Reducer):
             self.last_overlap = (w, l1, l2)
             diff = self.overlap_difference(l1, l2, k)
             if diff:
-                self._orient(diff)
+                self._orient(diff)  # already a normal form
             self._drain_eqs()
 
     def _covered(self, w) -> bool:
         """Whether an lhs occurs strictly inside w, read in one automaton
         pass: in a factor-free set out[s] is the only lhs ending there."""
-        delta, out, slack = self._automaton or self._build_automaton()
-        if slack:
-            return False            # the criterion needs a factor-free set
+        delta, out = self._automaton or self._build_automaton()
         s = 0
         for j in range(len(w) - 1):
             s = delta[s][w[j]]
@@ -564,12 +555,15 @@ class _Completer(Reducer):
 
     def _drain_eqs(self):
         while self.eqs and not self.collapsed:
-            self._orient(self.eqs.popleft())
+            terms = self.nf_terms(self.eqs.popleft())
+            if terms:
+                self._orient(terms)
 
     def _orient(self, terms: dict):
-        terms = self.nf_terms(terms)
-        if not terms:
-            return
+        """Make a rule of nonzero terms that are a normal form under the
+        current rules, or collapse on a scalar.  Their leading word is then
+        irreducible, which keeps the rule set factor-free and lets
+        _add_rule insert it into the automaton in place."""
         if len(terms) == 1 and EMPTY_WORD in terms:
             # the ideal contains a nonzero scalar: the quotient is zero
             self.collapsed = True
@@ -587,10 +581,9 @@ class _Completer(Reducer):
     def _add_rule(self, lead, rhs):
         if len(self.rules) >= self.max_rules:
             raise self._cap_failure()
-        # a built, factor-free table stays so when lead has no redex (the
-        # lead of an oriented equation never has): update it in place
-        in_place = (self._automaton is not None and not self._automaton[2]
-                    and self.find_redex(lead) is None)
+        # lead is irreducible (see _orient), so a built table is updated in
+        # place
+        in_place = self._automaton is not None
         # retire rules whose lhs contains the new lhs; their content re-enters
         # the equation queue and gets re-oriented against the tighter system
         doomed = [L for L in self.rules
@@ -608,8 +601,6 @@ class _Completer(Reducer):
         self.cache = {}
         if in_place:
             self._insert_lhs(lead)
-        else:
-            self._automaton = None
         self.retired += len(doomed)
         self._schedule_rule(lead)
 
@@ -642,7 +633,7 @@ class _Completer(Reducer):
         """Add lhs to the table: walk it down the trie to the deepest state
         there, then create the missing states one letter at a time.  S holds
         the states whose string ends with the prefix read so far."""
-        delta, out, _ = self._automaton
+        delta, out = self._automaton
         kids, depth, fail, tree = self._trie
         prev, m = 0, 0
         while m < len(lhs) and lhs[m] in kids[prev]:
@@ -762,6 +753,13 @@ def _word_name(gens, word) -> str:
     return _render_word_named(gens, word) or "1"
 
 
+def _factor_pair(lhss):
+    """The first (lhs, other) of lhss, scanned pairwise, with lhs a factor
+    of other."""
+    return next((lhs, other) for lhs in lhss for other in lhss
+                if lhs != other and _contains(other, lhs))
+
+
 def _contains(haystack, needle) -> bool:
     n, m = len(haystack), len(needle)
     if m > n:
@@ -798,17 +796,19 @@ def build_presentation(gens, order, relations, ell, q=None, parity="generic",
                  if l1 in rules and l2 in rules)
     pres = Presentation(gens, order, ell, rules, defining, parity, q,
                         None, comp.collapsed, label)
-    # the automaton of the final rules has slack exactly when some lhs is a
-    # factor of another; only then are the pairs scanned, to name one
-    if pres._build_automaton()[2]:
-        lhs, other = next((lhs, other) for lhs in rules for other in rules
-                          if lhs != other and _contains(other, lhs))
+    # the automaton build refuses final rules where some lhs is a factor of
+    # another; only then are the pairs scanned, to name one
+    try:
+        pres._build_automaton()
+    except ValueError:
+        lhs, other = _factor_pair(rules)
         raise CompletionFailure(
             f"interreduction invariant broken at completion bound "
             f"{complete_to}: left-hand side {_word_name(gens, lhs)} "
             f"occurs in left-hand side {_word_name(gens, other)}, "
             f"{len(rules)} rules",
-            bound=complete_to, rules=len(rules), lhs=lhs, occurs_in=other)
+            bound=complete_to, rules=len(rules), lhs=lhs,
+            occurs_in=other) from None
     if not _overlaps_past_resolve(pres, cut, complete_to):
         pres.completion_bound = complete_to
     return pres
@@ -875,11 +875,11 @@ def enumerate_basis(pres: Presentation, max_len: int) -> list[list[tuple]]:
     """Irreducible words grouped by length, lengths 0..max_len."""
     if pres.collapsed:
         return [[] for _ in range(max_len + 1)]
-    delta, out, _ = pres._automaton or pres._build_automaton()
+    delta, out = pres._automaton or pres._build_automaton()
     # each irreducible word with its automaton state: w + g is reducible iff
     # an lhs is a suffix of it, i.e. iff the state after g has an output
-    levels = [[EMPTY_WORD] if EMPTY_WORD not in pres.rules else []]
-    states = [0] * len(levels[0])
+    levels = [[EMPTY_WORD]]
+    states = [0]
     for _ in range(max_len):
         nxt, nxt_states = [], []
         for w, s in zip(levels[-1], states):
@@ -899,7 +899,7 @@ def _basis_levels(pres: Presentation, probe_bound: int) -> list[list[tuple]]:
         return enumerate_basis(pres, min(probe_bound, pres.completion_bound))
     # the states of irreducible words die out within as many lengths as
     # there are states, unless a cycle among them pumps words without end
-    delta, out, _ = pres._automaton or pres._build_automaton()
+    delta, out = pres._automaton or pres._build_automaton()
     level = {0}
     for n in range(len(delta)):
         level = {t for s in level for t in delta[s] if out[t] is None}

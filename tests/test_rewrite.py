@@ -667,7 +667,7 @@ def report_tuples(reports):
 def test_indexed_confluence_differential_random(data):
     # every rule rewrites to the empty word, so most overlaps stay unresolved
     ngens = data.draw(st.integers(min_value=1, max_value=3))
-    lhss = data.draw(rule_sets(ngens, data.draw(st.booleans())))
+    lhss = data.draw(rule_sets(ngens, True))
     gens = ("x", "y", "z")[:ngens]
     one = CycRat.one(1)
     pres = Presentation(gens, MonomialOrder(ngens), 1,
@@ -752,21 +752,13 @@ def test_find_redex_tracks_rule_additions_and_retirements():
     def agrees(word):
         assert comp.find_redex(word) == brute_redex(comp.rules, word)
 
-    for lhs in [(1, 0), (2, 1, 0), (2, 2, 2), (0, 2, 0, 1)]:
+    # irreducible leads, as _orient passes them
+    for lhs in [(1, 0), (2, 1, 2), (2, 2, 2), (0, 2, 0, 1)]:
         comp._add_rule(lhs, {(0,): one})
     agrees()
-    comp._add_rule((2, 1), {(1,): one})        # (2, 1, 0) contains (2, 1)
-    assert comp.retired == 1 and (2, 1, 0) not in comp.rules
+    comp._add_rule((2, 1), {(1,): one})        # (2, 1, 2) contains (2, 1)
+    assert comp.retired == 1 and (2, 1, 2) not in comp.rules
     agrees()
-
-
-def test_find_redex_prefers_longest_lhs_at_leftmost_position():
-    # not interreduced: (0, 1) is a prefix of (0, 1, 2), (1,) a suffix
-    rules = {(0, 1): {}, (0, 1, 2): {}, (1,): {}, (2, 2): {}}
-    red = Reducer(MonomialOrder(3), 1, rules)
-    for word in [(0, 1, 2), (0, 1, 0), (2, 0, 1, 2), (2, 2, 1), (0, 0), ()]:
-        assert red.find_redex(word) == brute_redex(rules, word)
-    assert red.find_redex((2, 0, 1, 2)) == (1, 3, (0, 1, 2))
 
 
 def is_factor_free(lhss):
@@ -799,29 +791,63 @@ def test_find_redex_matches_brute_force_on_random_rule_sets(data):
     lhss = data.draw(rule_sets(ngens, factor_free))
     rules = {lhs: {} for lhs in lhss}
     red = Reducer(MonomialOrder(ngens), 1, rules)
-    # slack 0 exactly when the set is factor-free
-    assert (red._build_automaton()[2] == 0) == is_factor_free(lhss)
+    # refused exactly when the set is not factor-free, naming a factor pair
+    if not is_factor_free(lhss):
+        with pytest.raises(ValueError, match="not factor-free") as info:
+            red.find_redex(())
+        assert any(f"{u} occurs in left-hand side {v}" in str(info.value)
+                   for u in lhss for v in lhss
+                   if u != v and rewrite._contains(v, u))
+        return
     letters = st.integers(min_value=0, max_value=ngens - 1)
     for word in data.draw(st.lists(st.lists(letters, max_size=14).map(tuple),
                                    min_size=1, max_size=20)):
         assert red.find_redex(word) == brute_redex(rules, word)
 
 
-# a factor in the middle of an lhs (b in abc) shows only as an output
-# inherited along a failure link, at a state that spells no lhs itself
+# a factor in the middle of an lhs (b in abc) shows only along a failure
+# link, from a state that spells no lhs itself; expected is the named pair
 @pytest.mark.parametrize("lhss, word, expected", [
-    ([(0, 1), (1,)], (0, 1), (0, 2, (0, 1))),           # suffix
-    ([(0, 1, 2), (1,)], (0, 1, 0), (1, 1, (1,))),       # middle factor
-    ([(0, 1, 2), (1,)], (0, 1, 2), (0, 3, (0, 1, 2))),
-    ([(0,), (0, 1, 1)], (2, 0, 1, 1), (1, 3, (0, 1, 1))),  # prefix
-    ([(1, 1), (0, 1, 1, 1)], (0, 1, 1, 1), (0, 4, (0, 1, 1, 1))),
+    ([(0, 1), (1,)], (0, 1), ((1,), (0, 1))),           # suffix
+    ([(0, 1, 2), (1,)], (0, 1, 0), ((1,), (0, 1, 2))),  # middle factor
+    ([(0, 1, 2), (1,)], (2, 2), ((1,), (0, 1, 2))),     # an irreducible word
+    ([(0,), (0, 1, 1)], (2, 0, 1, 1), ((0,), (0, 1, 1))),  # prefix
+    ([(1, 1), (0, 1, 1, 1)], (0, 1, 1, 1), ((1, 1), (0, 1, 1, 1))),
+    # (0, 1) is a prefix of (0, 1, 2), (1,) a suffix of (0, 1)
+    ([(0, 1), (0, 1, 2), (1,), (2, 2)], (2, 0, 1, 2), ((0, 1), (0, 1, 2))),
 ])
 def test_find_redex_on_rule_sets_that_are_not_factor_free(lhss, word,
                                                           expected):
-    rules = {lhs: {} for lhs in lhss}
-    red = Reducer(MonomialOrder(3), 1, rules)
-    assert red._build_automaton()[2] == max(map(len, lhss)) - 1
-    assert red.find_redex(word) == brute_redex(rules, word) == expected
+    red = Reducer(MonomialOrder(3), 1, {lhs: {} for lhs in lhss})
+    lhs, other = expected
+    for _ in range(2):          # refused at every scan, nothing kept
+        with pytest.raises(ValueError) as info:
+            red.find_redex(word)
+        assert str(info.value) == (f"left-hand side {lhs} occurs in "
+                                   f"left-hand side {other}: the rule set "
+                                   f"is not factor-free")
+        assert red._automaton is None
+
+
+@pytest.mark.parametrize("lhss", [[()], [(0, 1), (), (1,)]],
+                         ids=["alone", "beside-others"])
+def test_an_empty_lhs_is_refused(lhss):
+    red = Reducer(MonomialOrder(2), 1, {lhs: {} for lhs in lhss})
+    with pytest.raises(ValueError, match="the empty word is a left-hand side"):
+        red.find_redex((0, 1))
+    assert red._automaton is None
+
+
+@pytest.mark.parametrize("use", [
+    lambda pres: pres.find_redex((2, 2)),
+    lambda pres: enumerate_basis(pres, 3),
+    lambda pres: dimension(pres),
+], ids=["find_redex", "enumerate_basis", "dimension"])
+def test_a_hand_made_presentation_that_is_not_factor_free_is_refused(use):
+    with pytest.raises(ValueError,
+                       match=r"left-hand side \(0, 1\) occurs in left-hand "
+                             r"side \(0, 1, 2\)"):
+        use(not_factor_free_presentation())
 
 
 def test_find_redex_through_completer_additions_retirements_and_collapse():
@@ -836,10 +862,10 @@ def test_find_redex_through_completer_additions_retirements_and_collapse():
     def agrees(lhss, probes):
         comp = _Completer(("x", "y", "z"), MonomialOrder(3), 1, 6, 100)
         for lhs in lhss:
-            if lhs in comp.rules:
-                continue
+            if comp.find_redex(lhs) is not None:
+                continue            # only irreducible leads, as _orient
             comp._add_rule(lhs, {(): one})
-            # the automaton is rebuilt after every change, retirements too
+            # the table is updated after every change, retirements too
             for word in probes:
                 assert comp.find_redex(word) == brute_redex(comp.rules, word)
         comp._orient({(): one})
@@ -855,7 +881,8 @@ def test_find_redex_over_300_letters():
     lhss = [(299, 0), (150, 150, 150), (7,), (256, 255, 257), (3, 299, 3, 299)]
     rules = {lhs: {} for lhs in lhss}
     red = Reducer(MonomialOrder(300), 1, rules)
-    assert red._build_automaton()[2] == 0
+    delta, out = red._build_automaton()
+    assert len(delta[0]) == 300
     for _ in range(300):
         word = [rng.choice((0, 3, 150, 255, 256, 257, 299, rng.randrange(300)))
                 for _ in range(rng.randrange(16))]
@@ -870,7 +897,15 @@ def test_shipped_presentations_are_factor_free(oq5):
     quot = quotient_presentation(oq_sl2(3).pres, quotient_ideal("widehat", 3),
                                  complete_to=9)
     for pres in (oq5.pres, quot, o_minus1_sl2().pres, classical_sl2().pres):
-        assert pres._build_automaton()[2] == 0
+        delta, out = pres._build_automaton()
+        assert sorted(lhs for lhs in out if lhs) == sorted(pres.rules)
+
+
+def test_presentations_hold_no_trie():
+    # only a running completion inserts into the trie under its table
+    quot = quotient_presentation(oq_sl2(3).pres, quotient_ideal("widehat", 3))
+    for pres in (quot, quot.fresh(), oq_sl2(3).pres):
+        assert pres._automaton is not None and not hasattr(pres, "_trie")
 
 
 def brute_basis(pres, max_len):
@@ -908,7 +943,6 @@ def collapsed_presentation():
                                    complete_to=9), 6),
     (lambda: classical_sl2().pres, 5),
     (collapsed_presentation, 4),
-    (not_factor_free_presentation, 6),
 ])
 def test_enumerate_basis_matches_brute_force_filter(make, max_len):
     pres = make()
@@ -968,9 +1002,8 @@ def check_table(comp):
     """Every state of the table, dead ones included, against its string:
     its depth, failure link, failure-tree children, transitions, and the
     current lhs that is a suffix of it."""
-    delta, out, slack = comp._automaton
+    delta, out = comp._automaton
     kids, depth, fail, tree = comp._trie
-    assert slack == 0
     spell = [()] * len(kids)
     for s in range(len(kids)):
         for g, t in kids[s].items():
