@@ -8,8 +8,9 @@ module is the one home of that arithmetic:
   the sum is zero; polynomials, tensors and rewriting accumulate through it.
   ``addto_all(terms, keys, coeffs)`` is the same for parallel iterables of
   keys and coefficients: a tensor's multiplied-out terms, added at once.
-* ``Echelon`` keeps pivot-normalized rows; ``kernel_of_columns`` runs its
-  reduction on vectors augmented with their column combination.
+* ``Echelon`` keeps pivot-normalized rows; ``ColumnKernel`` runs its
+  reduction on columns augmented with their index, one column at a time,
+  and ``kernel_of_columns`` feeds it a whole list.
 * ``span_closure`` grows an ``Echelon`` breadth-first from a start element
   under a successor function (subalgebra spans, surjectivity certificates).
 """
@@ -83,27 +84,42 @@ class Echelon:
         return len(self.rows)
 
 
-def kernel_of_columns(cols: list[dict], ell: int) -> list[dict]:
-    """Kernel of the linear map e_i -> cols[i], as sparse coefficient dicts.
+class ColumnKernel:
+    """Kernel of the linear map e_i -> col_i, as the columns arrive.
 
-    Deterministic: columns are consumed in order and each kernel vector is
-    normalized so its highest-index entry is 1.  Column i is reduced as the
-    augmented vector with entries (1, k) from the column and (0, i) = 1, so
-    pivots always come from the column part; a remainder without column
-    part is a kernel vector.
+    Column i is reduced as the augmented vector with entries (1, k) from
+    the column and (0, i) = 1, so pivots always come from the column part;
+    a remainder without column part is a kernel vector.  Its entry at i is
+    1, the highest index it has: the rows hold only earlier indices.  So
+    the kernel vector of a column is its unique expression over the pivot
+    columns before it, whatever columns follow.
     """
-    ech = Echelon()
-    kernel = []
-    one = CycRat.one(ell)
-    for i, col in enumerate(cols):
+
+    def __init__(self, ell: int):
+        self.ech = Echelon()
+        self.size = 0               # columns added so far
+        self._one = CycRat.one(ell)
+
+    def add(self, col: dict) -> dict | None:
+        """Add the next column; the kernel vector it completes, as a sparse
+        dict over column indices, or None when it is a pivot column."""
         vec = {(1, k): v for k, v in col.items()}
-        vec[(0, i)] = one
-        pivot, res = _normalized(ech.reduce(vec))
-        if pivot[0]:
-            ech.rows[pivot] = res
-        else:
-            kernel.append({k: v for (_, k), v in res.items()})
-    return kernel
+        vec[(0, self.size)] = self._one
+        self.size += 1
+        res = self.ech.reduce(vec)
+        if max(res)[0]:
+            pivot, row = _normalized(res)
+            self.ech.rows[pivot] = row
+            return None
+        return {i: v for (_, i), v in res.items()}
+
+
+def kernel_of_columns(cols: list[dict], ell: int) -> list[dict]:
+    """Kernel of the linear map e_i -> cols[i], as sparse coefficient dicts:
+    the ColumnKernel vectors of the columns in order, each with its
+    highest-index entry 1."""
+    ker = ColumnKernel(ell)
+    return [vec for col in cols if (vec := ker.add(col)) is not None]
 
 
 def span_dim(vecs) -> int:

@@ -853,7 +853,11 @@ def check_confluence(pres: Presentation, max_len: int) -> list[OverlapReport]:
     in the order of a scan of all pairs (l1, l2) of rules with k ascending.
 
     Overlaps are found through an index of the proper prefixes of the
-    left-hand sides, and every one found is reduced: none is skipped."""
+    left-hand sides, and every one found is reduced: none is skipped.  A
+    rule set that is not factor-free is refused first, with the automaton
+    build's ValueError, as every redex scan refuses it."""
+    if pres._automaton is None:
+        pres._build_automaton()
     starts: dict = {}
     for rank, lhs in enumerate(pres.rules):
         for k in range(1, len(lhs)):

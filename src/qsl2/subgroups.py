@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .cyclo import CycRat, multiplicative_order
 from .errors import (CertificateFailed, InconsistentDatum, ParamOutOfRange,
                      QSL2Error)
-from .exactla import kernel_of_columns, span_closure
+from .exactla import ColumnKernel, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants, map_poly)
 from .ncalg import NCPoly, render_poly
@@ -233,12 +233,28 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
                    exponent: int = 1) -> KernelResult:
     """Vanishing ideal of the embedded finite group in the coordinate ring.
 
-    Works degreewise: evaluates the quotient-irreducible monomials on every
-    group element and extracts the echelonized null space, enlarging the
-    ideal until the expected dimension is certified.  For the PSL2-side
+    Works degreewise, in one elimination: at each degree the monomials of
+    that length that are irreducible in the quotient so far are evaluated
+    on every group element, once, and their columns enter one ColumnKernel
+    in deglex order (the empty word first).  A column that completes a
+    kernel vector gives a generator; the generators of a degree extend the
+    previous quotient, whose completion resumes from its rules.  The ideal
+    grows until the expected dimension is certified.  For the PSL2-side
     parities only even monomials are considered; the parity grading of the
     classical presentation makes the even-word count the dimension of the
     even part.
+
+    Invariant, checked at each degree: the words of lower degree that the
+    quotient keeps are the pivot words so far, in the order they entered.
+    So the columns seen are those of a fresh elimination over all the
+    quotient's irreducible words up to the degree, a kernel vector is the
+    unique expression of its column over the pivots before it, and a
+    reduced Groebner basis is unique for its ideal and order: generators
+    and rules are those of a per-degree recomputation from the ambient.
+    Each generator is irreducible in the quotient it extends, so
+    ``quotient.defining`` lists the ambient's relations and then the
+    generators as found, each degree normalised against the quotient it
+    extends, which leaves it as it is; nothing renders that list.
     """
     if not gamma.finite:
         raise QSL2Error("kernel computation needs a finite group")
@@ -249,25 +265,32 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
     conductor = gamma.root_order(parity)
     mats = _group_matrices(gamma, exponent, conductor)
     max_deg = step * (order + 2)
-    ambient = classical_sl2_presentation(conductor)
+    quot = classical_sl2_presentation(conductor)
     ideal: list[NCPoly] = []
-    quot = ambient
     expected = order if parity == "odd" else 2 * order
+    kernel = ColumnKernel(conductor)
+    words: list = []        # the word of each column, by column index
+    pivots: list = []       # the words of the pivot columns, in order
 
     for deg in range(step, max_deg + 1, step):
         levels = enumerate_basis(quot, deg)
-        batch = [w for dd in range(0, deg + 1, step) for w in levels[dd]]
-        cols = [{i: v for i, m in enumerate(mats)
-                 if not (v := _eval_word(w, m, conductor)).is_zero()}
-                for w in batch]
-        combos = kernel_of_columns(cols, conductor)
-        if combos:
-            for combo in combos:
-                ideal.append(NCPoly.from_terms(
-                    XGENS, conductor,
-                    [(batch[i], c) for i, c in combo.items()]))
-            quot = quotient_presentation(ambient, ideal,
-                                         label="classical/kernel")
+        lower = [w for dd in range(0, deg, step) for w in levels[dd]]
+        # at the first degree, the lower words are the empty word, unseen
+        assert not words or lower == pivots, "kernel invariant broken"
+        found = []
+        for w in (levels[deg] if words else lower + levels[deg]):
+            words.append(w)
+            col = {i: v for i, m in enumerate(mats)
+                   if not (v := _eval_word(w, m, conductor)).is_zero()}
+            combo = kernel.add(col)
+            if combo is None:
+                pivots.append(w)
+            else:
+                found.append(NCPoly.from_terms(
+                    XGENS, conductor, [(words[i], c) for i, c in combo.items()]))
+        if found:
+            ideal += found
+            quot = quotient_presentation(quot, found, label="classical/kernel")
         res = dimension(quot)
         if res.finite and res.value == expected:
             break

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsl2.cyclo import CycRat
-from qsl2.exactla import Echelon, kernel_of_columns, span_closure, span_dim
+from qsl2.exactla import (ColumnKernel, Echelon, kernel_of_columns,
+                          span_closure, span_dim)
 
 ELLS = (1, 5)
 
@@ -70,6 +71,24 @@ def test_kernel_vectors_annihilate_columns(data):
     assert len(set(tops)) == len(tops)
     assert len(kernel) == len(cols) - span_dim(cols)
     assert span_dim(cols) == dense_rank(cols, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_column_kernel_vectors_depend_only_on_the_pivots_before(data):
+    # the vector a column completes is the same over any earlier columns
+    # with the same span: over all of them, or over the pivot columns alone
+    ell, cols = data
+    ker, pivots = ColumnKernel(ell), []
+    for i, col in enumerate(cols):
+        vec = ker.add(col)
+        if vec is None:
+            pivots.append(i)
+            continue
+        alone = kernel_of_columns([cols[j] for j in pivots] + [col], ell)
+        index = pivots + [i]
+        assert [{index[j]: c for j, c in v.items()} for v in alone] == [vec]
+    assert ker.size == len(cols)
 
 
 @settings(max_examples=60, deadline=None)

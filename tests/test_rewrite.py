@@ -687,10 +687,9 @@ def test_indexed_confluence_differential_random(data):
     (lambda: quotient_presentation(oq_sl2(3).pres,
                                    quotient_ideal("widehat", 3),
                                    complete_to=7), False),
-    (lambda: not_factor_free_presentation(), False),
     (lambda: collapsed_presentation(), False),
 ], ids=["oq5", "oq8", "minus1", "classical", "widehat3-bounded",
-        "not-factor-free", "collapsed"])
+        "collapsed"])
 def test_indexed_confluence_matches_pairwise_scan(make, unresolved):
     pres = make()
     longest = every_overlap(pres) if pres.rules else 0
@@ -842,7 +841,8 @@ def test_an_empty_lhs_is_refused(lhss):
     lambda pres: pres.find_redex((2, 2)),
     lambda pres: enumerate_basis(pres, 3),
     lambda pres: dimension(pres),
-], ids=["find_redex", "enumerate_basis", "dimension"])
+    lambda pres: check_confluence(pres, 8),
+], ids=["find_redex", "enumerate_basis", "dimension", "check_confluence"])
 def test_a_hand_made_presentation_that_is_not_factor_free_is_refused(use):
     with pytest.raises(ValueError,
                        match=r"left-hand side \(0, 1\) occurs in left-hand "
@@ -913,10 +913,8 @@ def brute_basis(pres, max_len):
     if pres.collapsed:
         return [[] for _ in range(max_len + 1)]
     ngens = pres.order.ngens
-    lhss = [lhs for lhs in pres.rules if lhs]
     return [[w for w in itertools.product(range(ngens), repeat=n)
-             if () not in pres.rules
-             and not any(rewrite._contains(w, lhs) for lhs in lhss)]
+             if not any(rewrite._contains(w, lhs) for lhs in pres.rules)]
             for n in range(max_len + 1)]
 
 

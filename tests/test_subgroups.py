@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from collections import Counter
 from math import gcd, lcm
 from pathlib import Path
 
@@ -9,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 import qsl2.subgroups
 from qsl2.cyclo import CycRat, embed_scalar
 from qsl2.errors import CertificateFailed, InconsistentDatum
-from qsl2.hopf import FiniteModel, all_ok, grouplikes
+from qsl2.exactla import kernel_of_columns
+from qsl2.hopf import CheckResult, FiniteModel, all_ok, grouplikes
 from qsl2.ncalg import NCPoly, render_poly
-from qsl2.presentations import ABCD, sl2_algebra
-from qsl2.rewrite import DEFAULT_PROBE_BOUND, check_confluence, normal_form
+from qsl2.presentations import (ABCD, XGENS, classical_sl2_presentation,
+                                sl2_algebra)
+from qsl2.rewrite import (DEFAULT_PROBE_BOUND, check_confluence, dimension,
+                          enumerate_basis, normal_form, quotient_presentation)
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                             datum_equiv, dihedral_model, exact_sequence_shadow,
                             kernel_sigma_t, lift_classical_polys,
@@ -120,6 +124,136 @@ def test_odd_lift_is_letter_repetition():
                 assert lift_classical_polys(gens, "odd", base) == want
                 lifted += len(gens)
     assert lifted == 129
+
+
+def kernel_from_scratch(gamma, parity, exponent=1):
+    """The per-degree recomputation kernel_sigma_t replaced: at each degree,
+    every irreducible word of every length so far is evaluated again, one
+    kernel_of_columns runs over all of them and the quotient is completed
+    again from the ambient.  (generators, quotient, certificates)."""
+    order = gamma.order
+    step = 1 if parity == "odd" else 2
+    conductor = gamma.root_order(parity)
+    mats = qsl2.subgroups._group_matrices(gamma, exponent, conductor)
+    ambient = classical_sl2_presentation(conductor)
+    ideal, quot = [], ambient
+    expected = order if parity == "odd" else 2 * order
+    for deg in range(step, step * (order + 2) + 1, step):
+        levels = enumerate_basis(quot, deg)
+        batch = [w for dd in range(0, deg + 1, step) for w in levels[dd]]
+        cols = [{i: v for i, m in enumerate(mats)
+                 if not (v := qsl2.subgroups._eval_word(w, m, conductor))
+                 .is_zero()} for w in batch]
+        combos = kernel_of_columns(cols, conductor)
+        if combos:
+            ideal += [NCPoly.from_terms(
+                XGENS, conductor, [(batch[i], c) for i, c in combo.items()])
+                for combo in combos]
+            quot = quotient_presentation(ambient, ideal,
+                                         label="classical/kernel")
+        res = dimension(quot)
+        if res.finite and res.value == expected:
+            break
+    vanish = all(qsl2.subgroups._eval_poly(g, m, conductor).is_zero()
+                 for g in ideal for m in mats)
+    if parity == "odd":
+        dim_ok = res.finite and res.value == order
+        witness = f"dim {res.value} = |group| {order}"
+    else:
+        even_dim = sum(res.counts[::2])
+        dim_ok = res.finite and even_dim == order and res.value == 2 * order
+        witness = (f"even part {even_dim} = |group| {order}; "
+                   f"total {res.value} = preimage order {2 * order}")
+    certs = [CheckResult("kernel-vanishes", gamma.kind, vanish, None),
+             CheckResult("kernel-dimension", gamma.kind, dim_ok, witness)]
+    return ideal, quot, certs
+
+
+def units(n):
+    return [u for u in range(1, n + 1) if gcd(u, n) == 1]
+
+
+KERNEL_DATA = ([(GroupSpec("cyclic", n=n), parity, sigma)
+                for parity in ("odd", "even", "minus_one")
+                for n in range(1, 11)
+                for sigma in sorted({units(n)[0], units(n)[-1]})]
+               + [(GroupSpec("dihedral", m=m), "minus_one", 1)
+                  for m in range(1, 7)])
+
+
+def test_incremental_kernel_equals_the_per_degree_recomputation():
+    for gamma, parity, sigma in KERNEL_DATA:
+        kres = kernel_sigma_t(gamma, parity, sigma)
+        ideal, quot, certs = kernel_from_scratch(gamma, parity, sigma)
+        case = (gamma, parity, sigma)
+        assert ([render_poly(g) for g in kres.generators]
+                == [render_poly(g) for g in ideal]), case
+        assert kres.quotient.rules == quot.rules, case
+        assert kres.quotient.to_json() == quot.to_json(), case
+        assert ([c.to_json() for c in kres.certificates]
+                == [c.to_json() for c in certs]), case
+
+
+@pytest.mark.parametrize("gamma, parity", [
+    (GroupSpec("cyclic", n=6), "odd"),
+    (GroupSpec("cyclic", n=5), "even"),
+    (GroupSpec("cyclic", n=4), "minus_one"),
+    (GroupSpec("dihedral", m=3), "minus_one"),
+])
+def test_each_word_is_evaluated_and_each_degree_completed_once(
+        monkeypatch, gamma, parity):
+    evals, completions = Counter(), []
+    in_loop = [True]            # the certificates evaluate the generators
+    eval_word, eval_poly = (qsl2.subgroups._eval_word,
+                            qsl2.subgroups._eval_poly)
+    quotient = qsl2.subgroups.quotient_presentation
+
+    def counted_eval(word, mat, conductor):
+        if in_loop[0]:
+            evals[word, id(mat)] += 1
+        return eval_word(word, mat, conductor)
+
+    def certificate_eval(p, mat, conductor):
+        in_loop[0] = False
+        return eval_poly(p, mat, conductor)
+
+    def counted_quotient(pres, relations, **kwargs):
+        out = quotient(pres, relations, **kwargs)
+        completions.append((pres, out))
+        return out
+
+    monkeypatch.setattr(qsl2.subgroups, "_eval_word", counted_eval)
+    monkeypatch.setattr(qsl2.subgroups, "_eval_poly", certificate_eval)
+    monkeypatch.setattr(qsl2.subgroups, "quotient_presentation",
+                        counted_quotient)
+    kres = kernel_sigma_t(gamma, parity)
+    mats = {m for _, m in evals}
+    words = {w for w, _ in evals}
+    assert len(mats) == gamma.order
+    assert set(evals.values()) == {1} and len(evals) == len(words) * len(mats)
+    # generators of one degree share the length of their leading word
+    degrees = {max(map(len, g.terms)) for g in kres.generators}
+    assert len(completions) == len(degrees) >= 1
+    assert completions[0][0].rules == classical_sl2_presentation(
+        kres.conductor).rules
+    for (_, previous), (base, _) in zip(completions, completions[1:]):
+        assert base is previous
+    assert completions[-1][1] is kres.quotient
+
+
+def test_sigma_never_enters_the_kernel():
+    # every unit sigma embeds the same subgroup mu_n, so the generator lists
+    # agree term for term (evidence on the datum's sigma, which only
+    # datum_equiv reads)
+    compared = 0
+    for parity in ("odd", "even", "minus_one"):
+        for n in range(1, 13):
+            lists = {tuple(render_poly(g) for g in kernel_sigma_t(
+                GroupSpec("cyclic", n=n), parity, sigma).generators)
+                for sigma in units(n)}
+            assert len(lists) == 1, (parity, n)
+            compared += 1
+    assert compared == 36
 
 
 # (group, parity, the conductor kernel_sigma_t computed, the embedding root
