@@ -12,10 +12,13 @@ computed once per instance.
 
 Every map returns a normal form where it is made: delta_word and
 antipode_word reduce each word's image, the empty word's included, so a
-sum of their images is normal as summed.  Generator images extend to a
-polynomial in one place, map_poly; the Hopf-morphism check, the PSL2
-embedding check and the lifts of a subgroup's vanishing ideal all go
-through it.
+sum of their images is normal as summed.  Each extension step multiplies
+in the quotient (rewrite.product_normal_form): the normal forms of each
+pair of terms are added up and no unreduced product is formed, in
+delta_word, antipode_word, substitute, the centrality check and span
+saturation alike.  Generator images extend to a polynomial in one place,
+map_poly; the Hopf-morphism check, the PSL2 embedding check and the lifts
+of a subgroup's vanishing ideal all go through it.
 
 Each Hopf quotient is one NamedAlgebra, built in hopf_quotient alone and
 checked there on the instance it returns, so the coproducts and antipodes of
@@ -32,8 +35,8 @@ from .errors import QSL2Error
 from .exactla import Echelon, addto, kernel_of_columns, span_closure
 from .ncalg import EMPTY_WORD, NCPoly, TensorPoly, render_poly
 from .rewrite import (Presentation, basis_words, enumerate_basis,
-                      normal_form, quotient_presentation, tensor_normal_form,
-                      _word_name)
+                      normal_form, product_normal_form, quotient_presentation,
+                      tensor_normal_form, _word_name)
 
 
 @dataclass
@@ -103,8 +106,8 @@ class NamedAlgebra:
             out = tensor_normal_form(self.pres,
                                      TensorPoly.one(self.gens, self.ell))
         else:
-            out = self.delta_word(word[:-1]) * self.hopf.delta[word[-1]]
-            out = tensor_normal_form(self.pres, out)
+            out = product_normal_form(self.pres, self.delta_word(word[:-1]),
+                                      self.hopf.delta[word[-1]])
         self._delta_cache[word] = out
         return out
 
@@ -123,8 +126,8 @@ class NamedAlgebra:
             out = normal_form(self.pres, self.pres.one())
         else:
             # anti-multiplicative: S(g w') = S(w') S(g)
-            out = self.antipode_word(word[1:]) * self.hopf.antipode[word[0]]
-            out = normal_form(self.pres, out)
+            out = product_normal_form(self.pres, self.antipode_word(word[1:]),
+                                      self.hopf.antipode[word[0]])
         self._antipode_cache[word] = out
         return out
 
@@ -222,8 +225,11 @@ def check_axioms(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
     def counit_law(w):
         lhs, rhs = {}, {}
         for (u, v), c in alg.delta_word(w).terms.items():
-            addto(lhs, v, c * alg.counit_word(u))
-            addto(rhs, u, c * alg.counit_word(v))
+            eu, ev = alg.counit_word(u), alg.counit_word(v)
+            if not eu.is_zero():
+                addto(lhs, v, c * eu)
+            if not ev.is_zero():
+                addto(rhs, u, c * ev)
         return lhs == rhs == {w: CycRat.one(alg.ell)}
 
     def antipode_law(w):
@@ -403,9 +409,10 @@ def check_central(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult
         xt = render_poly(x, alg.pres.order)
         for g in range(len(alg.gens)):
             gp = alg.pres.gen(g)
-            comm = alg.nf(x * gp - gp * x)
+            xg = product_normal_form(alg.pres, x, gp)
+            gx = product_normal_form(alg.pres, gp, x)
             results.append(CheckResult(
-                "central", alg.label, comm.is_zero(),
+                "central", alg.label, xg.terms == gx.terms,
                 f"[{xt}, {alg.gens[g]}]"))
     return results
 
@@ -420,7 +427,7 @@ def subalgebra_span(alg: NamedAlgebra, elements: list[NCPoly],
         p, d = item
         for e, de in elems:
             if d + de <= max_deg:
-                yield normal_form(alg.pres, p * e), d + de
+                yield product_normal_form(alg.pres, p, e), d + de
 
     return span_closure((alg.pres.one(), 0), successors,
                         lambda item: item[0].terms)
@@ -462,13 +469,14 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
 
 
 def substitute(pres: Presentation, coeff: CycRat, factors) -> NCPoly:
-    """Normal form of coeff times the product of factors in pres, reduced
-    from the constant on and after every factor so that intermediate
-    products stay small; coeff may come from a subfield of pres's
-    scalars."""
-    term = normal_form(pres, pres.one() * embed_scalar(coeff, pres.ell))
+    """Normal form of coeff times the product of factors in pres: the
+    constant is reduced, and each factor multiplies the normal form so far
+    in the quotient (product_normal_form), so no unreduced product is
+    formed; coeff may come from a subfield of pres's scalars."""
+    term = normal_form(pres, NCPoly.monomial(pres.gens, pres.ell, EMPTY_WORD,
+                                             embed_scalar(coeff, pres.ell)))
     for f in factors:
-        term = normal_form(pres, term * f)
+        term = product_normal_form(pres, term, f)
     return term
 
 

@@ -35,6 +35,13 @@ Presentation and the completer share one reduction engine, Reducer:
   the difference is the same as that of the two normal forms.
 * Normal forms of single words are cached.  Any change to the rules drops
   the cache.
+* product_normal_form multiplies in the quotient without forming the
+  product: each pair of terms (s, c), (t, d) adds c*d times the cached
+  normal form of the word s t.  On 2-leg tensors each leg's word is
+  reduced alone, and a pair is dropped once one leg's normal form is zero.
+  The normal form is one linear map, leftmost rewriting on bounded and
+  complete rule sets alike, so these sums equal the normal form of the
+  product.
 
 Overlaps are found through an index, never by testing every pair of rules:
 each proper prefix of a left-hand side maps to the left-hand sides that
@@ -450,6 +457,38 @@ def tensor_normal_form(pres: Presentation, t: TensorPoly) -> TensorPoly:
     out: dict = {}
     addto_all(out, keys, coeffs)
     return TensorPoly(pres.gens, pres.ell, t.legs, out)
+
+
+def product_normal_form(pres: Presentation, x, y):
+    """Normal form of x * y for two NCPolys or two 2-leg TensorPolys, with
+    the product never formed: each pair of terms adds its coefficients'
+    product times the cached normal form of its concatenated words (one
+    normal form per leg, the second leg not reduced when the first is
+    zero).  Exact because normal forms are one linear map (see _reduce)."""
+    x._check(y)
+    out: dict = {}
+    nf = pres.nf_word_terms
+    if isinstance(x, NCPoly):
+        for s, c in x.terms.items():
+            for t, d in y.terms.items():
+                cd = c * d
+                for u, cu in nf(s + t).items():
+                    addto(out, u, cu * cd)
+        return NCPoly(pres.gens, pres.ell, out)
+    for (s1, s2), c in x.terms.items():
+        for (t1, t2), d in y.terms.items():
+            left = nf(s1 + t1)
+            if not left:
+                continue
+            right = nf(s2 + t2)
+            if not right:
+                continue
+            cd = c * d
+            for u1, c1 in left.items():
+                c1 = c1 * cd
+                for u2, c2 in right.items():
+                    addto(out, (u1, u2), c1 * c2)
+    return TensorPoly(pres.gens, pres.ell, 2, out)
 
 
 # -- completion ----------------------------------------------------------------

@@ -25,7 +25,8 @@ from .presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
                             classical_sl2_presentation, pair_factors,
                             phi_images, quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
-                      enumerate_basis, normal_form, quotient_presentation)
+                      enumerate_basis, normal_form, product_normal_form,
+                      quotient_presentation)
 
 A, B, C = 0, 1, 2
 
@@ -475,7 +476,8 @@ def construct_quotient(d: SubgroupDatum,
                 for g in gamma_embedding(parity, base)[0].values()]
         gamma_image_dim = span_closure(
             algebra.pres.one(),
-            lambda v: (normal_form(algebra.pres, v * g) for g in gens),
+            lambda v: (product_normal_form(algebra.pres, v, g)
+                       for g in gens),
             lambda v: v.terms).dim
         certificates.append(CheckResult(
             "gamma-image-dimension", algebra.label, gamma_image_dim == order,

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsl2.cyclo import CycRat
 from qsl2.errors import NotFiniteDimensional, QSL2Error
@@ -17,8 +19,8 @@ from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                                 o_minus1_sl2, oq_sl2, quotient_ideal,
                                 sl2_algebra, _sl2_order, _sl2_relations)
 from qsl2.rewrite import (build_presentation, dimension, enumerate_basis,
-                          normal_form, quotient_presentation,
-                          tensor_normal_form)
+                          normal_form, product_normal_form,
+                          quotient_presentation, tensor_normal_form)
 from qsl2.subgroups import gamma_embedding
 
 A, B, C, D = 0, 1, 2, 3
@@ -308,11 +310,13 @@ def test_coproducts_of_basis_words_are_leg_normal(battery_bases):
 
 @pytest.fixture(scope="module")
 def tensor_bases():
-    """A bounded PBW base, a complete base and a collapsed quotient."""
+    """A bounded PBW base, a complete base, a collapsed quotient and the
+    complete q = -1 base."""
     bounded, complete = oq_sl2(4), sl2_algebra("odd", 3)
     collapsed = quotient_presentation(complete.pres, [complete.pres.one()])
     return [bounded, complete,
-            NamedAlgebra(collapsed, complete.hopf, "collapsed")]
+            NamedAlgebra(collapsed, complete.hopf, "collapsed"),
+            sl2_algebra("minus_one", 2)]
 
 
 def _random_tensor(alg, rng, legs, nterms):
@@ -399,6 +403,144 @@ def test_expand_leg_drops_cancelled_keys(tensor_bases):
         assert got.terms == _splice_reference(t + s, 0, images)
         assert got.terms == _splice_reference(s, 0, images) != {}
     assert TensorPoly.zero(gens, ell, 2).expand_leg(1, sym(3)).legs == 3
+
+
+@pytest.fixture(scope="module")
+def taft3():
+    """A finite quotient in which c and b^3 vanish, so that a nonzero word
+    times a nonzero word can be zero and one leg of a tensor can vanish
+    while the other does not."""
+    base = sl2_algebra("odd", 3)
+    p = base.pres
+    return base.quotient([p.gen("c"), p.poly("a^3 - 1"), p.poly("b^3"),
+                          p.poly("d^3 - 1")], label="taft-3")
+
+
+def _operands(alg, legs):
+    """Pairs of NCPolys (legs 1) or 2-leg TensorPolys over alg with unit,
+    rational and zero coefficients."""
+    p = alg.pres
+    scalars = [p.scalar(1), p.scalar(-1), p.scalar(0), p.scalar(2),
+               p.scalar(Fraction(-1, 3)), p.q, p.q.inverse() * 3]
+    word = st.lists(st.integers(0, len(alg.gens) - 1), max_size=3).map(tuple)
+    key = word if legs == 1 else st.tuples(word, word)
+    terms = st.lists(st.tuples(key, st.sampled_from(scalars)), max_size=4)
+    if legs == 1:
+        poly = terms.map(lambda items: NCPoly(alg.gens, alg.ell,
+                                              _sum_terms(items)))
+    else:
+        poly = terms.map(lambda items: TensorPoly(alg.gens, alg.ell, 2,
+                                                  _sum_terms(items)))
+    return st.tuples(poly, poly)
+
+
+@pytest.mark.parametrize("which", range(5))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_normal_form_equals_multiply_then_reduce(tensor_bases, taft3,
+                                                         which, data):
+    alg = (tensor_bases + [taft3])[which]
+    x, y = data.draw(_operands(alg, 1))
+    got = product_normal_form(alg.pres, x, y)
+    assert got.terms == normal_form(alg.pres, x * y).terms
+    s, t = data.draw(_operands(alg, 2))
+    got = product_normal_form(alg.pres, s, t)
+    assert got.legs == 2
+    assert got.terms == tensor_normal_form(alg.pres, s * t).terms
+
+
+def test_product_normal_form_drops_only_zero_legs(taft3):
+    # c vanishes in taft-3: a pair whose first leg is zero is dropped, one
+    # whose second leg alone is zero too, and the others are kept
+    p = taft3.pres
+    one = p.scalar(1)
+    mono = lambda key, c=one: TensorPoly.monomial(p.gens, p.ell, key, c)
+    x = mono(((A,), (B,))) + mono(((C,), (A,)), p.scalar(2))
+    y = mono(((B,), (C,)), p.q) + mono(((D,), (D,)), p.scalar(5))
+    got = product_normal_form(p, x, y)
+    kept = tensor_normal_form(p, mono(((A, D), (B, D)), p.scalar(5)))
+    assert got.terms == kept.terms != {}
+    assert got.terms == tensor_normal_form(p, x * y).terms
+
+
+def test_structure_maps_equal_multiply_then_reduce(tensor_bases, taft3):
+    """delta_word and antipode_word equal their multiply-then-reduce
+    definitions on every irreducible word up to degree 4."""
+    checked = 0
+    for alg in tensor_bases + [taft3]:
+        alg = alg.fresh()
+        p = alg.pres
+        deltas, antipodes = {}, {}
+
+        def delta_ref(w):
+            if w not in deltas:
+                t = (TensorPoly.one(alg.gens, alg.ell) if not w
+                     else delta_ref(w[:-1]) * alg.hopf.delta[w[-1]])
+                deltas[w] = tensor_normal_form(p, t)
+            return deltas[w]
+
+        def antipode_ref(w):
+            if w not in antipodes:
+                s = (p.one() if not w
+                     else antipode_ref(w[1:]) * alg.hopf.antipode[w[0]])
+                antipodes[w] = normal_form(p, s)
+            return antipodes[w]
+
+        words = [w for level in enumerate_basis(p, 4) for w in level]
+        for w in words:
+            assert alg.delta_word(w) == delta_ref(w), (alg.label, w)
+            assert alg.antipode_word(w) == antipode_ref(w), (alg.label, w)
+            checked += 1
+    assert checked > 150
+
+
+def test_hopf_maps_build_no_unreduced_product(monkeypatch):
+    """delta_word, antipode_word and substitute multiply in the quotient:
+    no NCPoly or TensorPoly product is formed inside them."""
+    from qsl2 import hopf
+
+    depth, entered = [0], {}
+    products = {"NCPoly": 0, "TensorPoly": 0}
+
+    def count_products(cls):
+        mul = cls.__mul__
+
+        def counted(self, other):
+            products[cls.__name__] += depth[0] > 0
+            return mul(self, other)
+        monkeypatch.setattr(cls, "__mul__", counted)
+
+    def scope(owner, name):
+        fn = getattr(owner, name)
+
+        def scoped(*args):
+            entered[name] = entered.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(owner, name, scoped)
+
+    count_products(NCPoly)
+    count_products(TensorPoly)
+    scope(NamedAlgebra, "delta_word")
+    scope(NamedAlgebra, "antipode_word")
+    scope(hopf, "substitute")
+    alg = sl2_algebra("odd", 5)
+    p = alg.pres
+    assert all_ok(run_battery(alg, 3))
+    _, rows = hopf_quotient(alg, [p.gen("c"), p.poly("a^5 - 1"),
+                                  p.poly("b^5"), p.poly("d^5 - 1")],
+                            label="taft-5")
+    assert all_ok(rows)
+    source = classical_sl2()
+    images = gamma_embedding("odd", alg)[0]
+    image = map_poly(source.pres.poly("x11*x22 - x12*x21 + 2*x11^2*x12"),
+                     lambda w: (images[g] for g in w), alg)
+    assert not image.is_zero()
+    assert set(entered) == {"delta_word", "antipode_word", "substitute"}
+    assert products == {"NCPoly": 0, "TensorPoly": 0}
 
 
 def test_counit_cache_is_per_instance_and_exact(battery_bases):
