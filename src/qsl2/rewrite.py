@@ -35,6 +35,10 @@ Presentation and the completer share one reduction engine, Reducer:
   the difference is the same as that of the two normal forms.
 * Normal forms of single words are cached.  Any change to the rules drops
   the cache.
+* A scalar product with the field's interned one is never made: where a
+  coefficient is that object, the loops take the other factor.  An
+  irreducible word's normal form has coefficient one, so these are more
+  than half of the products the loops would otherwise make.
 * product_normal_form multiplies in the quotient without forming the
   product: each pair of terms (s, c), (t, d) adds c*d times the cached
   normal form of the word s t.  On 2-leg tensors each leg's word is
@@ -251,7 +255,7 @@ class Reducer:
         The result is the same linear expansion either way.
 
         pending is consumed: its words are popped as they are expanded."""
-        cache, rules = self.cache, self.rules
+        cache, rules, one = self.cache, self.rules, self._one
         key, find = self._key, self.find_redex
         heap = [(key(w), w) for w in pending]
         heapq.heapify(heap)
@@ -264,8 +268,11 @@ class Reducer:
             while True:
                 known = cache.get(w)
                 if known is not None:
-                    for u, cu in known.items():
-                        addto(out, u, cu * c)
+                    if c is one:
+                        addto_all(out, known, known.values())
+                    else:
+                        for u, cu in known.items():
+                            addto(out, u, c if cu is one else cu * c)
                     break
                 redex = find(w)
                 if redex is None:
@@ -275,7 +282,9 @@ class Reducer:
                 rhs = rules[lhs]
                 if len(rhs) == 1:
                     (t, ct), = rhs.items()
-                    w, c = w[:i] + t + w[i + L:], ct * c
+                    w = w[:i] + t + w[i + L:]
+                    if ct is not one:
+                        c = ct if c is one else ct * c
                     acc = pending.get(w)
                     if acc is None:
                         continue
@@ -283,21 +292,24 @@ class Reducer:
                     break
                 prefix, suffix = w[:i], w[i + L:]
                 for t, ct in rhs.items():
+                    if c is not one:
+                        ct = c if ct is one else ct * c
                     u = prefix + t + suffix
                     acc = pending.get(u)
                     if acc is None:
-                        pending[u] = ct * c
+                        pending[u] = ct
                         heapq.heappush(heap, (key(u), u))
                     else:
-                        pending[u] = acc + ct * c
+                        pending[u] = acc + ct
                 break
         return out
 
     def nf_terms(self, terms: dict) -> dict:
         out: dict = {}
+        one = self._one
         for w, c in terms.items():
             for u, cu in self.nf_word_terms(w).items():
-                addto(out, u, cu * c)
+                addto(out, u, c if cu is one else cu if c is one else cu * c)
         return out
 
     def overlap_difference(self, l1, l2, k) -> dict:
@@ -446,13 +458,14 @@ def tensor_normal_form(pres: Presentation, t: TensorPoly) -> TensorPoly:
     if pres.collapsed:
         return TensorPoly.zero(pres.gens, pres.ell, t.legs)
     keys, coeffs = [], []
+    one = pres._one
     for key, c in t.terms.items():
         parts = [pres.nf_word_terms(w) for w in key]
         keys += product(*parts)
         term_coeffs = [c]
         for part in parts:
-            term_coeffs = [c0 * cu for c0 in term_coeffs
-                           for cu in part.values()]
+            term_coeffs = [c0 if cu is one else cu if c0 is one else c0 * cu
+                           for c0 in term_coeffs for cu in part.values()]
         coeffs += term_coeffs
     out: dict = {}
     addto_all(out, keys, coeffs)
@@ -467,13 +480,14 @@ def product_normal_form(pres: Presentation, x, y):
     zero).  Exact because normal forms are one linear map (see _reduce)."""
     x._check(y)
     out: dict = {}
-    nf = pres.nf_word_terms
+    nf, one = pres.nf_word_terms, pres._one
     if isinstance(x, NCPoly):
         for s, c in x.terms.items():
             for t, d in y.terms.items():
-                cd = c * d
+                cd = c if d is one else d if c is one else c * d
                 for u, cu in nf(s + t).items():
-                    addto(out, u, cu * cd)
+                    addto(out, u, cd if cu is one else cu if cd is one
+                          else cu * cd)
         return NCPoly(pres.gens, pres.ell, out)
     for (s1, s2), c in x.terms.items():
         for (t1, t2), d in y.terms.items():
@@ -483,11 +497,13 @@ def product_normal_form(pres: Presentation, x, y):
             right = nf(s2 + t2)
             if not right:
                 continue
-            cd = c * d
+            cd = c if d is one else d if c is one else c * d
             for u1, c1 in left.items():
-                c1 = c1 * cd
+                if cd is not one:
+                    c1 = cd if c1 is one else c1 * cd
                 for u2, c2 in right.items():
-                    addto(out, (u1, u2), c1 * c2)
+                    addto(out, (u1, u2), c1 if c2 is one else c2 if c1 is one
+                          else c1 * c2)
     return TensorPoly(pres.gens, pres.ell, 2, out)
 
 

@@ -115,6 +115,24 @@ def test_datum_path_that_cannot_be_read_is_usage_error(capsys, tmp_path):
     assert captured.err.startswith("error: cannot read datum file: ")
 
 
+def test_construct_datum_is_read_as_a_path(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.json"
+    assert main(["construct", "--datum", str(missing)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read datum file: ")
+    assert str(missing) in captured.err
+    # inline JSON is not a path
+    assert main(["construct", "--datum", TRIVIAL_ODD]) == 64
+    assert capsys.readouterr().err.startswith("error: cannot read datum file: ")
+    path = tmp_path / "datum.json"
+    path.write_text(TRIVIAL_ODD, encoding="utf-8")
+    code, from_file = run(capsys, "construct", "--datum", str(path))
+    assert code == 0
+    assert (0, from_file) == run(capsys, "construct", "--datum-json",
+                                 TRIVIAL_ODD)
+
+
 SMALL_DATUM = {"parity": "odd", "ell": 3, "I_plus": [1], "I_minus": [],
                "gamma": {"kind": "cyclic", "n": 3}, "sigma": {"exponent": 1}}
 DATUM_PATHS = [(), ("parity",), ("ell",), ("I_plus",), ("I_minus",),

@@ -477,3 +477,92 @@ def test_product_table_stays_within_its_bound():
     assert max(sizes) <= bound
     # it was cleared on the way, and the products after that are right too
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+# -- the unit-sum table and the other scalar shortcuts ----------------------------
+
+SHORTCUT_FIELDS = [1, 2, 3, 4, 5, 6, 8, 12, 15, 35]
+
+
+def unit(ell, sign, k):
+    """+-q^k as the interned unit (its place in the unit group known)."""
+    q = CycRat.q_power(ell, k)
+    return q if sign == 1 else -q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SHORTCUT_FIELDS).flatmap(lambda ell: st.tuples(
+    st.just(ell), st.sampled_from([1, -1]), st.integers(-ell, 2 * ell),
+    st.sampled_from([1, -1]), st.integers(-ell, 2 * ell),
+    field_element(ell), field_element(ell))))
+def test_scalar_shortcuts_match_vector_arithmetic(case):
+    ell, sa, ka, sb, kb, (x, cx), (y, cy) = case
+    a, ca = unit(ell, sa, ka), oracle_unit(ell, sa, ka)
+    b, cb = unit(ell, sb, kb), oracle_unit(ell, sb, kb)
+    sums = cyclo._context(ell).sums
+    # unit sums: the first one fills the table, the repeats read it
+    for _ in range(2):
+        for got, expect in ((a + b, [s + t for s, t in zip(ca, cb)]),
+                            (b + a, [s + t for s, t in zip(ca, cb)]),
+                            (a - b, [s - t for s, t in zip(ca, cb)])):
+            assert_matches(got, ell, expect)
+        ea, eb = a.unit_exp(), b.unit_exp()
+        assert sums[min(ea, eb), max(ea, eb)] is a + b
+        # a unit built from coefficients, its place unknown, uses it too
+        assert CycRat.from_coeffs(ell, ca) + b is a + b
+    # the cancelling pair gives the field's one zero
+    zero = a + (-a)
+    assert zero is cyclo._context(ell).zero is a - a
+    assert zero == CycRat.zero(ell) and hash(zero) == hash(CycRat.zero(ell))
+    assert zero == 0 and hash(zero) == hash(0) and zero.is_zero()
+    assert_matches(zero, ell, [Fraction(0)] * len(ca))
+    # every other sum, integral or not, by the vector arithmetic
+    assert_matches(x + y, ell, [s + t for s, t in zip(cx, cy)])
+    assert_matches(x + a, ell, [s + t for s, t in zip(cx, ca)])
+    assert_matches(x - y, ell, [s - t for s, t in zip(cx, cy)])
+    # products with one
+    one = CycRat.one(ell)
+    for got in (x * one, one * x, x * CycRat.from_rational(ell, 1)):
+        assert_matches(got, ell, cx)
+
+
+def test_unit_sum_table_stays_within_its_bound(monkeypatch):
+    ell = 35
+    sums = cyclo._context(ell).sums
+    sums.clear()
+    monkeypatch.setattr(cyclo, "_SUMS_MAX", 50)
+    units = [(unit(ell, 1, k), oracle_unit(ell, 1, k)) for k in range(20)]
+    sizes = []
+    for a, ca in units:
+        for b, cb in units:
+            assert_matches(a + b, ell, [s + t for s, t in zip(ca, cb)])
+            sizes.append(len(sums))
+    assert max(sizes) <= 50
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def embed_by_coefficients(a, target_ell):
+    """The image of a in Q(zeta_t), one rational times one power of q at a
+    time."""
+    step = target_ell // a.ell
+    out = CycRat.zero(target_ell)
+    for k, c in enumerate(a.num):
+        out = out + (CycRat.from_rational(target_ell, Fraction(c, a.den))
+                     * CycRat.q_power(target_ell, k * step))
+    return out
+
+
+@pytest.mark.parametrize("ell,target", [(1, 4), (2, 6), (3, 12), (4, 8),
+                                        (5, 15), (5, 35), (6, 12), (3, 15)])
+def test_embed_scalar_matches_the_coefficient_loop(ell, target):
+    values = [unit(ell, sign, k) for sign in (1, -1) for k in range(ell)]
+    values += [CycRat.from_coeffs(ell, coeffs) for coeffs in
+               ([0], [Fraction(-3, 4)], [5], [1, 1], [Fraction(1, 2), 0, 2])]
+    values += [CycRat.from_coeffs(ell, oracle_unit(ell, -1, 1))]
+    for a in values:
+        got = cyclo.embed_scalar(a, target)
+        expect = embed_by_coefficients(a, target)
+        assert (got.ell, got.num, got.den) == (expect.ell, expect.num, expect.den)
+        if a.unit_exp() is not None:
+            # a unit maps to the target's interned unit
+            assert got is cyclo._context(target).unit_objs[got.unit_exp()]

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -541,6 +543,42 @@ def test_hopf_maps_build_no_unreduced_product(monkeypatch):
     assert not image.is_zero()
     assert set(entered) == {"delta_word", "antipode_word", "substitute"}
     assert products == {"NCPoly": 0, "TensorPoly": 0}
+
+
+# the loops that skip a scalar product when a factor is the interned one
+SKIPS_ONE = {("rewrite.py", "_reduce"), ("rewrite.py", "nf_terms"),
+             ("rewrite.py", "product_normal_form"),
+             ("rewrite.py", "tensor_normal_form"), ("ncalg.py", "expand_leg")}
+
+
+def test_hot_loops_multiply_by_no_one(monkeypatch):
+    """No scalar product with the field's interned one is made inside the
+    normal-form and tensor loops, and the rows stay the same."""
+    def rows_of(alg):
+        p = alg.pres
+        rows = run_battery(alg, 4)
+        _, quotient_rows = hopf_quotient(
+            alg, [p.gen("c"), p.poly("a^5 - 1"), p.poly("b^5"),
+                  p.poly("d^5 - 1")], label="taft-5")
+        return [r.to_json() for r in rows + quotient_rows]
+
+    expect = rows_of(sl2_algebra("odd", 5))
+    one = CycRat.one(5)
+    products = {"with one": 0, "other": 0}
+    mul = CycRat.__mul__
+
+    def counted(a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):     # comprehensions
+            frame = frame.f_back
+        code = frame.f_code
+        if (os.path.basename(code.co_filename), code.co_name) in SKIPS_ONE:
+            products["with one" if a is one or b is one else "other"] += 1
+        return mul(a, b)
+    monkeypatch.setattr(CycRat, "__mul__", counted)
+    got = rows_of(sl2_algebra("odd", 5))
+    assert got == expect and all(r["status"] == "pass" for r in got)
+    assert products["with one"] == 0 and products["other"] > 1000
 
 
 def test_counit_cache_is_per_instance_and_exact(battery_bases):
