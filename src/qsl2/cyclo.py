@@ -478,14 +478,17 @@ class CycRat:
         return f"CycRat({self.ell}, {self.render()!r})"
 
     def render(self) -> str:
-        """Human/parser-facing form: polynomial in q with rational coefficients."""
+        """Human/parser-facing form: polynomial in q with rational
+        coefficients; an integral element renders its ints, with no
+        Fraction built."""
         if self.is_zero():
             return "0"
+        den = self.den
         parts = []
         for k, c in enumerate(self.num):
             if not c:
                 continue
-            coeff = Fraction(c, self.den)
+            coeff = c if den == 1 else Fraction(c, den)
             if k == 0:
                 parts.append(str(coeff))
             else:

@@ -20,7 +20,7 @@ saturation alike.  Generator images extend to a polynomial in one place,
 map_poly; the Hopf-morphism check, the PSL2 embedding check and the lifts
 of a subgroup's vanishing ideal all go through it.
 
-Each Hopf quotient is one NamedAlgebra, built in hopf_quotient alone and
+Each Hopf quotient is one NamedAlgebra, built in _hopf_ideal alone and
 checked there on the instance it returns, so the coproducts and antipodes of
 the check stay in that instance's caches; a caller that reports a quotient
 under another subject renames it.
@@ -112,10 +112,11 @@ class NamedAlgebra:
         return out
 
     def delta(self, p: NCPoly) -> TensorPoly:
+        one = CycRat.one(self.ell)
         terms: dict = {}
         for w, c in p.terms.items():
             for k, x in self.delta_word(w).terms.items():
-                addto(terms, k, x * c)
+                addto(terms, k, x if c is one else c if x is one else x * c)
         return TensorPoly(self.gens, self.ell, 2, terms)
 
     def antipode_word(self, word) -> NCPoly:
@@ -132,27 +133,31 @@ class NamedAlgebra:
         return out
 
     def antipode(self, p: NCPoly) -> NCPoly:
+        one = CycRat.one(self.ell)
         terms: dict = {}
         for w, c in p.terms.items():
             for u, x in self.antipode_word(w).terms.items():
-                addto(terms, u, x * c)
+                addto(terms, u, x if c is one else c if x is one else x * c)
         return NCPoly(self.gens, self.ell, terms)
 
     def counit_word(self, word) -> CycRat:
         out = self._counit_cache.get(word)
         if out is None:
-            out = CycRat.one(self.ell)
+            out = one = CycRat.one(self.ell)
             for g in word:
-                out = out * self.hopf.counit[g]
+                e = self.hopf.counit[g]
+                out = e if out is one else out if e is one else out * e
                 if out.is_zero():
                     break
             self._counit_cache[word] = out
         return out
 
     def counit(self, p: NCPoly) -> CycRat:
+        one = CycRat.one(self.ell)
         out = CycRat.zero(self.ell)
         for w, c in p.terms.items():
-            out = out + self.counit_word(w) * c
+            e = self.counit_word(w)
+            out = out + (c if e is one else e if c is one else e * c)
         return out
 
     def nf(self, p):
@@ -160,44 +165,67 @@ class NamedAlgebra:
 
     def quotient(self, relations, label="", complete_to=None) -> NamedAlgebra:
         """The Hopf quotient by the relations (see hopf_quotient).  Raises
-        QSL2Error at the first Hopf-ideal check the relations fail."""
-        quot, rows = hopf_quotient(self, relations, label, complete_to)
-        for r in rows:
-            if not r.ok:
-                raise QSL2Error(f"not a Hopf ideal of {self.label}: "
-                                f"{r.check} at {r.witness}")
+        QSL2Error at the first Hopf-ideal check the relations fail.
+
+        It builds no rows: the checks run in hopf_quotient's order and stop
+        at the first failure, and only that relation is rendered, for the
+        error text."""
+        quot, checks = _hopf_ideal(self, relations, label, complete_to)
+        bad = _failure_text(checks, relations, self.pres.order)
+        if bad is not None:
+            raise QSL2Error(f"not a Hopf ideal of {self.label}: {bad}")
         return quot
 
 
 def named_algebra(pres, delta, counit, antipode, label) -> NamedAlgebra:
     """A base algebra with its structure maps, checked well defined on every
-    defining relation."""
+    defining relation (the checks of check_structure_well_defined, up to
+    the first failure, with no rows built)."""
     alg = NamedAlgebra(pres, HopfStructure(delta, counit, antipode), label)
-    bad = [r for r in check_structure_well_defined(alg) if not r.ok]
-    if bad:
-        raise QSL2Error(f"Hopf structure ill-defined on {label}: "
-                        f"{bad[0].check} at {bad[0].witness}")
+    bad = _failure_text(_well_defined(alg), pres.defining, pres.order)
+    if bad is not None:
+        raise QSL2Error(f"Hopf structure ill-defined on {label}: {bad}")
     return alg
+
+
+# -- relation checks ----------------------------------------------------------
+# A relation check is a lazy sequence of (check, index into the relations,
+# ok).  The reports build a row for every check, each relation rendered once
+# (_relation_rows); the constructors stop at the first failure and render
+# that relation alone (_failure_text).
+
+
+def _relation_rows(checks, subject, relations, order) -> list[CheckResult]:
+    texts = [render_poly(r, order) for r in relations]
+    return [CheckResult(check, subject, ok, texts[i])
+            for check, i, ok in checks]
+
+
+def _failure_text(checks, relations, order) -> str | None:
+    """The text "check at relation" of the first failing check, or None
+    when every check passes."""
+    for check, i, ok in checks:
+        if not ok:
+            return f"{check} at {render_poly(relations[i], order)}"
+    return None
 
 
 # -- well-definedness and axioms ------------------------------------------------
 
 
+def _well_defined(alg: NamedAlgebra):
+    """Delta, then epsilon, then S of each defining relation is zero."""
+    for i, rel in enumerate(alg.pres.defining):
+        yield "delta-well-defined", i, alg.delta(rel).is_zero()
+        yield "counit-well-defined", i, alg.counit(rel).is_zero()
+        yield "antipode-well-defined", i, alg.antipode(rel).is_zero()
+
+
 def check_structure_well_defined(alg: NamedAlgebra) -> list[CheckResult]:
-    """Delta, epsilon, S send every defining relation to zero."""
-    results = []
-    for rel in alg.pres.defining:
-        text = render_poly(rel, alg.pres.order)
-        d = alg.delta(rel)
-        results.append(CheckResult("delta-well-defined", alg.label,
-                                   d.is_zero(), text))
-        e = alg.counit(rel)
-        results.append(CheckResult("counit-well-defined", alg.label,
-                                   e.is_zero(), text))
-        s = alg.antipode(rel)
-        results.append(CheckResult("antipode-well-defined", alg.label,
-                                   s.is_zero(), text))
-    return results
+    """Delta, epsilon, S send every defining relation to zero: a row for
+    each check."""
+    return _relation_rows(_well_defined(alg), alg.label, alg.pres.defining,
+                          alg.pres.order)
 
 
 def check_axioms(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
@@ -214,6 +242,7 @@ def check_axioms(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
     irreducible words, so nothing is checked there.
     """
     pres = alg.pres
+    one = CycRat.one(alg.ell)
     words = [w for level in enumerate_basis(pres, sample_deg) for w in level]
 
     def coassociative(w):
@@ -227,18 +256,20 @@ def check_axioms(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
         for (u, v), c in alg.delta_word(w).terms.items():
             eu, ev = alg.counit_word(u), alg.counit_word(v)
             if not eu.is_zero():
-                addto(lhs, v, c * eu)
+                addto(lhs, v, c if eu is one else eu if c is one else c * eu)
             if not ev.is_zero():
-                addto(rhs, u, c * ev)
-        return lhs == rhs == {w: CycRat.one(alg.ell)}
+                addto(rhs, u, c if ev is one else ev if c is one else c * ev)
+        return lhs == rhs == {w: one}
 
     def antipode_law(w):
         left, right = {}, {}
         for (u, v), c in alg.delta_word(w).terms.items():
             for s, cs in alg.antipode_word(u).terms.items():
-                addto(left, s + v, cs * c)
+                addto(left, s + v, cs if c is one else c if cs is one
+                      else cs * c)
             for s, cs in alg.antipode_word(v).terms.items():
-                addto(right, u + s, cs * c)
+                addto(right, u + s, cs if c is one else c if cs is one
+                      else cs * c)
         eps = alg.counit_word(w)
         target = {EMPTY_WORD: eps} if not eps.is_zero() else {}
         return pres.nf_terms(left) == target and pres.nf_terms(right) == target
@@ -378,26 +409,34 @@ def grouplikes(model: FiniteModel) -> GrouplikeReport:
 # -- Hopf ideals ------------------------------------------------------------------
 
 
-def hopf_quotient(alg: NamedAlgebra, gens: list[NCPoly], label="",
-                  complete_to=None) -> tuple[NamedAlgebra, list[CheckResult]]:
+def _hopf_ideal(alg: NamedAlgebra, gens: list[NCPoly], label, complete_to):
     """The quotient of alg by the ideal gens generate, completed once (see
     quotient_presentation), with alg's structure maps, and its Hopf-ideal
-    rows: the counit kills each generator, and Delta and S land in the
-    ideal.  Projecting onto the quotient is an algebra map, so Delta and S
-    extend there from the generator images and vanish exactly on the ideal;
-    they are checked on the instance returned, which keeps their caches."""
+    checks as a lazy sequence of (check, index into gens, ok): for each
+    generator in turn, the counit kills it, then Delta and then S send it
+    into the ideal.  Projecting onto the quotient is an algebra map, so
+    Delta and S extend there from the generator images and vanish exactly
+    on the ideal; they are checked on the instance returned, which keeps
+    their caches."""
     pres = quotient_presentation(alg.pres, gens, complete_to, label)
     quot = NamedAlgebra(pres, alg.hopf, label or alg.label)
-    results = []
-    for j in gens:
-        text = render_poly(j, alg.pres.order)
-        results.append(CheckResult("hopf-ideal-counit", alg.label,
-                                   alg.counit(j).is_zero(), text))
-        results.append(CheckResult("hopf-ideal-delta", alg.label,
-                                   quot.delta(j).is_zero(), text))
-        results.append(CheckResult("hopf-ideal-antipode", alg.label,
-                                   quot.antipode(j).is_zero(), text))
-    return quot, results
+
+    def checks():
+        for i, j in enumerate(gens):
+            yield "hopf-ideal-counit", i, alg.counit(j).is_zero()
+            yield "hopf-ideal-delta", i, quot.delta(j).is_zero()
+            yield "hopf-ideal-antipode", i, quot.antipode(j).is_zero()
+    return quot, checks()
+
+
+def hopf_quotient(alg: NamedAlgebra, gens: list[NCPoly], label="",
+                  complete_to=None) -> tuple[NamedAlgebra, list[CheckResult]]:
+    """The quotient of alg by the ideal gens generate (see _hopf_ideal) and
+    a row for every one of its Hopf-ideal checks, each with its relation
+    rendered: the rows the catalog and `qsl2 verify hopf-ideal` report.
+    NamedAlgebra.quotient runs the same checks and builds no rows."""
+    quot, checks = _hopf_ideal(alg, gens, label, complete_to)
+    return quot, _relation_rows(checks, alg.label, gens, alg.pres.order)
 
 
 # -- centrality and normality ------------------------------------------------------
@@ -445,6 +484,7 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
     if bound is not None and bound < degree:
         alg = alg.quotient([], complete_to=degree, label=alg.label)
     span = subalgebra_span(alg, elements, degree)
+    one = CycRat.one(alg.ell)
     for x in elements:
         xt = render_poly(x, alg.pres.order)
         x = alg.nf(x)           # reduced once, not in every adjoint term
@@ -454,10 +494,13 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
                 su = alg.antipode_word(u).terms
                 sv = alg.antipode_word(v).terms
                 for xw, xc in x.terms.items():
+                    cx = xc if c is one else c if xc is one else c * xc
                     for s, cs in sv.items():
-                        addto(left, u + xw + s, c * xc * cs)
+                        addto(left, u + xw + s, cx if cs is one
+                              else cs if cx is one else cx * cs)
                     for s, cs in su.items():
-                        addto(right, s + xw + v, c * cs * xc)
+                        addto(right, s + xw + v, cx if cs is one
+                              else cs if cx is one else cx * cs)
             ok = (span.contains(alg.pres.nf_terms(left))
                   and span.contains(alg.pres.nf_terms(right)))
             results.append(CheckResult("normal", alg.label, ok,
@@ -494,14 +537,17 @@ def map_poly(p: NCPoly, factors, target: NamedAlgebra) -> NCPoly:
 def map_tensor(t: TensorPoly, leg_map, target: NamedAlgebra) -> TensorPoly:
     """t with each leg word mapped by leg_map (NCPoly -> normal form over
     target), a tensor normal form."""
+    one = CycRat.one(target.ell)
     out: dict = {}
     for (u, v), c in t.terms.items():
         pu = leg_map(NCPoly.monomial(t.gens, t.ell, u))
         pv = leg_map(NCPoly.monomial(t.gens, t.ell, v))
         c = embed_scalar(c, target.ell)
         for wu, cu in pu.terms.items():
+            ccu = cu if c is one else c if cu is one else c * cu
             for wv, cv in pv.terms.items():
-                addto(out, (wu, wv), c * cu * cv)
+                addto(out, (wu, wv), ccu if cv is one
+                      else cv if ccu is one else ccu * cv)
     return TensorPoly(target.gens, target.ell, 2, out)
 
 
@@ -545,14 +591,16 @@ def coinvariants(model: FiniteModel, h_pres: Presentation) -> list[dict]:
     h_pres must be a quotient presentation of the model's algebra, so that
     normal forms in h_pres realize pi.
     """
-    minus_one = -CycRat.one(model.alg.ell)
+    one = CycRat.one(model.alg.ell)
+    minus_one = -one
     cols = []
     for i in range(model.dim):
         col: dict = {}
         for (j, k), c in model.delta(i).items():
             pi_j = h_pres.nf_word_terms(model.basis[j])
             for hw, hc in pi_j.items():
-                addto(col, (hw, model.basis[k]), c * hc)
+                addto(col, (hw, model.basis[k]), c if hc is one
+                      else hc if c is one else c * hc)
         addto(col, (EMPTY_WORD, model.basis[i]), minus_one)
         cols.append(col)
     return kernel_of_columns(cols, model.alg.ell)

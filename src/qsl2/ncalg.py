@@ -24,9 +24,16 @@ class MonomialOrder:
     Words compare by total weight, then length, then letterwise precedence.
     With all weights 1 this is plain deglex.  The order is a well-order
     compatible with concatenation in all cases.
+
+    key(word) is a sort key for that comparison.  With at most 256 letters,
+    precedences in 0..255 and weights at most 255, the order keeps two byte
+    translation tables, letter -> precedence and letter -> weight (`tables`),
+    and a key is (weight sum, length, precedence bytes) with no per-letter
+    Python.  Otherwise `tables` is None and the key falls back to
+    (weight, length, tuple of precedences); both compare alike.
     """
 
-    __slots__ = ("ngens", "precedence", "weights")
+    __slots__ = ("ngens", "precedence", "weights", "tables", "key")
 
     def __init__(self, ngens: int, precedence=None, weights=None):
         self.ngens = ngens
@@ -34,12 +41,25 @@ class MonomialOrder:
         self.weights = tuple(weights) if weights else (1,) * ngens
         if any(w < 1 for w in self.weights):
             raise ValueError("letter weights must be positive")
+        if (ngens <= 256 and max(self.weights, default=1) <= 255
+                and all(0 <= p <= 255 for p in self.precedence)):
+            self.tables = (bytes(self.precedence).ljust(256, b"\0"),
+                           bytes(self.weights).ljust(256, b"\0"))
+            self.key = self._byte_key
+        else:
+            self.tables = None
+            self.key = self._tuple_key
 
     def weight(self, word: Word) -> int:
         w = self.weights
         return sum(w[g] for g in word)
 
-    def key(self, word: Word):
+    def _byte_key(self, word: Word):
+        b = bytes(word)
+        ptab, wtab = self.tables
+        return (sum(b.translate(wtab)), len(word), b.translate(ptab))
+
+    def _tuple_key(self, word: Word):
         p = self.precedence
         return (self.weight(word), len(word), tuple(p[g] for g in word))
 

@@ -95,18 +95,20 @@ def _descending_key(order: MonomialOrder):
 
     It orders words exactly as order.key does, reversed: weight, then
     length, then letters compared through the precedence.  Letters go
-    through byte translation tables instead of a per-letter tuple.
+    through the order's byte translation tables when it has them.
     """
-    if order.ngens > 256 or max(order.weights, default=1) > 255:
+    if order.tables is None:
         key = order.key
-        return lambda w: (-order.weight(w), -len(w),
-                          tuple(-x for x in key(w)[2]))
+
+        def descending(w):
+            weight, length, letters = key(w)
+            return -weight, -length, tuple(-x for x in letters)
+        return descending
     # equal-length byte strings compare letterwise, so mapping letter g to
     # 255 - precedence[g] makes the ascending byte order the descending order
-    pad = bytes(256 - order.ngens)
-    inverted = bytes(255 - p for p in order.precedence) + pad
-    weights = bytes(order.weights) + pad
-    return lambda w: (-sum(bytes(w).translate(weights)), -len(w),
+    ptab, wtab = order.tables
+    inverted = ptab.translate(bytes(range(255, -1, -1)))
+    return lambda w: (-sum(bytes(w).translate(wtab)), -len(w),
                       bytes(w).translate(inverted))
 
 
@@ -383,9 +385,9 @@ class Presentation(Reducer):
         return out
 
     def rule_list(self):
-        return [RewriteRule(lhs, NCPoly(self.gens, self.ell, dict(rhs)))
-                for lhs, rhs in sorted(self.rules.items(),
-                                       key=lambda kv: self.order.key(kv[0]))]
+        return [RewriteRule(lhs, NCPoly(self.gens, self.ell,
+                                        dict(self.rules[lhs])))
+                for lhs in sorted(self.rules, key=self.order.key)]
 
     # -- reduction ------------------------------------------------------------
 

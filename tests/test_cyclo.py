@@ -566,3 +566,52 @@ def test_embed_scalar_matches_the_coefficient_loop(ell, target):
         if a.unit_exp() is not None:
             # a unit maps to the target's interned unit
             assert got is cyclo._context(target).unit_objs[got.unit_exp()]
+
+
+# -- rendering against a Fraction-based reference ---------------------------
+
+
+def render_reference(a: CycRat) -> str:
+    """The render syntax with every coefficient built as a Fraction."""
+    parts = []
+    for k, c in enumerate(a.num):
+        if not c:
+            continue
+        coeff = Fraction(c, a.den)
+        if k == 0:
+            parts.append(str(coeff))
+        else:
+            qpow = "q" if k == 1 else f"q^{k}"
+            parts.append(qpow if coeff == 1 else f"-{qpow}" if coeff == -1
+                         else f"{coeff}*{qpow}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+RENDER_FIELDS = [1, 2, 3, 4, 5, 6, 8, 12, 15, 35]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(RENDER_FIELDS).flatmap(lambda ell: st.tuples(
+    st.just(ell),
+    st.lists(st.integers(min_value=-7, max_value=7),
+             min_size=euler_phi(ell), max_size=euler_phi(ell)),
+    st.sampled_from([1, 1, 2, 3, 6, 35]))))
+def test_render_matches_the_fraction_reference(case):
+    ell, ints, den = case
+    a = CycRat.from_coeffs(ell, [Fraction(c, den) for c in ints])
+    assert a.render() == render_reference(a)
+    assert parse_scalar(ell, a.render()) == a
+
+
+@pytest.mark.parametrize("ell", RENDER_FIELDS)
+def test_render_integral_and_fractional_units(ell):
+    one = CycRat.one(ell)
+    for a in (CycRat.zero(ell), one, -one, one * 12, one / 4, -one / 6,
+              CycRat.q_power(ell, 1), CycRat.q_power(ell, 2) * 3 - one / 2):
+        assert a.render() == render_reference(a)
+        assert parse_scalar(ell, a.render()) == a

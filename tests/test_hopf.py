@@ -16,14 +16,15 @@ from qsl2.hopf import (FiniteModel, HopfStructure, NamedAlgebra, all_ok,
                        check_structure_well_defined, coinvariants, grouplikes,
                        hopf_quotient, map_poly, named_algebra, run_battery,
                        verify_hopf_morphism, _first_failure)
-from qsl2.ncalg import NCPoly, TensorPoly
+from qsl2.ncalg import NCPoly, TensorPoly, render_poly
 from qsl2.presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                                 o_minus1_sl2, oq_sl2, quotient_ideal,
                                 sl2_algebra, _sl2_order, _sl2_relations)
 from qsl2.rewrite import (build_presentation, dimension, enumerate_basis,
                           normal_form, product_normal_form,
                           quotient_presentation, tensor_normal_form)
-from qsl2.subgroups import gamma_embedding
+from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
+                             gamma_embedding, kernel_sigma_t)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -548,23 +549,37 @@ def test_hopf_maps_build_no_unreduced_product(monkeypatch):
 # the loops that skip a scalar product when a factor is the interned one
 SKIPS_ONE = {("rewrite.py", "_reduce"), ("rewrite.py", "nf_terms"),
              ("rewrite.py", "product_normal_form"),
-             ("rewrite.py", "tensor_normal_form"), ("ncalg.py", "expand_leg")}
+             ("rewrite.py", "tensor_normal_form"), ("ncalg.py", "expand_leg"),
+             ("hopf.py", "antipode_law"), ("hopf.py", "check_normal"),
+             ("hopf.py", "counit_word"), ("hopf.py", "counit"),
+             ("hopf.py", "counit_law"), ("hopf.py", "delta"),
+             ("hopf.py", "antipode"), ("hopf.py", "map_tensor"),
+             ("hopf.py", "coinvariants"), ("exactla.py", "reduce"),
+             ("exactla.py", "_normalized"), ("subgroups.py", "_eval_word"),
+             ("subgroups.py", "_eval_poly")}
 
 
 def test_hot_loops_multiply_by_no_one(monkeypatch):
     """No scalar product with the field's interned one is made inside the
-    normal-form and tensor loops, and the rows stay the same."""
+    normal-form, tensor, Hopf-map, elimination and evaluation loops, and
+    the rows stay the same."""
     def rows_of(alg):
         p = alg.pres
         rows = run_battery(alg, 4)
         _, quotient_rows = hopf_quotient(
             alg, [p.gen("c"), p.poly("a^5 - 1"), p.poly("b^5"),
                   p.poly("d^5 - 1")], label="taft-5")
-        return [r.to_json() for r in rows + quotient_rows]
+        rows += check_normal(alg, [p.poly("a^5 + (q + 2)*b^5"),
+                                   p.poly("c^5")])
+        rows += verify_hopf_morphism(classical_sl2(), alg,
+                                     gamma_embedding("odd", alg)[0])
+        kernel = kernel_sigma_t(GroupSpec("cyclic", n=3), "odd")
+        return ([r.to_json() for r in rows + quotient_rows],
+                [render_poly(g) for g in kernel.generators])
 
     expect = rows_of(sl2_algebra("odd", 5))
-    one = CycRat.one(5)
     products = {"with one": 0, "other": 0}
+    frames = set()
     mul = CycRat.__mul__
 
     def counted(a, b):
@@ -572,13 +587,67 @@ def test_hot_loops_multiply_by_no_one(monkeypatch):
         while frame.f_code.co_name.startswith("<"):     # comprehensions
             frame = frame.f_back
         code = frame.f_code
-        if (os.path.basename(code.co_filename), code.co_name) in SKIPS_ONE:
+        site = (os.path.basename(code.co_filename), code.co_name)
+        if site in SKIPS_ONE:
+            frames.add(site)
+            one = CycRat.one(a.ell)
             products["with one" if a is one or b is one else "other"] += 1
         return mul(a, b)
     monkeypatch.setattr(CycRat, "__mul__", counted)
     got = rows_of(sl2_algebra("odd", 5))
-    assert got == expect and all(r["status"] == "pass" for r in got)
+    assert got == expect and all(r["status"] == "pass" for r in got[0])
     assert products["with one"] == 0 and products["other"] > 1000
+    assert {("exactla.py", "reduce"), ("exactla.py", "_normalized"),
+            ("hopf.py", "check_normal"),
+            ("subgroups.py", "_eval_word")} <= frames
+
+
+@pytest.mark.parametrize("relations,check", [
+    (["b - 1"], "hopf-ideal-counit"),
+    (["b*c"], "hopf-ideal-delta"),
+    (["a^5 - 1", "b^5", "b - q*c"], "hopf-ideal-delta")])
+def test_quotient_raises_at_the_first_failing_check(monkeypatch, relations,
+                                                    check):
+    """NamedAlgebra.quotient names the first row hopf_quotient fails, in
+    the same words, and renders that one relation alone."""
+    from qsl2 import hopf
+
+    alg = sl2_algebra("odd", 5)
+    rels = [alg.pres.poly(r) for r in relations]
+    _, rows = hopf_quotient(alg, rels, label="t", complete_to=8)
+    first = next(r for r in rows if not r.ok)
+    assert (first.check, first.witness) == (check, relations[-1])
+    rendered = []
+    monkeypatch.setattr(hopf, "render_poly",
+                        lambda p, *a: rendered.append(p) or render_poly(p, *a))
+    with pytest.raises(QSL2Error) as info:
+        alg.quotient(rels, label="t", complete_to=8)
+    assert str(info.value) == (f"not a Hopf ideal of oq-sl2(ell=5): "
+                               f"{check} at {relations[-1]}")
+    assert rendered == [rels[-1]]
+
+
+def test_successful_quotients_render_no_relation(monkeypatch):
+    """A construct_quotient that succeeds renders no relation inside hopf,
+    its base builds included; hopf_quotient renders each relation once for
+    its three rows."""
+    from qsl2 import hopf
+
+    rendered = []
+    monkeypatch.setattr(hopf, "render_poly",
+                        lambda p, *a: rendered.append(p) or render_poly(p, *a))
+    for datum in (SubgroupDatum(parity="even", ell=6,
+                                gamma=GroupSpec("cyclic", n=2),
+                                N_generator=2, delta_exponent=1),
+                  SubgroupDatum(parity="odd", ell=3, I_plus=(1,), I_minus=(),
+                                gamma=GroupSpec("catalog", name="G_a"))):
+        construct_quotient(datum)
+    assert rendered == []
+    alg = sl2_algebra("odd", 5)
+    rels = [alg.pres.poly(r) for r in ("c", "a^5 - 1", "b^5", "d^5 - 1")]
+    _, rows = hopf_quotient(alg, rels, label="taft-5")
+    assert all_ok(rows) and len(rows) == 12
+    assert rendered == rels
 
 
 def test_counit_cache_is_per_instance_and_exact(battery_bases):
@@ -609,8 +678,14 @@ def test_validation_rejects_mutant():
     alg = oq_sl2(3)
     d = dict(alg.hopf.delta)
     d[A] = TensorPoly.monomial(ABCD, alg.ell, ((A,), (A,)))
-    with pytest.raises(QSL2Error):
+    with pytest.raises(QSL2Error) as info:
         named_algebra(alg.pres, d, alg.hopf.counit, alg.hopf.antipode, "bad")
+    # the text names the first failing row of the report's checks
+    rows = check_structure_well_defined(NamedAlgebra(
+        alg.pres, HopfStructure(d, alg.hopf.counit, alg.hopf.antipode), "bad"))
+    first = next(r for r in rows if not r.ok)
+    assert str(info.value) == (f"Hopf structure ill-defined on bad: "
+                               f"{first.check} at {first.witness}")
 
 
 def finite_quotient(ell, kind):

@@ -159,3 +159,38 @@ def test_any_text_parses_or_raises_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+def tuple_key(order, word):
+    """The per-letter key: weight, length, then the precedence of each
+    letter."""
+    return (sum(order.weights[g] for g in word), len(word),
+            tuple(order.precedence[g] for g in word))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_byte_table_key_orders_as_the_tuple_key(data):
+    ngens = data.draw(st.integers(min_value=1, max_value=6))
+    precedence = data.draw(st.permutations(range(ngens)))
+    weights = data.draw(st.lists(st.sampled_from([1, 2, 3, 300]),
+                                 min_size=ngens, max_size=ngens))
+    order = MonomialOrder(ngens, precedence=precedence, weights=weights)
+    assert (order.tables is None) == (max(weights) > 255)
+    words = data.draw(st.lists(st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), max_size=7).map(tuple),
+        min_size=1, max_size=16, unique=True))
+    ref = lambda w: tuple_key(order, w)
+    assert sorted(words, key=order.key) == sorted(words, key=ref)
+    assert max(words, key=order.key) == max(words, key=ref)
+    for u in words:
+        for v in words:
+            assert ((order.key(u) < order.key(v))
+                    == (tuple_key(order, u) < tuple_key(order, v)))
+
+
+def test_key_falls_back_past_the_byte_tables():
+    assert MonomialOrder(256).tables is not None
+    for order in (MonomialOrder(257), MonomialOrder(2, weights=(1, 256))):
+        assert order.tables is None
+        assert order.key((1, 0, 1)) == tuple_key(order, (1, 0, 1))
