@@ -30,6 +30,12 @@ Reduction of x^k for any k >= phi reads ``pows[k % ell]``.  The stored
 form (ell, num, den) is the same for every path, and equality and hashing
 ignore ``u``.
 
+A product with one is the other factor: once both places are known,
+``__mul__`` returns self when the other factor is w^0 and the other factor
+when self is, before any table, rotation or allocation.  So x * 1 is x
+itself, whether the one is the interned CycRat, another CycRat equal to
+it, an int or a Fraction.
+
 Sums of two units are read from a table as well: ``sums[(a, b)]``, for
 a <= b, is w^a + w^b, filled on first use with its place in the unit group
 looked up.  The cancelling pairs (b = a + N/2) give ``zero``, the field's
@@ -359,6 +365,10 @@ class CycRat:
             ea = self.unit_exp()
         if eb is _UNKNOWN:
             eb = other.unit_exp()
+        if eb == 0:
+            return self
+        if ea == 0:
+            return other
         ell = self.ell
         ctx = _CONTEXTS[ell]
         if ea is not None and eb is not None:

@@ -43,15 +43,10 @@ def addto_all(terms: dict, keys, coeffs):
 
 
 def _normalized(vec: dict):
-    """(pivot, vec scaled so that its entry at the largest key is the
-    field's interned one); vec itself, updated, when that entry is one."""
+    """(pivot, vec scaled so that its entry at the largest key is 1)."""
     pivot = max(vec)
     inv = vec[pivot].inverse()
-    one = CycRat.one(inv.ell)
-    row = vec if inv is one else {k: inv if v is one else v * inv
-                                  for k, v in vec.items()}
-    row[pivot] = one
-    return pivot, row
+    return pivot, {k: v * inv for k, v in vec.items()}
 
 
 class Echelon:
@@ -68,9 +63,8 @@ class Echelon:
             if row is None:
                 return vec
             m = -vec[pivot]
-            one = CycRat.one(m.ell)
             for k, v in row.items():
-                addto(vec, k, m if v is one else v if m is one else m * v)
+                addto(vec, k, m * v)
         return vec
 
     def add(self, vec: dict) -> bool:

@@ -112,11 +112,10 @@ class NamedAlgebra:
         return out
 
     def delta(self, p: NCPoly) -> TensorPoly:
-        one = CycRat.one(self.ell)
         terms: dict = {}
         for w, c in p.terms.items():
             for k, x in self.delta_word(w).terms.items():
-                addto(terms, k, x if c is one else c if x is one else x * c)
+                addto(terms, k, x * c)
         return TensorPoly(self.gens, self.ell, 2, terms)
 
     def antipode_word(self, word) -> NCPoly:
@@ -133,31 +132,27 @@ class NamedAlgebra:
         return out
 
     def antipode(self, p: NCPoly) -> NCPoly:
-        one = CycRat.one(self.ell)
         terms: dict = {}
         for w, c in p.terms.items():
             for u, x in self.antipode_word(w).terms.items():
-                addto(terms, u, x if c is one else c if x is one else x * c)
+                addto(terms, u, x * c)
         return NCPoly(self.gens, self.ell, terms)
 
     def counit_word(self, word) -> CycRat:
         out = self._counit_cache.get(word)
         if out is None:
-            out = one = CycRat.one(self.ell)
+            out = CycRat.one(self.ell)
             for g in word:
-                e = self.hopf.counit[g]
-                out = e if out is one else out if e is one else out * e
+                out = out * self.hopf.counit[g]
                 if out.is_zero():
                     break
             self._counit_cache[word] = out
         return out
 
     def counit(self, p: NCPoly) -> CycRat:
-        one = CycRat.one(self.ell)
         out = CycRat.zero(self.ell)
         for w, c in p.terms.items():
-            e = self.counit_word(w)
-            out = out + (c if e is one else e if c is one else e * c)
+            out = out + self.counit_word(w) * c
         return out
 
     def nf(self, p):
@@ -256,20 +251,18 @@ def check_axioms(alg: NamedAlgebra, sample_deg: int = 3) -> list[CheckResult]:
         for (u, v), c in alg.delta_word(w).terms.items():
             eu, ev = alg.counit_word(u), alg.counit_word(v)
             if not eu.is_zero():
-                addto(lhs, v, c if eu is one else eu if c is one else c * eu)
+                addto(lhs, v, c * eu)
             if not ev.is_zero():
-                addto(rhs, u, c if ev is one else ev if c is one else c * ev)
+                addto(rhs, u, c * ev)
         return lhs == rhs == {w: one}
 
     def antipode_law(w):
         left, right = {}, {}
         for (u, v), c in alg.delta_word(w).terms.items():
             for s, cs in alg.antipode_word(u).terms.items():
-                addto(left, s + v, cs if c is one else c if cs is one
-                      else cs * c)
+                addto(left, s + v, cs * c)
             for s, cs in alg.antipode_word(v).terms.items():
-                addto(right, u + s, cs if c is one else c if cs is one
-                      else cs * c)
+                addto(right, u + s, cs * c)
         eps = alg.counit_word(w)
         target = {EMPTY_WORD: eps} if not eps.is_zero() else {}
         return pres.nf_terms(left) == target and pres.nf_terms(right) == target
@@ -484,7 +477,6 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
     if bound is not None and bound < degree:
         alg = alg.quotient([], complete_to=degree, label=alg.label)
     span = subalgebra_span(alg, elements, degree)
-    one = CycRat.one(alg.ell)
     for x in elements:
         xt = render_poly(x, alg.pres.order)
         x = alg.nf(x)           # reduced once, not in every adjoint term
@@ -494,13 +486,11 @@ def check_normal(alg: NamedAlgebra, elements: list[NCPoly]) -> list[CheckResult]
                 su = alg.antipode_word(u).terms
                 sv = alg.antipode_word(v).terms
                 for xw, xc in x.terms.items():
-                    cx = xc if c is one else c if xc is one else c * xc
+                    cx = c * xc
                     for s, cs in sv.items():
-                        addto(left, u + xw + s, cx if cs is one
-                              else cs if cx is one else cx * cs)
+                        addto(left, u + xw + s, cx * cs)
                     for s, cs in su.items():
-                        addto(right, s + xw + v, cx if cs is one
-                              else cs if cx is one else cx * cs)
+                        addto(right, s + xw + v, cx * cs)
             ok = (span.contains(alg.pres.nf_terms(left))
                   and span.contains(alg.pres.nf_terms(right)))
             results.append(CheckResult("normal", alg.label, ok,
@@ -537,17 +527,15 @@ def map_poly(p: NCPoly, factors, target: NamedAlgebra) -> NCPoly:
 def map_tensor(t: TensorPoly, leg_map, target: NamedAlgebra) -> TensorPoly:
     """t with each leg word mapped by leg_map (NCPoly -> normal form over
     target), a tensor normal form."""
-    one = CycRat.one(target.ell)
     out: dict = {}
     for (u, v), c in t.terms.items():
         pu = leg_map(NCPoly.monomial(t.gens, t.ell, u))
         pv = leg_map(NCPoly.monomial(t.gens, t.ell, v))
         c = embed_scalar(c, target.ell)
         for wu, cu in pu.terms.items():
-            ccu = cu if c is one else c if cu is one else c * cu
+            ccu = c * cu
             for wv, cv in pv.terms.items():
-                addto(out, (wu, wv), ccu if cv is one
-                      else cv if ccu is one else ccu * cv)
+                addto(out, (wu, wv), ccu * cv)
     return TensorPoly(target.gens, target.ell, 2, out)
 
 
@@ -591,16 +579,14 @@ def coinvariants(model: FiniteModel, h_pres: Presentation) -> list[dict]:
     h_pres must be a quotient presentation of the model's algebra, so that
     normal forms in h_pres realize pi.
     """
-    one = CycRat.one(model.alg.ell)
-    minus_one = -one
+    minus_one = -CycRat.one(model.alg.ell)
     cols = []
     for i in range(model.dim):
         col: dict = {}
         for (j, k), c in model.delta(i).items():
             pi_j = h_pres.nf_word_terms(model.basis[j])
             for hw, hc in pi_j.items():
-                addto(col, (hw, model.basis[k]), c if hc is one
-                      else hc if c is one else c * hc)
+                addto(col, (hw, model.basis[k]), c * hc)
         addto(col, (EMPTY_WORD, model.basis[i]), minus_one)
         cols.append(col)
     return kernel_of_columns(cols, model.alg.ell)

@@ -25,30 +25,52 @@ class MonomialOrder:
     With all weights 1 this is plain deglex.  The order is a well-order
     compatible with concatenation in all cases.
 
-    key(word) is a sort key for that comparison.  With at most 256 letters,
-    precedences in 0..255 and weights at most 255, the order keeps two byte
-    translation tables, letter -> precedence and letter -> weight (`tables`),
-    and a key is (weight sum, length, precedence bytes) with no per-letter
-    Python.  Otherwise `tables` is None and the key falls back to
-    (weight, length, tuple of precedences); both compare alike.
+    key(word) is a sort key for that comparison, and descending_key(word)
+    one that sorts words in the reverse order (a heap key that pops the
+    largest word first).  With at most 256 letters, precedences in 0..255
+    and weights at most 255, the order keeps two byte translation tables,
+    letter -> precedence and letter -> weight (`tables`), and a key is
+    (weight sum, length, precedence bytes) with no per-letter Python.
+    Otherwise `tables` is None and the keys fall back to (weight, length,
+    tuple of precedences) and its negation; both compare alike.
+
+    precedence and weights, when given, hold one entry per letter, the
+    precedences distinct and the weights positive; anything else raises
+    ValueError.
     """
 
-    __slots__ = ("ngens", "precedence", "weights", "tables", "key")
+    __slots__ = ("ngens", "precedence", "weights", "tables", "key",
+                 "descending_key")
 
     def __init__(self, ngens: int, precedence=None, weights=None):
         self.ngens = ngens
         self.precedence = tuple(precedence) if precedence else tuple(range(ngens))
         self.weights = tuple(weights) if weights else (1,) * ngens
+        if len(self.precedence) != ngens or len(self.weights) != ngens:
+            raise ValueError(f"precedence and weights need {ngens} entries "
+                             f"each, got {len(self.precedence)} and "
+                             f"{len(self.weights)}")
+        if len(set(self.precedence)) != ngens:
+            raise ValueError("letter precedences must be distinct")
         if any(w < 1 for w in self.weights):
             raise ValueError("letter weights must be positive")
         if (ngens <= 256 and max(self.weights, default=1) <= 255
                 and all(0 <= p <= 255 for p in self.precedence)):
-            self.tables = (bytes(self.precedence).ljust(256, b"\0"),
-                           bytes(self.weights).ljust(256, b"\0"))
+            ptab = bytes(self.precedence).ljust(256, b"\0")
+            wtab = bytes(self.weights).ljust(256, b"\0")
+            self.tables = (ptab, wtab)
             self.key = self._byte_key
+            # equal-length byte strings compare letterwise, so mapping letter
+            # g to 255 - precedence[g] makes the ascending byte order the
+            # descending order
+            inverted = ptab.translate(bytes(range(255, -1, -1)))
+            self.descending_key = lambda w: (
+                -sum(bytes(w).translate(wtab)), -len(w),
+                bytes(w).translate(inverted))
         else:
             self.tables = None
             self.key = self._tuple_key
+            self.descending_key = self._descending_tuple_key
 
     def weight(self, word: Word) -> int:
         w = self.weights
@@ -62,6 +84,10 @@ class MonomialOrder:
     def _tuple_key(self, word: Word):
         p = self.precedence
         return (self.weight(word), len(word), tuple(p[g] for g in word))
+
+    def _descending_tuple_key(self, word: Word):
+        weight, length, letters = self._tuple_key(word)
+        return -weight, -length, tuple(-x for x in letters)
 
     def compare(self, u: Word, v: Word) -> int:
         """-1, 0, 1 for u < v, u = v, u > v."""
@@ -258,7 +284,7 @@ class TensorPoly(_SparsePoly):
         Each term multiplies out over its image once, and the products of
         all terms are added in one accumulation, which drops keys that
         cancel.  A coefficient that is the field's interned one is not
-        multiplied: the product is the other factor.
+        multiplied, as in the normal-form loops (see the rewrite module).
         """
         spliced = [(key[:leg], key[leg + 1:], coeff, images(key[leg]))
                    for key, coeff in self.terms.items()]

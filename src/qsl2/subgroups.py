@@ -214,24 +214,18 @@ def _group_matrices(gamma: GroupSpec, exponent: int, conductor: int):
 
 
 def _eval_word(word, mat, conductor) -> CycRat:
-    one = CycRat.one(conductor)
-    if not word:
-        return one
-    out = mat[word[0] // 2][word[0] % 2]
-    for g in word[1:]:
+    out = CycRat.one(conductor)
+    for g in word:
+        out = out * mat[g // 2][g % 2]
         if out.is_zero():
             break
-        x = mat[g // 2][g % 2]
-        out = x if out is one else out if x is one else out * x
     return out
 
 
 def _eval_poly(p: NCPoly, mat, conductor) -> CycRat:
-    one = CycRat.one(conductor)
     val = CycRat.zero(conductor)
     for w, c in p.terms.items():
-        x = _eval_word(w, mat, conductor)
-        val = val + (c if x is one else x if c is one else x * c)
+        val = val + _eval_word(w, mat, conductor) * c
     return val
 
 

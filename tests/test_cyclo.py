@@ -526,6 +526,24 @@ def test_scalar_shortcuts_match_vector_arithmetic(case):
         assert_matches(got, ell, cx)
 
 
+@pytest.mark.parametrize("ell", FIELDS)
+def test_a_product_with_one_is_the_other_factor(ell):
+    one = CycRat.one(ell)
+    integral = CycRat.from_coeffs(ell, [3, 1])
+    rational = CycRat.from_coeffs(ell, [Fraction(1, 2), 1])
+    assert integral.unit_exp() is None and integral.den == 1
+    assert rational.den != 1
+    xs = [CycRat.zero(ell), -one, CycRat.q_power(ell, 1), integral, rational]
+    xs = [x for x in xs if x != 1]      # q is 1 at ell = 1
+    products = cyclo._context(ell).products
+    before = dict(products)
+    for x in xs:
+        assert one * x is x and x * one is x
+        assert x * 1 is x and 1 * x is x and x * Fraction(1) is x
+        assert x * CycRat.from_rational(ell, 1) is x
+    assert products == before
+
+
 def test_unit_sum_table_stays_within_its_bound(monkeypatch):
     ell = 35
     sums = cyclo._context(ell).sums

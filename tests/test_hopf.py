@@ -546,23 +546,16 @@ def test_hopf_maps_build_no_unreduced_product(monkeypatch):
     assert products == {"NCPoly": 0, "TensorPoly": 0}
 
 
-# the loops that skip a scalar product when a factor is the interned one
+# the normal-form engine loops, which skip a product with the interned one
+# inline; everywhere else CycRat.__mul__ returns the other factor
 SKIPS_ONE = {("rewrite.py", "_reduce"), ("rewrite.py", "nf_terms"),
              ("rewrite.py", "product_normal_form"),
-             ("rewrite.py", "tensor_normal_form"), ("ncalg.py", "expand_leg"),
-             ("hopf.py", "antipode_law"), ("hopf.py", "check_normal"),
-             ("hopf.py", "counit_word"), ("hopf.py", "counit"),
-             ("hopf.py", "counit_law"), ("hopf.py", "delta"),
-             ("hopf.py", "antipode"), ("hopf.py", "map_tensor"),
-             ("hopf.py", "coinvariants"), ("exactla.py", "reduce"),
-             ("exactla.py", "_normalized"), ("subgroups.py", "_eval_word"),
-             ("subgroups.py", "_eval_poly")}
+             ("rewrite.py", "tensor_normal_form"), ("ncalg.py", "expand_leg")}
 
 
 def test_hot_loops_multiply_by_no_one(monkeypatch):
     """No scalar product with the field's interned one is made inside the
-    normal-form, tensor, Hopf-map, elimination and evaluation loops, and
-    the rows stay the same."""
+    normal-form engine loops, and the rows stay the same."""
     def rows_of(alg):
         p = alg.pres
         rows = run_battery(alg, 4)
@@ -597,9 +590,8 @@ def test_hot_loops_multiply_by_no_one(monkeypatch):
     got = rows_of(sl2_algebra("odd", 5))
     assert got == expect and all(r["status"] == "pass" for r in got[0])
     assert products["with one"] == 0 and products["other"] > 1000
-    assert {("exactla.py", "reduce"), ("exactla.py", "_normalized"),
-            ("hopf.py", "check_normal"),
-            ("subgroups.py", "_eval_word")} <= frames
+    # every product tensor_normal_form would make here has a factor one
+    assert frames == SKIPS_ONE - {("rewrite.py", "tensor_normal_form")}
 
 
 @pytest.mark.parametrize("relations,check", [

@@ -194,3 +194,25 @@ def test_key_falls_back_past_the_byte_tables():
     for order in (MonomialOrder(257), MonomialOrder(2, weights=(1, 256))):
         assert order.tables is None
         assert order.key((1, 0, 1)) == tuple_key(order, (1, 0, 1))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"precedence": [3, 2]}, "need 4 entries"),
+    ({"precedence": [0, 1, 2, 3, 4]}, "need 4 entries"),
+    ({"weights": [1, 1, 1]}, "need 4 entries"),
+    ({"precedence": [0, 1, 1, 2]}, "distinct"),
+    ({"precedence": [0, 300, 2, 300]}, "distinct"),
+    ({"weights": [1, 0, 1, 1]}, "positive")])
+def test_order_refuses_a_malformed_precedence_or_weights(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MonomialOrder(4, **kwargs)
+
+
+def test_presentation_document_with_repeated_precedences_is_refused():
+    from qsl2.presentations import oq_sl2
+    from qsl2.rewrite import presentation_from_json
+
+    doc = oq_sl2(3).pres.to_json()
+    doc["order"]["precedence"] = [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="distinct"):
+        presentation_from_json(doc)

@@ -14,7 +14,7 @@ from qsl2.ncalg import MonomialOrder, NCPoly
 from qsl2.presentations import (classical_sl2, oq_sl2, o_minus1_sl2,
                                 quotient_ideal, sl2_algebra)
 from qsl2.rewrite import (OverlapReport, Presentation, Reducer, _Completer,
-                          _descending_key, build_presentation, check_confluence,
+                          build_presentation, check_confluence,
                           dimension, enumerate_basis, normal_form,
                           quotient_presentation)
 
@@ -971,8 +971,8 @@ def test_descending_key_reverses_order_key(data):
     words = data.draw(st.lists(st.lists(
         st.integers(min_value=0, max_value=ngens - 1), max_size=5).map(tuple),
         min_size=2, max_size=12, unique=True))
-    key = _descending_key(order)
-    assert sorted(words, key=key) == sorted(words, key=order.key, reverse=True)
+    assert (sorted(words, key=order.descending_key)
+            == sorted(words, key=order.key, reverse=True))
 
 
 def test_rule_cap_failure_names_its_context():
