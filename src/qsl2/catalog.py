@@ -252,7 +252,7 @@ def _verify_central_l(ell: int) -> CatalogEntry:
     alg = sl2_algebra("odd", ell)
     L = distinguished_subalgebra("L_odd", ell)
     entry.results.extend(check_central(alg, L))
-    images = gamma_embedding("odd", alg)[0]
+    images = gamma_embedding("odd", alg)
     entry.results.extend(verify_hopf_morphism(classical_sl2(), alg, images))
     return entry
 

@@ -2,13 +2,15 @@
 
 JSON is the single source of truth; the text format is rendered from the
 JSON document.  --format and --output go before or after the subcommand;
---probe-bound (default 10) belongs to construct and dim, and bounds
-counting and completion where completion cannot finish: construct and dim
-on the unquotiented algebras read it; widehat and overline, whose answers
-are finite, do not.  An option the chosen subject does not read is a
-usage error, and each report's config lists exactly the settings that
-produced it.  An option left out takes its default; an explicit value, 0
-included, is range-checked.  Exit codes: 0 all green, 1 internal error,
+--probe-bound (default 10) belongs to construct and dim.  construct
+completes every quotient to the end and reads it only as the length to
+which an infinite ambient's basis words are counted; dim oq-sl2 and
+o-minus1-sl2 also complete to it, dim classical-sl2 counts to it, and dim
+widehat and overline, whose answers are finite, do not read it.  An
+option the chosen subject does not read is a usage error, and each
+report's config lists exactly the settings that produced it.  An option
+left out takes its default; an explicit value, 0 included, is
+range-checked.  Exit codes: 0 all green, 1 internal error,
 2 datum, parameter or check failure (a completion that hits its cap
 included), 64 usage error.
 """
@@ -78,17 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_sub(name, run, *, probe_bound=False, **kwargs):
+    def add_sub(name, run, *, probe_help=None, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(run=run)
         _add_common(p, suppress=True)
-        if probe_bound:
+        if probe_help:
             p.add_argument("--probe-bound", type=int,
-                           help="basis probe length and completion bound "
-                                "where completion cannot finish (default 10)")
+                           help=f"{probe_help} (default 10)")
         return p
 
-    p = add_sub("construct", _cmd_construct, probe_bound=True,
+    p = add_sub("construct", _cmd_construct,
+                probe_help="length to which the basis words of an infinite "
+                            "ambient are counted; every quotient is completed "
+                            "to the end",
                 help="run the quotient pipeline on a datum")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--datum", help="path to a datum JSON file")
@@ -112,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--parity", choices=("odd", "even", "minus_one"))
 
-    p = add_sub("dim", _cmd_dim, probe_bound=True,
+    p = add_sub("dim", _cmd_dim,
+                probe_help="completion bound of oq-sl2 and o-minus1-sl2, "
+                            "and the length to which basis words are counted; "
+                            "widehat and overline do not read it",
                 help="dimension of a named presentation")
     p.add_argument("name", choices=("oq-sl2", "o-minus1-sl2", "classical-sl2",
                                     "widehat", "overline"))

@@ -247,9 +247,14 @@ class CycRat:
 
     @staticmethod
     def from_rational(ell: int, value) -> "CycRat":
+        """value in the field; 0, 1 and -1 are its interned elements."""
         f = Fraction(value)
-        phi = _context(ell).phi
-        num, den = _normalize([f.numerator] + [0] * (phi - 1), f.denominator)
+        ctx = _context(ell)
+        if f.denominator == 1 and -1 <= f.numerator <= 1:
+            return (ctx.zero, ctx.unit_objs[0],
+                    ctx.unit_objs[ctx.half])[f.numerator]
+        num, den = _normalize([f.numerator] + [0] * (ctx.phi - 1),
+                              f.denominator)
         return CycRat(ell, num, den)
 
     @staticmethod

@@ -28,12 +28,12 @@ from itertools import combinations_with_replacement
 
 from .cyclo import CycRat, embed_scalar, multiplicative_order
 from .errors import ParamOutOfRange, ParityMismatch, QSL2Error
-from .exactla import Echelon, addto, kernel_of_columns, span_dim
+from .exactla import addto, kernel_of_columns, span_dim
 from .hopf import (CheckResult, NamedAlgebra, map_poly, map_tensor,
                    named_algebra)
 from .ncalg import MonomialOrder, NCPoly, TensorPoly
 from .rewrite import (DEFAULT_COMPLETION_BOUND, Presentation,
-                      build_presentation, enumerate_basis, normal_form)
+                      build_presentation, normal_form)
 
 ABCD = ("a", "b", "c", "d")
 XGENS = ("x11", "x12", "x21", "x22")
@@ -222,45 +222,23 @@ QUAD_PAIRS = tuple(p for p in QUAD_PAIRS_ALL if p != (0, 3))
 
 
 class PSL2Model:
-    """Even part of O(SL2), presented degreewise by exact spans.
+    """The even part of O(SL2), the image of O(PSL2): the classical ring
+    alg and the products of its nine quadratic generators up to degree
+    max_deg, which verify_psl2_embedding compares with their images.
 
-    There is no finite presentation here: the model is the list of
-    even-length irreducible words per degree plus the nine quadratic
-    generators, with membership and rank questions answered by exact
-    linear algebra.  The parity grading is intact because every defining
-    relation is parity-homogeneous.
+    There is no finite presentation here; the parity grading is intact
+    because every defining relation is parity-homogeneous.
     """
 
     def __init__(self, max_deg: int = 8):
         self.alg = classical_sl2()
         self.max_deg = max_deg
-        self.levels = enumerate_basis(self.alg.pres, max_deg)
-
-    def even_basis(self, deg: int) -> list:
-        if deg % 2 or deg > self.max_deg:
-            raise ValueError("even degrees up to max_deg only")
-        return list(self.levels[deg])
-
-    def pair_poly(self, pair) -> NCPoly:
-        return normal_form(self.alg.pres,
-                           NCPoly.monomial(XGENS, self.alg.ell, tuple(pair)))
-
-    def quad_component_rank(self) -> int:
-        """Rank of the ten quadratic products in the degree-2 component."""
-        ech = Echelon()
-        for pair in QUAD_PAIRS_ALL:
-            vec = {w: c for w, c in self.pair_poly(pair).terms.items()
-                   if len(w) == 2}
-            ech.add(vec)
-        return ech.dim
-
-    def contains(self, p: NCPoly) -> bool:
-        """Membership in the even part: normal form supported on even words."""
-        nf = normal_form(self.alg.pres, p)
-        return all(len(w) % 2 == 0 for w in nf.terms)
 
     def products(self, count: int):
         """All multisets of `count` quadratic generators with their classes."""
+        if 2 * count > self.max_deg:
+            raise ParamOutOfRange(f"products of {count} quadratic generators "
+                                  f"have degree {2 * count} > {self.max_deg}")
         out = []
         for combo in combinations_with_replacement(QUAD_PAIRS, count):
             word = tuple(g for pair in combo for g in pair)

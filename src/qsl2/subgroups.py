@@ -21,7 +21,7 @@ from .exactla import ColumnKernel, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants, map_poly)
 from .ncalg import NCPoly, render_poly
-from .presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
+from .presentations import (ABCD, QUAD_PAIRS, XGENS,
                             classical_sl2_presentation, pair_factors,
                             phi_images, quotient_ideal, sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
@@ -200,7 +200,7 @@ class KernelResult:
     certificates: list = field(default_factory=list)
 
 
-def _group_matrices(gamma: GroupSpec, exponent: int, conductor: int):
+def _group_matrices(gamma: GroupSpec, conductor: int):
     """Explicit 2x2 matrices (entries CycRat) for the embedded finite group,
     written with q, a primitive conductor-th root (gamma.root_order)."""
     qp = lambda k: CycRat.q_power(conductor, k % conductor)
@@ -209,8 +209,7 @@ def _group_matrices(gamma: GroupSpec, exponent: int, conductor: int):
         return ([((qp(j), zero), (zero, qp(-j))) for j in range(gamma.m)]
                 + [((zero, qp(j)), (-qp(-j), zero)) for j in range(gamma.m)])
     # cyclic, and trivial as the cyclic group of order 1
-    return [((qp(exponent * j), zero), (zero, qp(-exponent * j)))
-            for j in range(gamma.order)]
+    return [((qp(j), zero), (zero, qp(-j))) for j in range(gamma.order)]
 
 
 def _eval_word(word, mat, conductor) -> CycRat:
@@ -229,9 +228,13 @@ def _eval_poly(p: NCPoly, mat, conductor) -> CycRat:
     return val
 
 
-def kernel_sigma_t(gamma: GroupSpec, parity: str,
-                   exponent: int = 1) -> KernelResult:
+def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
     """Vanishing ideal of the embedded finite group in the coordinate ring.
+
+    A cyclic datum's embedding exponent sigma is no argument: for a unit
+    sigma the embedded points are the same set, up to order on the SL2
+    side and up to sign on the PSL2 side, where only even words are
+    evaluated, so the ideal is the same.
 
     Works degreewise, in one elimination: at each degree the monomials of
     that length that are irreducible in the quotient so far are evaluated
@@ -263,7 +266,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
     order = gamma.order
     step = 1 if parity == "odd" else 2
     conductor = gamma.root_order(parity)
-    mats = _group_matrices(gamma, exponent, conductor)
+    mats = _group_matrices(gamma, conductor)
     max_deg = step * (order + 2)
     quot = classical_sl2_presentation(conductor)
     ideal: list[NCPoly] = []
@@ -318,45 +321,37 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str,
 # -- lifting through the distinguished subalgebra -------------------------------
 
 
-def lift_classical_polys(polys, parity: str,
+def lift_classical_polys(polys, parity: str, images: dict,
                          alg: NamedAlgebra) -> list[NCPoly]:
     """Normal forms in alg of the images of classical polynomials under the
-    subalgebra embedding (gamma_embedding, built once for all of them):
+    subalgebra embedding given by images (gamma_embedding(parity, alg)):
     letter by letter on the SL2 side, pair by pair on the PSL2 side."""
-    images = gamma_embedding(parity, alg)[0]
     factors = ((lambda w: (images[g] for g in w)) if parity == "odd"
                else pair_factors(images))
     return [map_poly(p, factors, alg) for p in polys]
 
 
-def gamma_embedding(parity: str, alg: NamedAlgebra) -> tuple[dict, dict]:
+def gamma_embedding(parity: str, alg: NamedAlgebra) -> dict:
     """The generators of the distinguished commutative subalgebra that the
-    group is embedded through, with their counits: g -> g^ell on the SL2
-    side, the signed m-th power pairs (phi_images) on the PSL2 side."""
+    group is embedded through, keyed by the classical letter or sorted
+    pair each one images: g -> g^ell on the SL2 side, the signed m-th power
+    pairs (phi_images) on the PSL2 side.  The map is a Hopf map, so
+    alg.counit of an image is the counit of its source."""
     if parity == "odd":
         k = multiplicative_order(alg.pres.q)
-        return ({g: NCPoly.monomial(ABCD, alg.ell, (g,) * k) for g in range(4)},
-                alg.hopf.counit)
-    return phi_images(alg), _pair_counit(alg)
+        return {g: NCPoly.monomial(ABCD, alg.ell, (g,) * k) for g in range(4)}
+    return phi_images(alg)
 
 
 # catalog groups: kernel generators transcribed in the quantum letters
-def _catalog_kernel(name: str, parity: str, alg: NamedAlgebra) -> list[NCPoly]:
-    images, eps = gamma_embedding(parity, alg)
+def _catalog_kernel(name: str, images: dict, alg: NamedAlgebra) -> list[NCPoly]:
     if name in ("torus", "G_m"):
         # the off-diagonal generators, where the counit vanishes
-        return [img for key, img in images.items() if eps[key].is_zero()]
+        return [img for img in images.values() if alg.counit(img).is_zero()]
     if name == "G_a":
-        return [img - alg.pres.one() * eps[key] for key, img in images.items()
-                if not eps[key].is_zero()]
+        return [img - alg.pres.one() * eps for img in images.values()
+                if not (eps := alg.counit(img)).is_zero()]
     return []  # borel_plus, borel_minus, full: identity embedding
-
-
-def _pair_counit(alg: NamedAlgebra) -> dict:
-    """epsilon(x) epsilon(y) on each quadratic pair (x, y), in the order of
-    phi_images."""
-    counit = alg.hopf.counit
-    return {(x, y): counit[x] * counit[y] for x, y in QUAD_PAIRS_ALL}
 
 
 # -- the construction pipeline ---------------------------------------------------
@@ -379,15 +374,15 @@ class Construction:
         return all_ok(self.certificates)
 
 
-def _parity_augmentation_ideal(parity: str, alg: NamedAlgebra):
+def _parity_augmentation_ideal(parity: str, images: dict, alg: NamedAlgebra):
     if parity == "odd":
         return quotient_ideal("widehat", multiplicative_order(alg.pres.q),
                               conductor=alg.ell)
     if parity == "even":
         return quotient_ideal("overline", multiplicative_order(alg.pres.q),
                               conductor=alg.ell)
-    images, eps = phi_images(alg), _pair_counit(alg)
-    return [images[pair] - alg.pres.one() * eps[pair] for pair in QUAD_PAIRS]
+    return [images[pair] - alg.pres.one() * alg.counit(images[pair])
+            for pair in QUAD_PAIRS]
 
 
 def construct_quotient(d: SubgroupDatum,
@@ -406,10 +401,10 @@ def construct_quotient(d: SubgroupDatum,
     order = gamma.order
 
     # conductor: the base root of unity and the embedding root must coexist
-    base_ell = 2 if parity == "minus_one" else d.ell
-    conductor = lcm(base_ell, gamma.root_order(parity))
+    conductor = lcm(d.ell, gamma.root_order(parity))
 
     base = sl2_algebra(parity, d.ell, conductor=conductor)
+    images = gamma_embedding(parity, base)
     transcript: dict = {"parity": parity, "ell": d.ell, "conductor": conductor,
                         "steps": []}
 
@@ -423,11 +418,11 @@ def construct_quotient(d: SubgroupDatum,
 
     kres = None
     if gamma.finite:
-        kres = kernel_sigma_t(gamma, parity, d.sigma_exponent)
-        step2 = lift_classical_polys(kres.generators, parity, base)
+        kres = kernel_sigma_t(gamma, parity)
+        step2 = lift_classical_polys(kres.generators, parity, images, base)
         transcript["kernel"] = [render_poly(g) for g in kres.generators]
     else:
-        step2 = _catalog_kernel(gamma.name, parity, base)
+        step2 = _catalog_kernel(gamma.name, images, base)
     transcript["steps"].append({
         "step": 2, "ideal": [render_poly(g, base.pres.order) for g in step2]})
 
@@ -438,11 +433,10 @@ def construct_quotient(d: SubgroupDatum,
 
     step3 = []
     if d.N_generator is not None:
-        chi_exp = 2 if parity == "minus_one" else d.ell
         p = d.N_generator
         rel = (NCPoly.monomial(ABCD, conductor, (A,) * p)
                - NCPoly.monomial(ABCD, conductor,
-                                 (A,) * (chi_exp * d.delta_exponent)))
+                                 (A,) * (d.ell * d.delta_exponent)))
         step3 = [rel]
         algebra = a2.quotient(step3, label=f"A_D[{parity}]")
     else:
@@ -454,7 +448,7 @@ def construct_quotient(d: SubgroupDatum,
     algebra.label = f"A_D({parity}, ell={d.ell}, gamma={gamma.to_json()})"
     dim_res = dimension(algebra.pres, probe_bound) if step3 else dim2
 
-    h_ideal = step1 + _parity_augmentation_ideal(parity, base)
+    h_ideal = step1 + _parity_augmentation_ideal(parity, images, base)
     if d.N_generator is not None:
         h_ideal = h_ideal + [NCPoly.monomial(ABCD, conductor,
                                              (A,) * d.N_generator)
@@ -471,8 +465,7 @@ def construct_quotient(d: SubgroupDatum,
 
     gamma_image_dim = None
     if gamma.finite and dim_res.finite:
-        gens = [normal_form(algebra.pres, g)
-                for g in gamma_embedding(parity, base)[0].values()]
+        gens = [normal_form(algebra.pres, g) for g in images.values()]
         gamma_image_dim = span_closure(
             algebra.pres.one(),
             lambda v: (product_normal_form(algebra.pres, v, g)

@@ -478,6 +478,24 @@ def test_probe_bound_reaches_construct_quotient(capsys, monkeypatch, argv,
     assert doc["config"]["probe_bound"] == bound
 
 
+@pytest.mark.parametrize("command, says", [
+    ("construct", "--probe-bound PROBE_BOUND length to which the basis words "
+                  "of an infinite ambient are counted; every quotient is "
+                  "completed to the end (default 10)"),
+    ("dim", "--probe-bound PROBE_BOUND completion bound of oq-sl2 and "
+            "o-minus1-sl2, and the length to which basis words are counted; "
+            "widehat and overline do not read it (default 10)"),
+])
+def test_probe_bound_help_says_what_each_command_reads(capsys, command, says):
+    # construct completes every quotient to the end: on construct the
+    # option is no completion bound
+    code, out = run(capsys, command, "--help")
+    assert code == 0
+    out = " ".join(out.split())
+    assert says in out
+    assert ("completion bound" in out) == (command == "dim")
+
+
 def test_completion_failure_exit_2_with_context(capsys, monkeypatch):
     def capped(*args, **kwargs):
         raise CompletionFailure(

@@ -15,6 +15,7 @@ from qsl2.cyclo import (
     parse_scalar,
 )
 from qsl2.errors import MixedOrders
+from qsl2.presentations import sl2_algebra
 
 
 def poly_mul(a, b):
@@ -542,6 +543,27 @@ def test_a_product_with_one_is_the_other_factor(ell):
         assert x * 1 is x and 1 * x is x and x * Fraction(1) is x
         assert x * CycRat.from_rational(ell, 1) is x
     assert products == before
+
+
+@pytest.mark.parametrize("ell", FIELDS)
+def test_from_rational_returns_the_interned_zero_and_units(ell):
+    one = CycRat.one(ell)
+    assert CycRat.from_rational(ell, 1) is one
+    assert CycRat.from_rational(ell, -1) is -one
+    assert CycRat.from_rational(ell, 0) is CycRat.zero(ell)
+    # other rationals are built as before
+    two = CycRat.from_rational(ell, 2)
+    assert two == one + one and two.den == 1
+    assert CycRat.from_rational(ell, Fraction(1, 2)).den == 2
+
+
+def test_parsed_constants_are_interned():
+    # the -1 of a^5 - 1 meets the engine loops' `is one` tests
+    pres = sl2_algebra("odd", 5).pres
+    coeffs = list(pres.poly("a^5 - 1").terms.values())
+    one = CycRat.one(pres.ell)
+    assert len(coeffs) == 2
+    assert all(c is one or c is -one for c in coeffs)
 
 
 def test_unit_sum_table_stays_within_its_bound(monkeypatch):

@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 
 from qsl2 import presentations
 from qsl2.cyclo import CycRat, multiplicative_order
 from qsl2.errors import ParamOutOfRange, ParityMismatch, QSL2Error
+from qsl2.exactla import span_dim
 from qsl2.ncalg import NCPoly, TensorPoly, render_poly
-from qsl2.presentations import (ABCD, XGENS, classical_sl2,
+from qsl2.presentations import (ABCD, QUAD_PAIRS, QUAD_PAIRS_ALL, XGENS,
+                                classical_sl2,
                                 classical_sl2_presentation,
                                 distinguished_subalgebra, o_minus1_sl2,
                                 oq_sl2, phi_images, psl2_model,
@@ -60,24 +64,40 @@ def test_classical_sl2():
     assert normal_form(p, p.poly("x21*x11 - x11*x21")).is_zero()
 
 
-def test_psl2_model_quadratic_rank():
+def test_classical_quadratic_products_have_rank_nine():
+    # the ten products of two coordinates span the degree-2 component with
+    # one dependency, the determinant: x11*x22 = 1 + x12*x21
+    pres = classical_sl2().pres
+    quadratic = [{w: c for w, c in normal_form(
+        pres, NCPoly.monomial(XGENS, 1, pair)).terms.items() if len(w) == 2}
+        for pair in QUAD_PAIRS_ALL]
+    assert len(quadratic) == 10 and span_dim(quadratic) == 9
+
+
+def test_classical_normal_forms_keep_parity():
+    # every defining relation is parity-homogeneous, so the even part is
+    # closed: a word's normal form has only words of its length's parity
+    pres = classical_sl2().pres
+    words = [w for k in range(5) for w in product(range(4), repeat=k)]
+    assert len(words) == 341
+    for w in words:
+        nf = normal_form(pres, NCPoly.monomial(XGENS, 1, w))
+        assert all((len(v) - len(w)) % 2 == 0 for v in nf.terms), w
+    # x12*x21 reduces to x11*x22 - 1, evenly
+    assert normal_form(pres, pres.poly("x12*x21")).terms.keys() == {
+        (), (0, 3)}
+
+
+def test_classical_even_normal_words_by_degree():
+    levels = enumerate_basis(classical_sl2().pres, 4)
+    assert [len(levels[k]) for k in (0, 2, 4)] == [1, 9, 25]
+
+
+def test_psl2_model_refuses_products_past_its_degree():
     model = psl2_model(8)
-    assert model.quad_component_rank() == 9
-
-
-def test_psl2_model_parity_membership():
-    model = psl2_model(8)
-    x11 = NCPoly.monomial(XGENS, 1, (0,))
-    assert not model.contains(x11)
-    assert model.contains(NCPoly.monomial(XGENS, 1, (0, 3)))
-    assert model.contains(NCPoly.monomial(XGENS, 1, (1, 2)))  # reduces evenly
-
-
-def test_psl2_even_basis_sizes():
-    model = psl2_model(8)
-    assert len(model.even_basis(0)) == 1
-    assert len(model.even_basis(2)) == 9
-    assert len(model.even_basis(4)) == 25
+    assert len(model.products(1)) == len(QUAD_PAIRS) == 9
+    with pytest.raises(ParamOutOfRange, match="degree 10 > 8"):
+        model.products(5)
 
 
 @pytest.mark.parametrize("kind,ell,expected", [

@@ -19,9 +19,9 @@ from qsl2.rewrite import (DEFAULT_PROBE_BOUND, check_confluence, dimension,
                           enumerate_basis, normal_form, quotient_presentation)
 from qsl2.subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
                             datum_equiv, dihedral_model, exact_sequence_shadow,
-                            kernel_sigma_t, lift_classical_polys,
-                            minus_one_classify, validate_datum,
-                            verify_dihedral_quotient)
+                            gamma_embedding, kernel_sigma_t,
+                            lift_classical_polys, minus_one_classify,
+                            validate_datum, verify_dihedral_quotient)
 
 
 # -- datum validation ---------------------------------------------------------
@@ -114,27 +114,38 @@ def test_odd_lift_is_letter_repetition():
     for ell in (3, 5, 7):
         for n in range(1, 7):
             base = sl2_algebra("odd", ell, conductor=lcm(ell, n))
-            for sigma in (u for u in range(1, n + 1) if gcd(u, n) == 1):
-                gens = kernel_sigma_t(GroupSpec("cyclic", n=n), "odd",
-                                      sigma).generators
-                want = [NCPoly.from_terms(ABCD, base.ell, [
-                    (tuple(x for x in w for _ in range(ell)),
-                     embed_scalar(c, base.ell)) for w, c in g.terms.items()])
-                    for g in gens]
-                assert lift_classical_polys(gens, "odd", base) == want
-                lifted += len(gens)
-    assert lifted == 129
+            images = gamma_embedding("odd", base)
+            gens = kernel_sigma_t(GroupSpec("cyclic", n=n), "odd").generators
+            want = [NCPoly.from_terms(ABCD, base.ell, [
+                (tuple(x for x in w for _ in range(ell)),
+                 embed_scalar(c, base.ell)) for w, c in g.terms.items()])
+                for g in gens]
+            assert lift_classical_polys(gens, "odd", images, base) == want
+            lifted += len(gens)
+    assert lifted == 63
 
 
-def kernel_from_scratch(gamma, parity, exponent=1):
-    """The per-degree recomputation kernel_sigma_t replaced: at each degree,
-    every irreducible word of every length so far is evaluated again, one
-    kernel_of_columns runs over all of them and the quotient is completed
-    again from the ambient.  (generators, quotient, certificates)."""
+def group_matrices(gamma, sigma, conductor):
+    """The points of gamma embedded by g -> g^sigma, sigma a unit of a
+    cyclic group, written out here rather than read from the package."""
+    if gamma.kind == "dihedral":
+        return qsl2.subgroups._group_matrices(gamma, conductor)
+    qp = lambda k: CycRat.q_power(conductor, k % conductor)
+    zero = CycRat.zero(conductor)
+    return [((qp(sigma * j), zero), (zero, qp(-sigma * j)))
+            for j in range(gamma.order)]
+
+
+def kernel_from_scratch(gamma, parity, sigma=1):
+    """The per-degree recomputation kernel_sigma_t replaced, on the group
+    embedded by sigma: at each degree, every irreducible word of every
+    length so far is evaluated again, one kernel_of_columns runs over all
+    of them and the quotient is completed again from the ambient.
+    (generators, quotient, certificates)."""
     order = gamma.order
     step = 1 if parity == "odd" else 2
     conductor = gamma.root_order(parity)
-    mats = qsl2.subgroups._group_matrices(gamma, exponent, conductor)
+    mats = group_matrices(gamma, sigma, conductor)
     ambient = classical_sl2_presentation(conductor)
     ideal, quot = [], ambient
     expected = order if parity == "odd" else 2 * order
@@ -183,7 +194,7 @@ KERNEL_DATA = ([(GroupSpec("cyclic", n=n), parity, sigma)
 
 def test_incremental_kernel_equals_the_per_degree_recomputation():
     for gamma, parity, sigma in KERNEL_DATA:
-        kres = kernel_sigma_t(gamma, parity, sigma)
+        kres = kernel_sigma_t(gamma, parity)
         ideal, quot, certs = kernel_from_scratch(gamma, parity, sigma)
         case = (gamma, parity, sigma)
         assert ([render_poly(g) for g in kres.generators]
@@ -242,18 +253,22 @@ def test_each_word_is_evaluated_and_each_degree_completed_once(
 
 
 def test_sigma_never_enters_the_kernel():
-    # every unit sigma embeds the same subgroup mu_n, so the generator lists
-    # agree term for term (evidence on the datum's sigma, which only
-    # datum_equiv reads)
+    # every unit sigma embeds the same subgroup mu_n, so the reference
+    # elimination on the sigma-embedded points finds, term for term, the
+    # generators kernel_sigma_t finds without sigma (evidence on the
+    # datum's sigma, which only datum_equiv reads)
     compared = 0
     for parity in ("odd", "even", "minus_one"):
         for n in range(1, 13):
-            lists = {tuple(render_poly(g) for g in kernel_sigma_t(
-                GroupSpec("cyclic", n=n), parity, sigma).generators)
-                for sigma in units(n)}
-            assert len(lists) == 1, (parity, n)
-            compared += 1
-    assert compared == 36
+            gamma = GroupSpec("cyclic", n=n)
+            want = [render_poly(g) for g in kernel_sigma_t(gamma, parity)
+                    .generators]
+            for sigma in units(n):
+                ideal, _, _ = kernel_from_scratch(gamma, parity, sigma)
+                assert [render_poly(g) for g in ideal] == want, (
+                    parity, n, sigma)
+                compared += 1
+    assert compared == 3 * sum(len(units(n)) for n in range(1, 13)) == 138
 
 
 # (group, parity, the conductor kernel_sigma_t computed, the embedding root
@@ -305,6 +320,31 @@ def test_construction_keeps_the_kernel_of_step_two(doc):
     else:
         assert ([render_poly(g) for g in cons.kernel.generators]
                 == cons.transcript["kernel"])
+
+
+@pytest.mark.parametrize("doc", [
+    {"parity": "odd", "ell": 3, "gamma": {"kind": "cyclic", "n": 3}},
+    {"parity": "even", "ell": 4, "gamma": {"kind": "cyclic", "n": 2}},
+    {"parity": "minus_one", "ell": 2, "I_plus": [1], "I_minus": [1],
+     "gamma": {"kind": "dihedral", "m": 2}},
+])
+def test_one_construction_builds_the_gamma_embedding_once(monkeypatch, doc):
+    # step 2's lift, the PSL2-side augmentation ideal of H and the
+    # Gamma-image span read one build of the images
+    calls = Counter()
+    for name in ("gamma_embedding", "phi_images"):
+        real = getattr(qsl2.subgroups, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(qsl2.subgroups, name, counting)
+    cons = construct_quotient(SubgroupDatum.from_json(doc))
+    assert cons.consistent
+    assert cons.gamma_image_dim == cons.datum.gamma.order
+    assert calls["gamma_embedding"] == 1
+    assert calls["phi_images"] == (doc["parity"] != "odd")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
