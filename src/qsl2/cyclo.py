@@ -40,11 +40,8 @@ Sums of two units are read from a table as well: ``sums[(a, b)]``, for
 a <= b, is w^a + w^b, filled on first use with its place in the unit group
 looked up.  The cancelling pairs (b = a + N/2) give ``zero``, the field's
 one interned zero, which ``CycRat.zero`` also returns.  The table holds at
-most N(N+1)/2 entries and is cleared when it holds _SUMS_MAX; set-up and
-one pass of the benchmark workloads leave 85 (grid), 174 (ladder), 266
-(construct) and 130 (verify) entries over all fields, and a second pass
-adds none.  Every other sum of integral elements adds the coefficient
-vectors with ``map``.
+most N(N+1)/2 entries and is cleared when it holds _SUMS_MAX.  Every other
+sum of integral elements adds the coefficient vectors with ``map``.
 
 The products the workbench repeats most after those of units are between
 non-units with integral coefficients: a completion multiplies the same
@@ -53,13 +50,15 @@ keyed (e, x.num) for w^e times x and (a.num, b.num) for a times b, where
 x, a and b are integral (den 1) and irrational.  A miss computes the
 product by rotation or convolution and stores it; rational and
 non-integral operands, and two units, bypass the table.  It is cleared
-when it holds _PRODUCTS_MAX entries.  Set-up and one pass of the
-benchmark workloads leave 233 (grid) to 2,129 (ladder) entries over all
-fields, at most 1,770 in one field, and a second pass adds none; ``qsl2
-dim widehat --ell 13`` leaves 525.  An entry takes about 330 bytes at
+when it holds _PRODUCTS_MAX entries.  An entry takes about 330 bytes at
 ell = 13 (12 coefficients) while its coefficients fit in 30 bits, so a
 full table holds about 2.7 MB, plus 4 bytes for every 30 bits of any
 larger coefficient.
+
+Set-up and one pass of the benchmark workloads (seed 3) leave 187 (grid),
+1,894 (ladder), 433 (construct) and 1,159 (verify) products over all
+fields, at most 1,594 in one field, and 85, 174, 264 and 130 unit sums; a
+second pass adds none.  ``qsl2 dim widehat --ell 13`` leaves 371 products.
 """
 
 from __future__ import annotations
@@ -71,22 +70,6 @@ from math import gcd
 from operator import add as _add
 
 from .errors import MixedOrders
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = n
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:

@@ -43,10 +43,13 @@ def addto_all(terms: dict, keys, coeffs):
 
 
 def _normalized(vec: dict):
-    """(pivot, vec scaled so that its entry at the largest key is 1)."""
+    """(pivot, vec scaled so that its entry at the largest key is 1, the
+    field's interned one, which products with it skip)."""
     pivot = max(vec)
     inv = vec[pivot].inverse()
-    return pivot, {k: v * inv for k, v in vec.items()}
+    row = {k: v * inv for k, v in vec.items()}
+    row[pivot] = CycRat.one(inv.ell)
+    return pivot, row
 
 
 class Echelon:

@@ -322,7 +322,6 @@ class GrouplikeReport:
     elements: list          # NCPoly
     method: str
     complete: bool
-    group_order: int | None = None
 
     def count(self):
         return len(self.elements)
@@ -379,24 +378,7 @@ def grouplikes(model: FiniteModel) -> GrouplikeReport:
                                "concentrates grouplikes in degree 0")
                     break
 
-    # group closure sanity: products and antipodes of found grouplikes
-    order = None
-    if found:
-        ok_closure = True
-        words = {next(iter(g.terms)) for g in found}
-        for g1 in words:
-            for g2 in words:
-                prod = alg.pres.nf_word_terms(g1 + g2)
-                if len(prod) != 1 or next(iter(prod.values())) != 1 \
-                        or next(iter(prod)) not in words:
-                    ok_closure = False
-        for g1 in words:
-            s = alg.antipode_word(g1)
-            if len(s.terms) != 1 or next(iter(s.terms)) not in words:
-                ok_closure = False
-        if ok_closure:
-            order = len(found)
-    return GrouplikeReport(found, method, complete, order)
+    return GrouplikeReport(found, method, complete)
 
 
 # -- Hopf ideals ------------------------------------------------------------------

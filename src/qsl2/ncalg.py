@@ -89,11 +89,6 @@ class MonomialOrder:
         weight, length, letters = self._tuple_key(word)
         return -weight, -length, tuple(-x for x in letters)
 
-    def compare(self, u: Word, v: Word) -> int:
-        """-1, 0, 1 for u < v, u = v, u > v."""
-        ku, kv = self.key(u), self.key(v)
-        return -1 if ku < kv else (0 if ku == kv else 1)
-
     def to_json(self):
         return {"kind": "deglex", "precedence": list(self.precedence),
                 "weights": list(self.weights)}
@@ -200,11 +195,6 @@ class NCPoly(_SparsePoly):
 
     def coefficient(self, word: Word) -> CycRat:
         return self.terms.get(tuple(word), CycRat.zero(self.ell))
-
-    def leading_word(self, order: MonomialOrder) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=order.key)
 
     # -- arithmetic ---------------------------------------------------------
 

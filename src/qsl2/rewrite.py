@@ -380,9 +380,6 @@ class Presentation(Reducer):
     nf_word_terms = Reducer.nf_word_terms
     nf_terms = Reducer.nf_terms
 
-    def is_irreducible(self, word) -> bool:
-        return not self.collapsed and self.find_redex(word) is None
-
     # -- JSON -----------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -974,10 +971,9 @@ def dimension(pres: Presentation,
     return DimensionResult(False, sum(counts), counts)
 
 
-def basis_words(pres: Presentation,
-                probe_bound: int = DEFAULT_PROBE_BOUND) -> list[tuple]:
+def basis_words(pres: Presentation) -> list[tuple]:
     """Sorted basis of a finite-dimensional quotient."""
-    levels = _basis_levels(pres, probe_bound)
+    levels = _basis_levels(pres, DEFAULT_PROBE_BOUND)
     if levels[-1]:
         raise NotFiniteDimensional(
             f"{pres.label}: no empty length up to {len(levels) - 1}")

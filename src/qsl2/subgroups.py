@@ -30,7 +30,22 @@ from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
 
 A, B, C = 0, 1, 2
 
-CATALOG_GROUPS = ("torus", "borel_plus", "borel_minus", "G_a", "G_m", "full")
+# each catalog group and the case (I_plus, I_minus) it lives in
+CATALOG_CASES = {"torus": ((), ()), "borel_plus": ((1,), ()),
+                 "borel_minus": ((), (1,)), "G_a": ((1,), ()),
+                 "G_m": ((), ()), "full": ((1,), (1,))}
+
+# each group kind's JSON fields after "kind", with how each value is read (a
+# catalog name as given: validate_datum judges it)
+GROUP_FIELDS = {"cyclic": {"n": int}, "dihedral": {"m": int}, "trivial": {},
+                "catalog": {"name": lambda name: name}}
+
+
+def _group_fields(kind) -> dict:
+    try:
+        return GROUP_FIELDS[kind]
+    except (KeyError, TypeError):
+        raise QSL2Error(f"unknown group kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -69,26 +84,14 @@ class GroupSpec:
         return 1
 
     def to_json(self):
-        if self.kind == "cyclic":
-            return {"kind": "cyclic", "n": self.n}
-        if self.kind == "dihedral":
-            return {"kind": "dihedral", "m": self.m}
-        if self.kind == "trivial":
-            return {"kind": "trivial"}
-        return {"kind": "catalog", "name": self.name}
+        return {"kind": self.kind,
+                **{f: getattr(self, f) for f in _group_fields(self.kind)}}
 
     @staticmethod
     def from_json(doc) -> "GroupSpec":
         kind = doc["kind"]
-        if kind == "cyclic":
-            return GroupSpec("cyclic", n=int(doc["n"]))
-        if kind == "dihedral":
-            return GroupSpec("dihedral", m=int(doc["m"]))
-        if kind == "trivial":
-            return GroupSpec("trivial")
-        if kind == "catalog":
-            return GroupSpec("catalog", name=doc["name"])
-        raise QSL2Error(f"unknown group kind {kind!r}")
+        return GroupSpec(kind, **{f: read(doc[f]) for f, read
+                                  in _group_fields(kind).items()})
 
 
 @dataclass(frozen=True)
@@ -171,18 +174,12 @@ def validate_datum(d: SubgroupDatum) -> list[str]:
         elif not g.m or g.m < 1:
             errs.append("dihedral group needs m >= 1")
     elif g.kind == "catalog":
-        if g.name not in CATALOG_GROUPS:
+        needed = CATALOG_CASES.get(g.name) if isinstance(g.name, str) else None
+        if needed is None:
             errs.append(f"unknown catalog group {g.name!r}")
-        else:
-            case = (tuple(d.I_plus), tuple(d.I_minus))
-            needed = {
-                "torus": ((), ()), "G_m": ((), ()),
-                "borel_plus": ((1,), ()), "G_a": ((1,), ()),
-                "borel_minus": ((), (1,)), "full": ((1,), (1,)),
-            }[g.name]
-            if case != needed:
-                errs.append(f"catalog group {g.name} lives in the case "
-                            f"I_plus={list(needed[0])}, I_minus={list(needed[1])}")
+        elif (tuple(d.I_plus), tuple(d.I_minus)) != needed:
+            errs.append(f"catalog group {g.name} lives in the case "
+                        f"I_plus={list(needed[0])}, I_minus={list(needed[1])}")
     elif g.kind != "trivial":
         errs.append(f"unknown group kind {g.kind!r}")
     return errs
@@ -195,7 +192,6 @@ def validate_datum(d: SubgroupDatum) -> list[str]:
 class KernelResult:
     generators: list            # NCPoly over the classical coordinates
     conductor: int
-    group_order: int
     quotient: Presentation      # classical algebra mod the ideal
     certificates: list = field(default_factory=list)
 
@@ -315,7 +311,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
     certs.append(CheckResult("kernel-dimension", gamma.kind, dim_ok, witness))
     if not all_ok(certs):
         raise CertificateFailed(f"kernel certificate failed: {certs}")
-    return KernelResult(ideal, conductor, order, quot, certs)
+    return KernelResult(ideal, conductor, quot, certs)
 
 
 # -- lifting through the distinguished subalgebra -------------------------------

@@ -129,6 +129,58 @@ def test_kernel_pinned_4x6():
     ]
 
 
+def pivots_are_the_interned_one(ech, ell) -> bool:
+    """Each stored row holds the field's one object at its pivot, so the
+    products Echelon.reduce makes with it skip their arithmetic."""
+    one = CycRat.one(ell)
+    return all(row[pivot] is one for pivot, row in ech.rows.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_stored_pivots_are_the_interned_one(data):
+    ell, cols = data
+    ker, ech = ColumnKernel(ell), Echelon()
+    for col in cols:
+        ker.add(col)
+        ech.add(col)
+    assert pivots_are_the_interned_one(ker.ech, ell)
+    assert pivots_are_the_interned_one(ech, ell)
+
+
+def test_construct_kernel_pivots_are_the_interned_one(monkeypatch):
+    # and each kernel vector step 2 reads is still the unique one with top
+    # entry 1 over the pivot columns before it
+    import qsl2.subgroups
+    from qsl2.subgroups import GroupSpec, SubgroupDatum, construct_quotient
+
+    kernels = []
+
+    class Recording(ColumnKernel):
+        def __init__(self, ell):
+            super().__init__(ell)
+            self.ell, self.cols, self.vecs = ell, [], []
+            kernels.append(self)
+
+        def add(self, col):
+            self.cols.append(col)
+            vec = super().add(col)
+            if vec is not None:
+                self.vecs.append(vec)
+            return vec
+
+    monkeypatch.setattr(qsl2.subgroups, "ColumnKernel", Recording)
+    construct_quotient(SubgroupDatum(parity="even", ell=4, I_plus=(1,),
+                                     I_minus=(1,),
+                                     gamma=GroupSpec("cyclic", n=3)))
+    assert kernels and all(ker.ech.rows and ker.vecs for ker in kernels)
+    for ker in kernels:
+        assert pivots_are_the_interned_one(ker.ech, ker.ell)
+        for vec in ker.vecs:
+            assert vec[max(vec)].is_one()
+            assert combine(ker.cols, vec, ker.ell) == {}
+
+
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_span_closure_roots_of_unity_reach_full_dimension(n):
     # the character k -> q^k of Z/n and its powers: a Vandermonde system

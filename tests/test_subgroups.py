@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import qsl2.subgroups
 from qsl2.cyclo import CycRat, embed_scalar
-from qsl2.errors import CertificateFailed, InconsistentDatum
+from qsl2.errors import CertificateFailed, InconsistentDatum, QSL2Error
 from qsl2.exactla import kernel_of_columns
 from qsl2.hopf import CheckResult, FiniteModel, all_ok, grouplikes
 from qsl2.ncalg import NCPoly, render_poly
@@ -66,6 +66,40 @@ def test_json_roundtrip():
     assert d2.N_generator is None
 
 
+GROUP_SAMPLES = {"cyclic": {"n": 3}, "dihedral": {"m": 2}, "trivial": {},
+                 "catalog": {"name": "G_a"}}
+
+
+@pytest.mark.parametrize("kind", sorted(qsl2.subgroups.GROUP_FIELDS))
+def test_group_json_roundtrip_every_kind(kind):
+    doc = {"kind": kind, **GROUP_SAMPLES[kind]}
+    gamma = GroupSpec.from_json(doc)
+    assert gamma == GroupSpec(kind, **GROUP_SAMPLES[kind])
+    assert gamma.to_json() == doc
+    assert list(gamma.to_json()) == list(doc)
+
+
+def test_unknown_group_kind_is_refused():
+    # to_json used to write an unknown kind as a catalog group
+    with pytest.raises(QSL2Error, match="unknown group kind 'binary_ico"):
+        GroupSpec("binary_icosahedral").to_json()
+    for kind in ["binary_icosahedral", ["cyclic"]]:
+        with pytest.raises(QSL2Error, match="unknown group kind"):
+            GroupSpec.from_json({"kind": kind})
+
+
+@pytest.mark.parametrize("name", sorted(qsl2.subgroups.CATALOG_CASES))
+def test_catalog_group_validates_in_its_case_only(name):
+    needed = CATALOG_CASES[name]        # the reference table further down
+    for case in [((), ()), ((1,), ()), ((), (1,)), ((1,), (1,))]:
+        errs = validate_datum(SubgroupDatum(
+            parity="odd", ell=3, I_plus=case[0], I_minus=case[1],
+            gamma=GroupSpec("catalog", name=name)))
+        assert errs == ([] if case == needed else [
+            f"catalog group {name} lives in the case "
+            f"I_plus={list(needed[0])}, I_minus={list(needed[1])}"])
+
+
 # -- kernels -------------------------------------------------------------------
 
 
@@ -80,7 +114,6 @@ def test_kernel_cyclic_psl2():
 
 def test_kernel_trivial_group():
     kres = kernel_sigma_t(GroupSpec("trivial"), "odd")
-    assert kres.group_order == 1
     # quotient is the scalars: the augmentation ideal
     from qsl2.rewrite import dimension
     assert dimension(kres.quotient, 6).value == 1
@@ -366,7 +399,7 @@ def test_constructed_quotient_passes_axioms():
     res = construct_quotient(d)
     assert all_ok(check_axioms(res.algebra, 2))
     rep = grouplikes(FiniteModel(res.algebra))
-    assert rep.count() == 4 and rep.complete and rep.group_order == 4
+    assert rep.count() == 4 and rep.complete
 
 
 @pytest.mark.parametrize("ell,n", [(4, 2), (6, 2), (6, 3)])
