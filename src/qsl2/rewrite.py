@@ -64,9 +64,15 @@ check_confluence finds those within its length limit and reduces them all.
 Completion skips, without reducing it, every overlap whose word has an lhs
 strictly inside it (the noncommutative chain criterion of Buchberger's
 algorithm: Gebauer & Moeller 1988, Mora 1994).  Such an ambiguity splits
-into two shorter ones that completion has already resolved; _Completer
+into two lighter ones that completion has already resolved; _Completer
 gives the condition and its proof.  The rules are unchanged, since a
 reduced Groebner basis is unique for its ideal and order.
+
+Completion takes overlaps lightest first, by the weight of the overlap
+word under the monomial order and then by its length: a coarse form of
+the normal selection strategy, which takes the critical pair whose overlap
+word is least in the term order (Giovini, Mora, Niesi, Robbiano &
+Traverso 1991).
 """
 
 from __future__ import annotations
@@ -499,12 +505,16 @@ class _Completer(Reducer):
     the final rules (build_presentation reduces them once): no confluence
     pass is needed.
 
-    The agenda pops overlaps shortest first.  An overlap w = l1 + l2[k:]
-    popped with both rules current is skipped, and counted in skipped, when
-    some current lhs l3 occurs strictly inside w: starting after position 0
-    and ending before the last letter, so that it is neither the l1 prefix
-    nor the l2 suffix.  It resolves relative to the order (Bergman's diamond
-    lemma), and that is all completion needs of it:
+    The agenda pops overlaps lightest first: by weight under the order,
+    then by length, and the agenda counter breaks ties between overlaps of
+    one weight and one length.  Cuts stay by length.
+
+    An overlap w = l1 + l2[k:] popped with both rules current is skipped,
+    and counted in skipped, when some current lhs l3 occurs strictly inside
+    w: starting after position 0 and ending before the last letter, so that
+    it is neither the l1 prefix nor the l2 suffix.  It resolves relative to
+    the order (Bergman's diamond lemma), and that is all completion needs of
+    it:
 
     * The rule set is factor-free, so l3 lies inside neither l1 nor l2.
       Hence l3 starts inside l1 and ends inside l2, and w = u l3 v with u, v
@@ -514,14 +524,16 @@ class _Completer(Reducer):
       r(l1) s - p r(l2) = (r(l1) s' - u r(l3)) v + u (r(l3) v' - p' r(l2))
       for w = l1 s = p l2, l1 s' = u l3 and l3 v' = p' l2: the ambiguity of
       u l3 times v, plus u times that of l3 v.
-    * Both overlap words are proper factors of w, so they are shorter.
-      Each pair was scheduled when the later of its rules was added (or,
-      over a base, resolves already), and its rules have stayed current
-      since, as a retired lhs never returns.  The agenda pops by length, so
-      both were popped before w, and they resolve relative to the order:
-      reduced to zero, oriented into a rule, or skipped by this same
-      criterion, by induction on length.  Later rule changes keep them so:
-      a retired rule re-enters as an equation that reduces below its lhs.
+    * Both overlap words are proper factors of w, so they are strictly
+      lighter, since every letter weighs at least 1 (MonomialOrder refuses
+      less).  Each pair was scheduled when the later of its rules was added
+      (or, over a base, resolves already), and its rules have stayed
+      current since, as a retired lhs never returns.  The agenda pops by
+      weight, so both were popped before w, and they resolve relative to
+      the order: reduced to zero, oriented into a rule, or skipped by this
+      same criterion, by induction on weight.  Later rule changes keep them
+      so: a retired rule re-enters as an equation that reduces below its
+      lhs.
     * A monomial order is compatible with concatenation, so the two pieces
       times u and v stay below u l3 v = w, and w resolves relative to the
       order too.
@@ -535,8 +547,9 @@ class _Completer(Reducer):
     ends) gives (other, lead).  They are pushed in the order a scan of the
     rules would push them: by rule, (lead, other) before (other, lead), k
     ascending.  The agenda counter, which breaks ties between overlaps of
-    one length, then takes the same values, and the rules, retirements,
-    skips and cuts are those of the scan, bounded completions included.
+    one weight and one length, then takes the same values, and the rules,
+    retirements, skips and cuts are those of the scan, bounded completions
+    included.
     """
 
     keeps_trie = True
@@ -565,7 +578,7 @@ class _Completer(Reducer):
             self.eqs.append(dict(rel))
         self._drain_eqs()
         while self.agenda and not self.collapsed:
-            _, _, w, l1, l2, k = heapq.heappop(self.agenda)
+            _, _, _, w, l1, l2, k = heapq.heappop(self.agenda)
             if l1 not in self.rules or l2 not in self.rules:
                 continue
             if self._covered(w):
@@ -768,7 +781,9 @@ class _Completer(Reducer):
             self.cut.add((l1, l2))
             return
         self.counter += 1
-        heapq.heappush(self.agenda, (n, self.counter, l1 + l2[k:], l1, l2, k))
+        w = l1 + l2[k:]
+        heapq.heappush(self.agenda,
+                       (self.order.key(w)[0], n, self.counter, w, l1, l2, k))
 
 
 def _overlaps_of(l1, starts, max_len=None) -> list:

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import sys
 from collections import Counter
 from math import gcd, lcm
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl2.rewrite
 import qsl2.subgroups
 from qsl2.cyclo import CycRat, embed_scalar
 from qsl2.errors import CertificateFailed, InconsistentDatum, QSL2Error
@@ -567,6 +570,38 @@ def test_finite_constructions_are_complete(monkeypatch, seed):
             assert pres.confluence == "complete", case.name
             longest = 2 * max(map(len, pres.rules)) - 1
             assert check_confluence(pres, longest) == [], case.name
+
+
+# step 2 at the frontier, with I+ = I- = [1]: the lifted relations weigh
+# d as ell + 2.  An agenda that popped overlaps by length scheduled 8,622
+# (even) and 7,636 (odd) in the step-2 completion; by weight it schedules
+# 2,319 and 1,088, to the same rules.  The digests cover the presentation
+# and the transcript, as computed with the length-first agenda.
+@pytest.mark.parametrize("parity, ell, n, dim, digest", [
+    ("even", 8, 12, 1536,
+     "51c3e56fa14168b62b03dcf142a63b664e451f4e1925ba9df444dad4a873d275"),
+    ("odd", 5, 16, 2000,
+     "d4c65ae6a1245cab7426e9009c40b25baa4c83c8f76cdbed17c1a2a97fc63637"),
+], ids=["even-8-12", "odd-5-16"])
+def test_step_two_frontier_completes_lightest_first(monkeypatch, parity, ell,
+                                                    n, dim, digest):
+    runs = []
+
+    class Recording(qsl2.rewrite._Completer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(qsl2.rewrite, "_Completer", Recording)
+    cons = construct_quotient(SubgroupDatum.from_json({
+        "parity": parity, "ell": ell, "I_plus": [1], "I_minus": [1],
+        "gamma": {"kind": "cyclic", "n": n}, "sigma": {"exponent": 1}}))
+    assert repr(cons.dim) == f"Finite({dim})"
+    assert cons.certificates and all(c.ok for c in cons.certificates)
+    blob = json.dumps([cons.algebra.pres.to_json(), cons.transcript],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    assert max(run.counter for run in runs) <= 3000
 
 
 def test_validation_error_raises():
