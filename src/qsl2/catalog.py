@@ -18,8 +18,8 @@ from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
 from .ncalg import TensorPoly
 from .presentations import (ABCD, classical_sl2, distinguished_subalgebra,
                             phi_even_images, phi_images, psl2_model,
-                            quotient_ideal, sl2_algebra, sl2_parity,
-                            verify_psl2_embedding)
+                            quotient_ideal, require_parity, sl2_algebra,
+                            sl2_parity, verify_psl2_embedding)
 from .rewrite import (check_confluence, dimension, normal_form,
                       tensor_normal_form)
 from .subgroups import (GroupSpec, SubgroupDatum, construct_quotient,
@@ -45,11 +45,6 @@ class CatalogEntry:
                 "expected": self.expected,
                 "status": "pass" if self.ok else "fail",
                 "results": [r.to_json() for r in self.results]}
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ParamOutOfRange(message)
 
 
 def _confluence(subject: str, pres) -> CheckResult:
@@ -107,10 +102,8 @@ def torus_datum(parity: str, ell: int) -> SubgroupDatum:
 
 def _verify_dual(kind: str, ell: int) -> CatalogEntry:
     if kind == "widehat":
-        _require(ell % 2 == 1 and ell >= 3, "widehat-dual needs odd ell >= 3")
         dim, claim = ell ** 3, "quotient dimension is ell^3"
     else:
-        _require(ell % 2 == 0 and ell >= 4, "overline-dual needs even ell >= 4")
         dim, claim = 2 * (ell // 2) ** 3, "quotient dimension is 2 m^3"
     entry = CatalogEntry(f"{kind}-dual", {"ell": ell},
                          {"dimension": dim, "claim": claim})
@@ -125,7 +118,6 @@ def _verify_dual(kind: str, ell: int) -> CatalogEntry:
 
 
 def _verify_taft(ell: int) -> CatalogEntry:
-    _require(ell % 2 == 1 and ell >= 3, "taft needs odd ell >= 3")
     entry = CatalogEntry("taft", {"ell": ell},
                          {"dimension": ell ** 2, "grouplikes": ell,
                           "claim": "unipotent-line quotient: dim ell^2, "
@@ -154,7 +146,6 @@ def _verify_taft(ell: int) -> CatalogEntry:
 
 
 def _verify_cz2n(n: int) -> CatalogEntry:
-    _require(n >= 1, "cz2n needs n >= 1")
     entry = CatalogEntry("cz2n", {"n": n},
                          {"dimension": 2 * n,
                           "claim": "cyclic subgroup at q = -1: dim 2n"})
@@ -178,8 +169,6 @@ def _verify_cz2n(n: int) -> CatalogEntry:
 
 
 def _verify_cz2mn(ell: int, n: int) -> CatalogEntry:
-    _require(ell % 2 == 0 and ell >= 4, "cz2mn needs even ell >= 4")
-    _require(n >= 1, "cz2mn needs n >= 1")
     m = ell // 2
     entry = CatalogEntry("cz2mn", {"ell": ell, "n": n},
                          {"dimension": 2 * m * n,
@@ -196,7 +185,6 @@ def _verify_cz2mn(ell: int, n: int) -> CatalogEntry:
 
 
 def _verify_jdelta(ell: int, n: int, p: int, r: int) -> CatalogEntry:
-    _require(ell % 2 == 0 and ell >= 4, "jdelta needs even ell >= 4")
     m = ell // 2
     entry = CatalogEntry(
         "jdelta", {"ell": ell, "n": n, "p": p, "r": r},
@@ -212,7 +200,6 @@ def _verify_jdelta(ell: int, n: int, p: int, r: int) -> CatalogEntry:
 
 
 def _verify_dihedral(m: int) -> CatalogEntry:
-    _require(m >= 1, "dihedral needs m >= 1")
     entry = CatalogEntry("dihedral", {"m": m},
                          {"dimension": 2 * m,
                           "claim": "surjection onto functions on the "
@@ -222,30 +209,20 @@ def _verify_dihedral(m: int) -> CatalogEntry:
 
 
 def _verify_case_i_full(parity: str, ell: int) -> CatalogEntry:
-    if parity == "odd":
-        _require(ell % 2 == 1 and ell >= 3, "case-I-full odd needs odd ell")
-        h_expect = ell
-    elif parity == "even":
-        _require(ell % 2 == 0 and ell >= 4, "case-I-full even needs even ell")
-        h_expect = ell
-    else:
-        _require(ell == 2, "case-I-full minus_one fixes ell = 2")
-        h_expect = 2
     entry = CatalogEntry("case-I-full", {"parity": parity, "ell": ell},
-                         {"h_dimension": h_expect,
+                         {"h_dimension": ell,
                           "claim": "torus quotient: group-algebra top"})
     cons = construct_quotient(torus_datum(parity, ell))
     entry.results.append(_dimension_row(
         "ambient-infinite", cons.algebra.label, cons.dim, None))
     entry.results.append(_dimension_row(
-        "h-dimension", cons.h.pres.label, cons.h_dim, h_expect))
+        "h-dimension", cons.h.pres.label, cons.h_dim, ell))
     cons.h.label = f"case-I-top({parity})"
-    entry.results.append(_grouplikes_row(cons.h, h_expect))
+    entry.results.append(_grouplikes_row(cons.h, ell))
     return entry
 
 
 def _verify_central_l(ell: int) -> CatalogEntry:
-    _require(ell % 2 == 1 and ell >= 3, "central-L needs odd ell >= 3")
     entry = CatalogEntry("central-L", {"ell": ell},
                          {"claim": "ell-th powers generate a central "
                                    "classical copy"})
@@ -276,7 +253,6 @@ def _verify_normal_b() -> CatalogEntry:
 
 
 def _verify_normal_n(ell: int) -> CatalogEntry:
-    _require(ell % 2 == 0 and ell >= 4, "normal-N needs even ell >= 4")
     entry = CatalogEntry("normal-N", {"ell": ell},
                          {"claim": "m-th power pairs generate a normal "
                                    "even-part copy"})
@@ -294,25 +270,27 @@ def _verify_normal_n(ell: int) -> CatalogEntry:
 
 
 def _verify_battery(ell: int) -> CatalogEntry:
-    _require(ell >= 2, "battery needs ell >= 3 or ell = 2")
     entry = CatalogEntry("battery", {"ell": ell}, {"claim": "Hopf axioms"})
     entry.results.extend(run_battery(sl2_algebra(sl2_parity(ell), ell), 3))
     return entry
 
 
+# name -> (builder, the parameters it reads, the regime its ell lies in);
+# case-I-full reads its regime as the parity parameter, battery's base
+# takes the regime of its ell, and the rest take no ell
 _BUILDERS = {
-    "widehat-dual": (partial(_verify_dual, "widehat"), ("ell",)),
-    "overline-dual": (partial(_verify_dual, "overline"), ("ell",)),
-    "taft": (_verify_taft, ("ell",)),
-    "cz2n": (_verify_cz2n, ("n",)),
-    "cz2mn": (_verify_cz2mn, ("ell", "n")),
-    "jdelta": (_verify_jdelta, ("ell", "n", "p", "r")),
-    "dihedral": (_verify_dihedral, ("m",)),
-    "case-I-full": (_verify_case_i_full, ("parity", "ell")),
-    "central-L": (_verify_central_l, ("ell",)),
-    "normal-B": (_verify_normal_b, ()),
-    "normal-N": (_verify_normal_n, ("ell",)),
-    "battery": (_verify_battery, ("ell",)),
+    "widehat-dual": (partial(_verify_dual, "widehat"), ("ell",), "odd"),
+    "overline-dual": (partial(_verify_dual, "overline"), ("ell",), "even"),
+    "taft": (_verify_taft, ("ell",), "odd"),
+    "cz2n": (_verify_cz2n, ("n",), None),
+    "cz2mn": (_verify_cz2mn, ("ell", "n"), "even"),
+    "jdelta": (_verify_jdelta, ("ell", "n", "p", "r"), "even"),
+    "dihedral": (_verify_dihedral, ("m",), None),
+    "case-I-full": (_verify_case_i_full, ("parity", "ell"), None),
+    "central-L": (_verify_central_l, ("ell",), "odd"),
+    "normal-B": (_verify_normal_b, (), None),
+    "normal-N": (_verify_normal_n, ("ell",), "even"),
+    "battery": (_verify_battery, ("ell",), None),
 }
 
 
@@ -329,11 +307,15 @@ def entry_parameters(name: str) -> tuple:
 
 def verify_entry(name: str, **params) -> CatalogEntry:
     keys = entry_parameters(name)
-    builder = _BUILDERS[name][0]
+    builder, _, regime = _BUILDERS[name]
     missing = [k for k in keys if k not in params]
     if missing:
         raise ParamOutOfRange(f"{name} needs parameters {list(keys)}")
-    return builder(**{k: params[k] for k in keys})
+    args = {k: params[k] for k in keys}
+    regime = args.get("parity", regime)
+    if regime is not None:
+        require_parity(regime, args["ell"], name)
+    return builder(**args)
 
 
 DEFAULT_GRID = [

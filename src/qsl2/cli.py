@@ -25,15 +25,15 @@ import sys
 from .catalog import (cz2mn_datum, cz2n_datum, entry_names, entry_parameters,
                       taft_datum, torus_datum, verify_entry, verify_grid)
 from .errors import (CompletionFailure, InconsistentDatum, ParamOutOfRange,
-                     ParityMismatch, QSL2Error, UnknownEntry)
+                     QSL2Error, UnknownEntry)
 from .hopf import (FiniteModel, all_ok, check_axioms, check_central,
                    check_normal, check_structure_well_defined, grouplikes,
                    hopf_quotient)
 from .ncalg import render_poly
 from .presentations import (classical_sl2, distinguished_subalgebra,
                             o_minus1_sl2, oq_sl2, phi_even_images, phi_images,
-                            psl2_model, quotient_ideal, sl2_algebra,
-                            sl2_parity, verify_psl2_embedding)
+                            psl2_model, quotient_ideal, require_generic,
+                            sl2_algebra, sl2_parity, verify_psl2_embedding)
 from .rewrite import DEFAULT_PROBE_BOUND, dimension, quotient_presentation
 from .subgroups import (SubgroupDatum, construct_quotient, datum_equiv,
                         exact_sequence_shadow, verify_dihedral_quotient)
@@ -261,8 +261,11 @@ def _verify_dispatch(target, subject, cfg) -> list:
     # refuses a wrong parity; oq-sl2 asks for a generic one, refusing ell = 2
     ell = cfg.get("ell")
     if target == "axioms":
-        alg = (sl2_algebra("minus_one", 2) if subject == "o-minus1-sl2"
-               else sl2_algebra("odd" if ell % 2 else "even", ell))
+        if subject == "o-minus1-sl2":
+            alg = sl2_algebra("minus_one", 2)
+        else:
+            require_generic(ell)
+            alg = sl2_algebra(sl2_parity(ell), ell)
         return (check_structure_well_defined(alg)
                 + check_axioms(alg, sample_deg=3))
     if target == "central":
@@ -407,8 +410,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParamOutOfRange, ParityMismatch, InconsistentDatum,
-            UnknownEntry) as exc:
+    except (ParamOutOfRange, InconsistentDatum, UnknownEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except CompletionFailure as exc:

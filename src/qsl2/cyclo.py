@@ -107,17 +107,17 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
 class _Context:
     """Reduction and unit tables for one conductor, O(ell * phi) in size."""
 
-    __slots__ = ("ell", "phi", "modulus", "pows", "rows", "order", "half",
+    __slots__ = ("ell", "phi", "rows", "order", "half",
                  "unit_index", "unit_objs", "q_objs", "shifts", "products",
                  "sums", "zero")
 
     def __init__(self, ell: int):
         self.ell = ell
-        self.modulus = cyclotomic_polynomial(ell)
-        phi = self.phi = len(self.modulus) - 1
+        modulus = cyclotomic_polynomial(ell)
+        phi = self.phi = len(modulus) - 1
         # pows[m] = q^m in the power basis, for 0 <= m < ell; since q^ell = 1
         # this reduces x^k for every k >= 0 as pows[k % ell].
-        top = [-c for c in self.modulus[:phi]]  # x^phi
+        top = [-c for c in modulus[:phi]]  # x^phi
         pows = []
         cur = [1] + [0] * (phi - 1)
         for _ in range(ell):
@@ -126,7 +126,6 @@ class _Context:
             cur = [0] + cur[:-1]
             if carry:
                 cur = [c + carry * t for c, t in zip(cur, top)]
-        self.pows = pows
         # rows[m]: the nonzero (index, coefficient) pairs of pows[m]
         self.rows = [tuple((j, c) for j, c in enumerate(p) if c) for p in pows]
         # the units +-q^m are the cyclic group of w = -q (odd ell, order

@@ -29,10 +29,6 @@ class NotFiniteDimensional(QSL2Error):
     pass
 
 
-class ParityMismatch(QSL2Error):
-    pass
-
-
 class InconsistentDatum(QSL2Error):
     """The image of O(Gamma) collapsed in the constructed quotient."""
 
@@ -47,3 +43,8 @@ class UnknownEntry(QSL2Error):
 
 class ParamOutOfRange(QSL2Error):
     pass
+
+
+class ParityMismatch(ParamOutOfRange):
+    """The ParamOutOfRange of a regime: ell outside the regime of a parity
+    (presentations.REGIMES), or a parity that names no regime."""

@@ -99,6 +99,21 @@ def sl2_parity(ell: int) -> str:
     return "minus_one" if ell == 2 else ("odd" if ell % 2 else "even")
 
 
+# parity -> the ell it admits: odd ell >= 3, even ell >= 4 and q = -1
+REGIMES = {"odd": "odd ell >= 3", "even": "even ell >= 4",
+           "minus_one": "ell = 2"}
+
+
+def require_parity(parity: str, ell: int, subject: str):
+    """Raise ParityMismatch unless ell >= 2 lies in the regime parity, a key
+    of REGIMES; the one check of which ell each regime admits.  A parity
+    read from JSON may be any value, unhashable ones included."""
+    if not isinstance(parity, str) or parity not in REGIMES:
+        raise ParityMismatch(f"unknown parity {parity!r}")
+    if ell < 2 or sl2_parity(ell) != parity:
+        raise ParityMismatch(f"{subject} needs {REGIMES[parity]}, got {ell}")
+
+
 def _sl2_conductor(ell: int, conductor: int | None) -> int:
     """The conductor of O_q(SL2) at a primitive ell-th root q: the given
     one, ell by default, doubled if odd at q = -1."""
@@ -126,26 +141,27 @@ def _sl2(ell: int, cond: int, order: MonomialOrder,
     return named_algebra(pres, delta, counit, antipode, label)
 
 
-def _require_generic(ell: int):
+def require_generic(ell: int):
+    """Refuse ell <= 2 where q must be generic: q = -1 has its own
+    presentation."""
     if ell <= 2:
         raise ParamOutOfRange("the generic presentation needs ell >= 3; "
                               "use o_minus1_sl2 for q = -1")
 
 
-def oq_sl2(ell: int, conductor: int | None = None,
+def oq_sl2(ell: int,
            complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
     """The q-deformed coordinate algebra at a primitive ell-th root, ell >= 3,
-    in the PBW order, whose completion is infinite: bounded by complete_to."""
-    _require_generic(ell)
-    return _sl2(ell, _sl2_conductor(ell, conductor), _sl2_order(),
-                complete_to)
+    over Q(zeta_ell) in the PBW order, whose completion is infinite: bounded
+    by complete_to."""
+    require_generic(ell)
+    return _sl2(ell, ell, _sl2_order(), complete_to)
 
 
-def o_minus1_sl2(conductor: int = 2,
-                 complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
-    """The q = -1 coordinate algebra in the PBW order; relations specialize
-    the generic ones."""
-    return _sl2(2, _sl2_conductor(2, conductor), _sl2_order(), complete_to)
+def o_minus1_sl2(complete_to: int = DEFAULT_COMPLETION_BOUND) -> NamedAlgebra:
+    """The q = -1 coordinate algebra over Q in the PBW order; relations
+    specialize the generic ones."""
+    return _sl2(2, 2, _sl2_order(), complete_to)
 
 
 def sl2_algebra(parity: str, ell: int,
@@ -153,17 +169,16 @@ def sl2_algebra(parity: str, ell: int,
     """The base of all quotient work: the algebra of oq_sl2 (of o_minus1_sl2
     for parity minus_one) in the finite order _sl2_order(ell), complete
     with seven rules.  Its widehat and overline quotients complete to seven
-    rules too, d among their left sides.  Raises ParityMismatch unless
-    parity is sl2_parity(ell).
+    rules too, d among their left sides.  A generic parity with ell <= 2
+    raises ParamOutOfRange; any other ell outside the regime of parity
+    raises ParityMismatch, the ParamOutOfRange of a regime (require_parity).
 
     Each call returns a fresh instance of one checked build per ell and
     resolved conductor (see _memoized): conductor=None and conductor=ell
     share it."""
     if parity != "minus_one":
-        _require_generic(ell)
-    if parity != sl2_parity(ell):
-        raise ParityMismatch(f"{parity} parity does not fit ell = {ell}, "
-                             f"which is {sl2_parity(ell)}")
+        require_generic(ell)
+    require_parity(parity, ell, f"{parity} parity")
     cond = _sl2_conductor(ell, conductor)
     return _memoized(("sl2", ell, cond),
                      lambda: _sl2(ell, cond, _sl2_order(ell), None))
@@ -255,23 +270,20 @@ def psl2_model(max_deg: int = 8) -> PSL2Model:
 
 
 def quotient_ideal(kind: str, ell: int, conductor: int | None = None) -> list[NCPoly]:
-    """Generator list of the finite-quotient ideal for the given parity."""
+    """Generator list of the finite-quotient ideal: widehat at odd ell,
+    overline at even ell = 2m."""
+    if kind not in ("widehat", "overline"):
+        raise QSL2Error(f"unknown quotient ideal kind {kind!r}")
+    require_parity("odd" if kind == "widehat" else "even", ell, kind)
     cond = conductor or ell
     mono = lambda w, c=None: NCPoly.monomial(ABCD, cond, w, c)
     one = NCPoly.one(ABCD, cond)
     if kind == "widehat":
-        if ell % 2 == 0 or ell <= 2:
-            raise ParityMismatch("widehat needs odd ell > 2")
         return [mono((A,) * ell) - one, mono((B,) * ell),
                 mono((C,) * ell), mono((D,) * ell) - one]
-    if kind == "overline":
-        if ell % 2 or ell == 2:
-            raise ParityMismatch("overline needs even ell = 2m with m != 1")
-        q = CycRat.q_power(cond, cond // ell)
-        m = multiplicative_order(q * q)
-        return [mono((A,) * (2 * m)) - one, mono((B,) * m),
-                mono((C,) * m), mono((D,) * (2 * m)) - one]
-    raise QSL2Error(f"unknown quotient ideal kind {kind!r}")
+    m = ell // 2
+    return [mono((A,) * ell) - one, mono((B,) * m),
+            mono((C,) * m), mono((D,) * ell) - one]
 
 
 def phi_images(alg: NamedAlgebra) -> dict:
@@ -293,10 +305,8 @@ def phi_images(alg: NamedAlgebra) -> dict:
 
 
 def phi_even_images(alg: NamedAlgebra) -> dict:
-    """phi_images onto the subalgebra N: even ell = 2m with m != 1."""
-    order = multiplicative_order(alg.pres.q)
-    if order % 2 or order == 2:
-        raise ParityMismatch("N needs even ell = 2m with m != 1")
+    """phi_images onto the subalgebra N: q of even order ell >= 4."""
+    require_parity("even", multiplicative_order(alg.pres.q), "N")
     return phi_images(alg)
 
 
@@ -373,21 +383,24 @@ def verify_psl2_embedding(model: PSL2Model, target: NamedAlgebra, images: dict,
     return results
 
 
+# each distinguished subalgebra, named by its first letter, and its regime
+_SUBALGEBRA_PARITY = {"L_odd": "odd", "B_minus1": "minus_one",
+                      "N_even": "even"}
+
+
 def distinguished_subalgebra(case: str, ell: int):
-    """Generator lists of the central/normal subalgebras L, B, N."""
+    """Generator lists of the central/normal subalgebras L (odd ell), B
+    (ell = 2) and N (even ell)."""
+    if case not in _SUBALGEBRA_PARITY:
+        raise QSL2Error(f"unknown subalgebra case {case!r}")
+    require_parity(_SUBALGEBRA_PARITY[case], ell, case[0])
     mono = lambda w, c=None: NCPoly.monomial(ABCD, ell, w, c)
     if case == "L_odd":
-        if ell % 2 == 0 or ell <= 2:
-            raise ParityMismatch("L needs odd ell > 2")
         return [mono((g,) * ell) for g in range(4)]
     if case == "B_minus1":
         # squares first, then mixed pairs (a stable sort): reports list
         # their rows in this order
         return [mono(w)
                 for w in sorted(QUAD_PAIRS, key=lambda p: p[0] != p[1])]
-    if case == "N_even":
-        if ell % 2 or ell == 2:
-            raise ParityMismatch("N needs even ell = 2m with m != 1")
-        m = ell // 2
-        return [mono((x,) * m + (y,) * m) for x in range(4) for y in range(4)]
-    raise QSL2Error(f"unknown subalgebra case {case!r}")
+    m = ell // 2
+    return [mono((x,) * m + (y,) * m) for x in range(4) for y in range(4)]

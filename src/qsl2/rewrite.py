@@ -94,12 +94,6 @@ DEFAULT_PROBE_BOUND = 10
 DEFAULT_MAX_RULES = 30000
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: tuple
-    rhs: NCPoly
-
-
 class Reducer:
     """A rule set with its redex index and normal-form cache.
 
@@ -372,11 +366,6 @@ class Presentation(Reducer):
         out._automaton = self._automaton
         return out
 
-    def rule_list(self):
-        return [RewriteRule(lhs, NCPoly(self.gens, self.ell,
-                                        dict(self.rules[lhs])))
-                for lhs in sorted(self.rules, key=self.order.key)]
-
     # -- reduction ------------------------------------------------------------
 
     # The engine is Reducer's; binding its methods in this class body lets
@@ -399,9 +388,11 @@ class Presentation(Reducer):
             "confluence": self.confluence,
             "collapsed": self.collapsed,
             "rules": [
-                {"lhs": _render_word_named(self.gens, r.lhs) or "1",
-                 "rhs": render_poly(r.rhs, self.order)}
-                for r in self.rule_list()
+                {"lhs": _render_word_named(self.gens, lhs) or "1",
+                 "rhs": render_poly(NCPoly(self.gens, self.ell,
+                                           dict(self.rules[lhs])),
+                                    self.order)}
+                for lhs in sorted(self.rules, key=self.order.key)
             ],
             "defining": [render_poly(p, self.order) for p in self.defining],
         }

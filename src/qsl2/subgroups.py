@@ -16,14 +16,15 @@ from math import gcd, lcm
 
 from .cyclo import CycRat, multiplicative_order
 from .errors import (CertificateFailed, InconsistentDatum, ParamOutOfRange,
-                     QSL2Error)
+                     ParityMismatch, QSL2Error)
 from .exactla import ColumnKernel, span_closure
 from .hopf import (CheckResult, FiniteModel, NamedAlgebra, all_ok,
                    coinvariants, map_poly)
 from .ncalg import NCPoly, render_poly
 from .presentations import (ABCD, QUAD_PAIRS, XGENS,
                             classical_sl2_presentation, pair_factors,
-                            phi_images, quotient_ideal, sl2_algebra)
+                            phi_images, quotient_ideal, require_parity,
+                            sl2_algebra)
 from .rewrite import (DEFAULT_PROBE_BOUND, Presentation, dimension,
                       enumerate_basis, normal_form, product_normal_form,
                       quotient_presentation)
@@ -137,17 +138,10 @@ class SubgroupDatum:
 def validate_datum(d: SubgroupDatum) -> list[str]:
     """Structural violations; empty means the datum may be constructed."""
     errs = []
-    if d.parity == "odd":
-        if d.ell % 2 == 0 or d.ell < 3:
-            errs.append(f"odd parity needs odd ell >= 3, got {d.ell}")
-    elif d.parity == "even":
-        if d.ell % 2 or d.ell < 4:
-            errs.append(f"even parity needs even ell >= 4, got {d.ell}")
-    elif d.parity == "minus_one":
-        if d.ell != 2:
-            errs.append(f"minus_one parity fixes ell = 2, got {d.ell}")
-    else:
-        errs.append(f"unknown parity {d.parity!r}")
+    try:
+        require_parity(d.parity, d.ell, f"{d.parity} parity")
+    except ParityMismatch as exc:
+        errs.append(str(exc))
 
     for name, val in (("I_plus", d.I_plus), ("I_minus", d.I_minus)):
         if tuple(val) not in ((), (1,)):

@@ -127,10 +127,12 @@ def test_sl2_algebra_refuses_a_parity_that_disagrees_with_ell(parity, ell):
 
 
 def test_sl2_algebra_checks_the_range_before_the_parity():
-    # ell = 2 is q = -1: a generic regime asks for ell >= 3 first
+    # ell = 2 is q = -1: a generic regime asks for ell >= 3 first, with a
+    # plain ParamOutOfRange rather than its ParityMismatch subclass
     for parity in ("odd", "even"):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(ParamOutOfRange) as exc:
             sl2_algebra(parity, 2)
+        assert exc.type is ParamOutOfRange
 
 
 def test_distinguished_subalgebras():
@@ -422,12 +424,11 @@ def test_bad_input_raises_on_every_call(empty_memo):
             sl2_algebra("even", 3)
         with pytest.raises(ParityMismatch):
             sl2_algebra("minus_one", 3)
-        with pytest.raises(ParamOutOfRange):
-            sl2_algebra("odd", 3, conductor=4)
-        with pytest.raises(ParamOutOfRange):
-            sl2_algebra("odd", 1)
-        with pytest.raises(ParamOutOfRange):
-            sl2_algebra("odd", 2)
+        for args, kwargs in ((("odd", 3), {"conductor": 4}),
+                             (("odd", 1), {}), (("odd", 2), {})):
+            with pytest.raises(ParamOutOfRange) as exc:
+                sl2_algebra(*args, **kwargs)
+            assert exc.type is ParamOutOfRange
     assert list(empty_memo) == [("sl2", 3, 3)]
 
 

@@ -255,9 +255,9 @@ def test_random_ideal_members_reduce_to_zero():
 def test_rules_order_compatible(oq5):
     # every rhs word is strictly smaller than the lhs
     order = oq5.pres.order
-    for rule in oq5.pres.rule_list():
-        for w in rule.rhs.terms:
-            assert order.key(w) < order.key(rule.lhs)
+    for lhs, rhs in oq5.pres.rules.items():
+        for w in rhs:
+            assert order.key(w) < order.key(lhs)
 
 
 def test_json_roundtrip_presentation(oq5, finite_quotients):
