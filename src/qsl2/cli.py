@@ -18,6 +18,7 @@ included), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -380,9 +381,10 @@ def _cmd_grouplikes(args) -> dict:
         alg = construct_quotient(cz2n_datum(config["n"])).algebra
     else:
         parity = config["parity"]
-        # the default ell is the smallest of the parity
-        ell = config.setdefault(
-            "ell", {"odd": 3, "even": 4, "minus_one": 2}[parity])
+        # the default ell is the first ell >= 2 in the parity's regime, a
+        # key of REGIMES (argparse admits no other)
+        ell = config.setdefault("ell", next(
+            ell for ell in itertools.count(2) if sl2_parity(ell) == parity))
         alg = construct_quotient(torus_datum(parity, ell)).h
     rep = grouplikes(FiniteModel(alg))
     return _report("grouplikes", config, [], "pass", count=rep.count(),

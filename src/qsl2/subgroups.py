@@ -192,7 +192,8 @@ class KernelResult:
 
 def _group_matrices(gamma: GroupSpec, conductor: int):
     """Explicit 2x2 matrices (entries CycRat) for the embedded finite group,
-    written with q, a primitive conductor-th root (gamma.root_order)."""
+    written with q, a primitive conductor-th root (gamma.root_order): the
+    points at which the kernel-vanishes certificate evaluates."""
     qp = lambda k: CycRat.q_power(conductor, k % conductor)
     zero = CycRat.zero(conductor)
     if gamma.kind == "dihedral":
@@ -218,6 +219,26 @@ def _eval_poly(p: NCPoly, mat, conductor) -> CycRat:
     return val
 
 
+def _character_column(word, dihedral: bool, s: int, n: int, one) -> dict:
+    """The word's coordinates in the character basis of each coset of the
+    diagonal subgroup: the points are diag(z^j, z^-j) and, on a dihedral
+    group, antidiag(z^j, -z^-j), for j < n, with z = q^s of order n.
+
+    On the diagonal coset a word without b and c takes the values
+    z^(j k), k = (#a - #d)/s, which is the character of key k mod n; on
+    the antidiagonal one a word without a and d takes (-1)^#c z^(j k),
+    k = (#b - #c)/s.  Every other word vanishes on the coset.  s divides
+    each k of the words kernel_sigma_t reads (on the PSL2 side s = 2 and
+    the words are even)."""
+    a, b, c, d = (word.count(g) for g in range(4))
+    col = {}
+    if not b and not c:
+        col["diagonal", (a - d) // s % n] = one
+    if dihedral and not a and not d:
+        col["antidiagonal", (b - c) // s % n] = -one if c % 2 else one
+    return col
+
+
 def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
     """Vanishing ideal of the embedded finite group in the coordinate ring.
 
@@ -227,15 +248,27 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
     evaluated, so the ideal is the same.
 
     Works degreewise, in one elimination: at each degree the monomials of
-    that length that are irreducible in the quotient so far are evaluated
-    on every group element, once, and their columns enter one ColumnKernel
-    in deglex order (the empty word first).  A column that completes a
-    kernel vector gives a generator; the generators of a degree extend the
-    previous quotient, whose completion resumes from its rules.  The ideal
-    grows until the expected dimension is certified.  For the PSL2-side
-    parities only even monomials are considered; the parity grading of the
-    classical presentation makes the even-word count the dimension of the
-    even part.
+    that length that are irreducible in the quotient so far get their
+    columns, once, and the columns enter one ColumnKernel in deglex order
+    (the empty word first).  A column that completes a kernel vector gives
+    a generator; the generators of a degree extend the previous quotient,
+    whose completion resumes from its rules.  The ideal grows until the
+    expected dimension is certified.  For the PSL2-side parities only even
+    monomials are considered; the parity grading of the classical
+    presentation makes the even-word count the dimension of the even part.
+
+    Every group here is monomial: its points are the diagonal subgroup of
+    order n and, on a dihedral group, its antidiagonal coset.  A word's
+    column is not its values at the points but its coordinates in the
+    character basis of each coset (_character_column): one signed entry
+    per coset, or none, read off the letter counts.  This is exact.
+    The values and the coordinates differ by one invertible linear map,
+    the discrete Fourier transform on each coset, applied to every column
+    alike.  Such a map changes neither which columns are pivots nor any
+    kernel vector, the unique expression of a column over the pivots
+    before it.  The kernel-vanishes certificate evaluates the generators
+    at the true points, a check that owes nothing to the character
+    columns.
 
     Invariant, checked at each degree: the words of lower degree that the
     quotient keeps are the pivot words so far, in the order they entered.
@@ -256,7 +289,9 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
     order = gamma.order
     step = 1 if parity == "odd" else 2
     conductor = gamma.root_order(parity)
-    mats = _group_matrices(gamma, conductor)
+    dihedral = gamma.kind == "dihedral"
+    n = gamma.m if dihedral else order     # points on the diagonal
+    s, one = conductor // n, CycRat.one(conductor)
     max_deg = step * (order + 2)
     quot = classical_sl2_presentation(conductor)
     ideal: list[NCPoly] = []
@@ -273,9 +308,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
         found = []
         for w in (levels[deg] if words else lower + levels[deg]):
             words.append(w)
-            col = {i: v for i, m in enumerate(mats)
-                   if not (v := _eval_word(w, m, conductor)).is_zero()}
-            combo = kernel.add(col)
+            combo = kernel.add(_character_column(w, dihedral, s, n, one))
             if combo is None:
                 pivots.append(w)
             else:
@@ -289,6 +322,7 @@ def kernel_sigma_t(gamma: GroupSpec, parity: str) -> KernelResult:
             break
 
     certs = []
+    mats = _group_matrices(gamma, conductor)
     bad = next((g for g in ideal
                 if any(not _eval_poly(g, m, conductor).is_zero()
                        for m in mats)), None)

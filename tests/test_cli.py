@@ -334,6 +334,10 @@ def test_catalog_grid_order_invariant(capsys):
      "cde054a68b82f7d0c2510778a54159107e8b27b506eb3d770a34bd31ee9b9652"),
     (["grouplikes", "case-I-full"],
      "b4e68a0040aa0501de471f13f299d25d4b60972c4407ec929a873f694f9ec97d"),
+    (["grouplikes", "case-I-full", "--parity", "even"],
+     "ce11dc2ccf4382b2685b951ec47ce2dc72a2935e87d35e17480d9aeeebe2ac0d"),
+    (["grouplikes", "case-I-full", "--parity", "minus_one"],
+     "4857835cc5f14de4c957a049a91e6f04a8b0ccc1ea03342e070802d4cd0e364c"),
     (["verify", "morphism", "dihedral", "--m", "5"],
      "f8546c37413304c39ab33754260f9a8f4b21e3ed7eed7c4d54f39719e96fcb8c"),
     (["construct", "--datum-json", json.dumps({
@@ -352,7 +356,8 @@ def test_catalog_grid_order_invariant(capsys):
      "b98e50642a90b0757213e7eae947dbc7722eece96701eba21e516d7d5c2de637"),
     (["verify", "hopf-ideal", "overline", "--ell", "6"],
      "ff5bb395209ee8d2428896ba82ec40b5c84278a0fa4e4481401a28c0b3047e10"),
-], ids=["taft", "cz2n", "case-I-full", "dihedral-m5", "construct-odd-cyclic",
+], ids=["taft", "cz2n", "case-I-full", "case-I-full-even",
+        "case-I-full-minus_one", "dihedral-m5", "construct-odd-cyclic",
         "construct-even-cyclic", "morphism-N-8", "central-L-7",
         "hopf-ideal-widehat-3", "hopf-ideal-overline-6"])
 def test_reports_outside_the_grid_byte_identical(capsys, argv, digest):

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from pathlib import Path
 
@@ -162,22 +164,72 @@ def test_odd_lift_is_letter_repetition():
 
 
 def group_matrices(gamma, sigma, conductor):
-    """The points of gamma embedded by g -> g^sigma, sigma a unit of a
-    cyclic group, written out here rather than read from the package."""
-    if gamma.kind == "dihedral":
-        return qsl2.subgroups._group_matrices(gamma, conductor)
+    """The points of gamma, written out here rather than read from the
+    package: diag(q^(sigma j), q^(-sigma j)) for j < n, sigma a unit of a
+    cyclic group of order n, and on the dihedral group of order 2m the m
+    rotations diag(q^j, q^-j) and the m reflections antidiag(q^j, -q^-j)."""
     qp = lambda k: CycRat.q_power(conductor, k % conductor)
     zero = CycRat.zero(conductor)
+    if gamma.kind == "dihedral":
+        return ([((qp(j), zero), (zero, qp(-j))) for j in range(gamma.m)]
+                + [((zero, qp(j)), (-qp(-j), zero)) for j in range(gamma.m)])
     return [((qp(sigma * j), zero), (zero, qp(-sigma * j)))
             for j in range(gamma.order)]
+
+
+def eval_word(word, mat, conductor):
+    """The value of a word in x11, x12, x21, x22 at a 2x2 matrix."""
+    out = CycRat.one(conductor)
+    for g in word:
+        out = out * mat[g // 2][g % 2]
+    return out
+
+
+# groups of every kind at each parity that kernel_sigma_t accepts
+COLUMN_GROUPS = ([(GroupSpec(kind, **args), parity)
+                  for parity in ("odd", "even", "minus_one")
+                  for kind, args in [("trivial", {})] + [
+                      ("cyclic", {"n": n}) for n in (1, 2, 3, 4, 6)]]
+                 + [(GroupSpec("dihedral", m=m), parity)
+                    for parity in ("even", "minus_one") for m in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("gamma, parity", COLUMN_GROUPS)
+def test_character_column_is_the_fourier_transform_of_the_point_values(
+        gamma, parity):
+    # on each coset of the n diagonal points, the coordinates of a word's
+    # values v_j in the character basis are c_t = (1/n) sum_j v_j z^(-j t),
+    # z = q^s of order n; every word of the lengths the kernel sees, in
+    # all four letters, reducible ones included
+    conductor = gamma.root_order(parity)
+    mats = group_matrices(gamma, 1, conductor)
+    dihedral = gamma.kind == "dihedral"
+    n = gamma.m if dihedral else gamma.order
+    s = conductor // n
+    zero, one = CycRat.zero(conductor), CycRat.one(conductor)
+    scale = CycRat.from_rational(conductor, Fraction(1, n))
+    cosets = {"diagonal": mats[:n], "antidiagonal": mats[n:]}
+    lengths = range(4) if parity == "odd" else (0, 2, 4)
+    for length in lengths:
+        for word in product(range(4), repeat=length):
+            want = {}
+            for coset, points in cosets.items():
+                values = [eval_word(word, m, conductor) for m in points]
+                for t in range(n):
+                    c = sum((v * CycRat.q_power(conductor, -s * j * t)
+                             for j, v in enumerate(values)), zero) * scale
+                    if not c.is_zero():
+                        want[coset, t] = c
+            assert qsl2.subgroups._character_column(
+                word, dihedral, s, n, one) == want, word
 
 
 def kernel_from_scratch(gamma, parity, sigma=1):
     """The per-degree recomputation kernel_sigma_t replaced, on the group
     embedded by sigma: at each degree, every irreducible word of every
-    length so far is evaluated again, one kernel_of_columns runs over all
-    of them and the quotient is completed again from the ambient.
-    (generators, quotient, certificates)."""
+    length so far is evaluated again at every point, one kernel_of_columns
+    runs over all of them and the quotient is completed again from the
+    ambient.  (generators, quotient, certificates)."""
     order = gamma.order
     step = 1 if parity == "odd" else 2
     conductor = gamma.root_order(parity)
@@ -189,8 +241,8 @@ def kernel_from_scratch(gamma, parity, sigma=1):
         levels = enumerate_basis(quot, deg)
         batch = [w for dd in range(0, deg + 1, step) for w in levels[dd]]
         cols = [{i: v for i, m in enumerate(mats)
-                 if not (v := qsl2.subgroups._eval_word(w, m, conductor))
-                 .is_zero()} for w in batch]
+                 if not (v := eval_word(w, m, conductor)).is_zero()}
+                for w in batch]
         combos = kernel_of_columns(cols, conductor)
         if combos:
             ideal += [NCPoly.from_terms(
@@ -201,8 +253,9 @@ def kernel_from_scratch(gamma, parity, sigma=1):
         res = dimension(quot)
         if res.finite and res.value == expected:
             break
-    vanish = all(qsl2.subgroups._eval_poly(g, m, conductor).is_zero()
-                 for g in ideal for m in mats)
+    vanish = all(sum((eval_word(w, m, conductor) * c
+                      for w, c in g.terms.items()), CycRat.zero(conductor))
+                 .is_zero() for g in ideal for m in mats)
     if parity == "odd":
         dim_ok = res.finite and res.value == order
         witness = f"dim {res.value} = |group| {order}"
@@ -220,12 +273,16 @@ def units(n):
     return [u for u in range(1, n + 1) if gcd(u, n) == 1]
 
 
+# every parity on cyclic groups; the dihedral groups at q = -1 and at even
+# parity, where kernel_sigma_t accepts them too
 KERNEL_DATA = ([(GroupSpec("cyclic", n=n), parity, sigma)
                 for parity in ("odd", "even", "minus_one")
-                for n in range(1, 11)
+                for n in range(1, 13)
                 for sigma in sorted({units(n)[0], units(n)[-1]})]
                + [(GroupSpec("dihedral", m=m), "minus_one", 1)
-                  for m in range(1, 7)])
+                  for m in range(1, 9)]
+               + [(GroupSpec("dihedral", m=m), "even", 1)
+                  for m in range(1, 5)])
 
 
 def test_incremental_kernel_equals_the_per_degree_recomputation():
@@ -249,35 +306,50 @@ def test_incremental_kernel_equals_the_per_degree_recomputation():
 ])
 def test_each_word_is_evaluated_and_each_degree_completed_once(
         monkeypatch, gamma, parity):
-    evals, completions = Counter(), []
-    in_loop = [True]            # the certificates evaluate the generators
-    eval_word, eval_poly = (qsl2.subgroups._eval_word,
-                            qsl2.subgroups._eval_poly)
+    # a word is evaluated once, as its character column; the loop
+    # evaluates no point
+    columns, evals, completions = Counter(), [], []
+    in_certificate = [False]
+    real_column, real_eval_word, real_eval_poly = (
+        qsl2.subgroups._character_column, qsl2.subgroups._eval_word,
+        qsl2.subgroups._eval_poly)
     quotient = qsl2.subgroups.quotient_presentation
 
+    def counted_column(word, *args):
+        columns[word] += 1
+        return real_column(word, *args)
+
     def counted_eval(word, mat, conductor):
-        if in_loop[0]:
-            evals[word, id(mat)] += 1
-        return eval_word(word, mat, conductor)
+        evals.append((in_certificate[0], id(mat)))
+        return real_eval_word(word, mat, conductor)
 
     def certificate_eval(p, mat, conductor):
-        in_loop[0] = False
-        return eval_poly(p, mat, conductor)
+        in_certificate[0] = True
+        try:
+            return real_eval_poly(p, mat, conductor)
+        finally:
+            in_certificate[0] = False
 
     def counted_quotient(pres, relations, **kwargs):
         out = quotient(pres, relations, **kwargs)
         completions.append((pres, out))
         return out
 
+    monkeypatch.setattr(qsl2.subgroups, "_character_column", counted_column)
     monkeypatch.setattr(qsl2.subgroups, "_eval_word", counted_eval)
     monkeypatch.setattr(qsl2.subgroups, "_eval_poly", certificate_eval)
     monkeypatch.setattr(qsl2.subgroups, "quotient_presentation",
                         counted_quotient)
     kres = kernel_sigma_t(gamma, parity)
-    mats = {m for _, m in evals}
-    words = {w for w, _ in evals}
-    assert len(mats) == gamma.order
-    assert set(evals.values()) == {1} and len(evals) == len(words) * len(mats)
+    # only the kernel-vanishes certificate evaluates at the points, every
+    # term of every generator at each of the |group| points
+    assert all(inside for inside, _ in evals)
+    assert len({mat for _, mat in evals}) == gamma.order
+    assert len(evals) == gamma.order * sum(len(g.terms)
+                                           for g in kres.generators)
+    # each word's column is computed once, the generators' words included
+    assert set(columns.values()) == {1}
+    assert {w for g in kres.generators for w in g.terms} <= set(columns)
     # generators of one degree share the length of their leading word
     degrees = {max(map(len, g.terms)) for g in kres.generators}
     assert len(completions) == len(degrees) >= 1
@@ -286,6 +358,16 @@ def test_each_word_is_evaluated_and_each_degree_completed_once(
     for (_, previous), (base, _) in zip(completions, completions[1:]):
         assert base is previous
     assert completions[-1][1] is kres.quotient
+
+
+@pytest.mark.parametrize("parity", ["minus_one", "even"])
+def test_large_cyclic_kernel_is_certified(parity):
+    # 64 points over Q(zeta_128), which point evaluation took seconds for
+    kres = kernel_sigma_t(GroupSpec("cyclic", n=64), parity)
+    assert [c.check for c in kres.certificates] == ["kernel-vanishes",
+                                                     "kernel-dimension"]
+    assert all_ok(kres.certificates)
+    assert dimension(kres.quotient).value == 128
 
 
 def test_sigma_never_enters_the_kernel():
